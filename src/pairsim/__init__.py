@@ -1,6 +1,6 @@
 """pairsim: waveguide photon-pair source simulation and analysis.
 
-A numpy/scipy library covering the statistical layer of a twin-photon
+A numpy library covering the statistical layer of a twin-photon
 counting experiment: quasi-phase-matching design of the source operating
 point, Monte Carlo generation of detection event streams (pair emission,
 50/50 splitter routing, detector efficiency, dark counts, dead time),

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import hashlib
+import os
 import sys
 from pathlib import Path
 
@@ -82,21 +83,11 @@ def _emit(text: str, out: str | None, command: str,
 
 def _mapping_report(mapping: dict[str, object], csv: bool) -> str:
     """Key-value or CSV rendering of one flat result mapping; both carry
-    identical numeric values (float repr)."""
-    def fmt(v):
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return repr(v)
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        return str(v)
-
-    if csv:
-        keys = list(mapping)
-        return (",".join(keys) + "\n"
-                + ",".join(fmt(mapping[k]) for k in keys) + "\n")
-    return "".join(f"{k} = {fmt(v)}\n" for k, v in mapping.items())
+    identical values (keyvalue.format_value)."""
+    if not csv:
+        return keyvalue.format_keyvalue(mapping)
+    return (",".join(mapping) + "\n"
+            + ",".join(map(keyvalue.format_value, mapping.values())) + "\n")
 
 
 # ---------------------------------------------------------------- qpm ----
@@ -198,6 +189,7 @@ def _simulate_one(src_cfg, chain_cfg, run_cfg, out_path: Path,
     fields["duration_s"] = run_cfg.duration_s
     fields["seed"] = run_cfg.seed
     fields["resolution_ps"] = run_cfg.timestamp_resolution_ps
+    fields["rng_scheme"] = source.RNG_SCHEME
     fields.update(manifest_extra)
     fields["output"] = str(out_path)
     _write_manifest(out_path, "simulate", fields)
@@ -216,10 +208,23 @@ def _simulate_one(src_cfg, chain_cfg, run_cfg, out_path: Path,
     }
 
 
+def _worker_count(jobs: int) -> int:
+    """Process-pool size for --jobs seeds: no more workers than CPUs."""
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _cmd_simulate(args) -> int:
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
     if args.from_manifest:
         kv = keyvalue.read_keyvalue(args.from_manifest)
         src_txt = args.from_manifest
+        scheme = kv.get("rng_scheme", "<missing>")
+        if scheme != source.RNG_SCHEME:
+            raise _UsageError(
+                f"{src_txt}: manifest rng_scheme {scheme!r} differs from "
+                f"this version's {source.RNG_SCHEME!r}; its event file "
+                "cannot be reproduced")
         cfg = {k.partition(".")[2]: v for k, v in kv.items()
                if k.startswith("config.")}
         src_cfg = source.source_from_mapping(cfg, src_txt)
@@ -254,7 +259,8 @@ def _cmd_simulate(args) -> int:
             source.RunConfig(duration, seeds[0], resolution),
             outputs[0], extra)]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=_worker_count(args.jobs)) as pool:
             futures = [pool.submit(
                 _simulate_one, src_cfg, chain_cfg,
                 source.RunConfig(duration, s, resolution), path, extra)

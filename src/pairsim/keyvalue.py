@@ -51,19 +51,24 @@ def read_keyvalue(path: str | os.PathLike) -> dict[str, str]:
         return parse_keyvalue(fh.read(), source=str(path))
 
 
+def format_value(value: object) -> str:
+    """Text of one value: floats use repr (round-trip exact), booleans
+    true/false, None the empty string, everything else str."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
 def format_keyvalue(mapping: Mapping[str, object],
                     header: Iterable[str] = ()) -> str:
-    """Render a mapping back to key-value text. Floats use repr (round-trip
-    exact); everything else uses str."""
+    """Render a mapping back to key-value text, values as format_value."""
     lines = [f"# {h}" for h in header]
-    for key, value in mapping.items():
-        if isinstance(value, float):
-            text = repr(value)
-        elif isinstance(value, bool):
-            text = "true" if value else "false"
-        else:
-            text = str(value)
-        lines.append(f"{key} = {text}")
+    lines += [f"{key} = {format_value(value)}"
+              for key, value in mapping.items()]
     return "\n".join(lines) + "\n"
 
 

@@ -17,7 +17,6 @@ from importlib import resources
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import ConfigError, SolverError, Wavelength, idler_wavelength
 from . import keyvalue
@@ -204,6 +203,31 @@ def solve_poling_period(pump: Wavelength, signal: Wavelength,
                     pump=pump, signal=signal, idler=idler, qpm_order=qpm_order)
 
 
+def _bracketed_root(f, lo: float, hi: float, f_lo: float,
+                    f_hi: float) -> float | None:
+    """Root of f on [lo, hi] given f_lo = f(lo) and f_hi = f(hi), by
+    bisection run to floating-point convergence; None when f has the same
+    nonzero sign at both ends."""
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        return None
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def solve_temperature(pump: Wavelength, signal: Wavelength,
                       poling_period_um: float,
                       model: SellmeierModel | None = None,
@@ -228,28 +252,11 @@ def solve_temperature(pump: Wavelength, signal: Wavelength,
 
     lo, hi = temperature_range_c
     f_lo, f_hi = mismatch(lo), mismatch(hi)
-    if f_lo == 0.0:
-        root = lo
-    elif f_hi == 0.0:
-        root = hi
-    elif (f_lo < 0.0) == (f_hi < 0.0):
+    root = _bracketed_root(mismatch, lo, hi, f_lo, f_hi)
+    if root is None:
         raise SolverError(
             f"no phase-matching temperature in range [{lo:g}, {hi:g}] C for "
             f"period {poling_period_um:g} um (mismatch {f_lo:.4e} .. {f_hi:.4e} /m)")
-    else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            f_mid = mismatch(mid)
-            if f_mid == 0.0:
-                lo = hi = mid
-                break
-            if (f_mid < 0.0) == (f_lo < 0.0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        root = 0.5 * (lo + hi)
     return QpmPoint(poling_period_um=poling_period_um, temperature_c=root,
                     pump=pump, signal=signal, idler=idler, qpm_order=qpm_order)
 
@@ -281,9 +288,9 @@ def solve_signal_wavelength(pump: Wavelength, poling_period_um: float,
     """Signal wavelength phase-matched by a fixed period and temperature.
 
     Searches the signal branch (signal >= 2 pump, idler <= 2 pump) inside the
-    model's validity window: coarse sign scan, then Brent refinement. Raises
-    SolverError when no sign change exists (temperature on the wrong side of
-    degeneracy for this period).
+    model's validity window: coarse sign scan, then bisection to
+    floating-point convergence. Raises SolverError when no sign change exists
+    (temperature on the wrong side of degeneracy for this period).
     """
     model = model or default_sellmeier_model()
     if poling_period_um <= 0.0:
@@ -303,15 +310,10 @@ def solve_signal_wavelength(pump: Wavelength, poling_period_um: float,
     values = [mismatch(g) for g in grid]
     root_nm = None
     for i in range(len(grid) - 1):
-        if values[i] == 0.0:
-            root_nm = float(grid[i])
+        root_nm = _bracketed_root(mismatch, float(grid[i]), float(grid[i + 1]),
+                                  values[i], values[i + 1])
+        if root_nm is not None:
             break
-        if (values[i] < 0.0) != (values[i + 1] < 0.0):
-            root_nm = brentq(mismatch, grid[i], grid[i + 1], xtol=1e-9)
-            break
-    else:
-        if values[-1] == 0.0:
-            root_nm = float(grid[-1])
     if root_nm is None:
         raise SolverError(
             f"no phase-matched signal wavelength for period {poling_period_um:g} um "

@@ -11,20 +11,21 @@ with f = 1/2 when the splitter is present (both photons of a pair exit the
 same port half of the time and can never produce a coincidence) and f = 1
 for deterministic separation.
 
-Monte Carlo model, per run: pair emission times are a Poisson process of
-rate N; each photon of a pair is routed independently to arm 1 or 2 with
-probability 1/2 (splitter) or to its own arm (no splitter); a routed photon
-survives with probability mu_arm eta_arm and its detection time picks up
-optional Gaussian jitter; each detector adds an independent Poisson
-dark-count process; per detector the events are merged, sorted, dead-time
-filtered, then quantized to the timestamp resolution. Fixed seed gives a
-bit-identical EventStream; each physical process draws from its own named
-substream, so changing e.g. a dark rate does not shift the pair, routing,
-or survival draws.
-
-Runtime scales with pair_rate * duration (every emitted pair is drawn, in
-fixed-size chunks); memory scales with the number of detected events, which
-is checked against a budget before generation.
+Monte Carlo model, per run: pair emission is a Poisson process of rate N;
+each photon of a pair is independently routed to arm 1 or 2 with
+probability 1/2 (splitter) or to its own arm (no splitter) and detected with
+probability mu_arm eta_arm, so each pair falls in one of nine (photon a,
+photon b) fate classes over {arm 1, arm 2, lost}. By the marking theorem
+(Kingman, Poisson Processes, 1993) each class is an independent Poisson
+process, so a run draws the pair count, one multinomial over the classes,
+and emission times only for pairs with a detected photon: runtime and
+memory scale with the detected events, which are checked against a budget
+before generation. Detection times pick up optional Gaussian jitter; each
+detector adds an independent Poisson dark-count process; per detector the
+events are merged, sorted, dead-time filtered, then quantized to the
+timestamp resolution. Fixed seed gives a bit-identical EventStream; each
+physical process draws from its own named substream, so changing e.g. a
+dark rate does not shift the photon draws. RNG_SCHEME versions the draws.
 """
 
 from __future__ import annotations
@@ -64,11 +65,16 @@ __all__ = [
 # Gaussian FWHM = _FWHM_SIGMA * sigma
 _FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
-# named substreams; toggling one physical process must not shift the others
-_SUB_PAIRS, _SUB_ROUTING, _SUB_SURVIVAL, _SUB_DARK1, _SUB_DARK2, _SUB_JITTER = range(6)
+# version of the random-draw scheme of simulate_run; manifests record it
+RNG_SCHEME = "marked-1"
 
-_CHUNK = 1 << 22
-_MAX_PAIR_DRAWS = 2_000_000_000
+# named substreams; toggling one physical process must not shift the others.
+# Indices 1 and 2 are retired rather than reused, so dark and jitter draws
+# stay stable across RNG_SCHEME versions.
+_SUB_PAIRS, _SUB_DARK1, _SUB_DARK2, _SUB_JITTER = 0, 3, 4, 5
+
+# largest mean numpy's Generator.poisson accepts
+_POISSON_LAM_MAX = 2**63 - 1 - 10.0 * math.sqrt(2**63 - 1)
 
 
 @dataclass(frozen=True)
@@ -170,8 +176,8 @@ class RunConfig:
 class TrueCounts:
     """Ground truth of one simulated run, for round-trip tests.
 
-    pairs_detected_coincident counts pairs whose two photons were routed to
-    opposite arms and both survived (before dead-time filtering).
+    pairs_detected_coincident counts pairs with both photons detected, in
+    opposite arms (before dead-time filtering).
     """
 
     pairs_emitted: int
@@ -315,7 +321,8 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
     Returns the sorted event stream and the generation ground truth.
     Deterministic for a fixed (config, seed). Raises MemoryBudgetError before
     generating anything when the expected detected-event count exceeds
-    max_events or the expected pair count exceeds 2e9.
+    max_events or the expected pair count exceeds the largest Poisson mean
+    numpy can sample (about 9.2e18).
     """
     n_rate = pair_rate(source).hz
     e1, e2 = chain.arm_efficiencies
@@ -326,55 +333,34 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
         raise MemoryBudgetError(
             f"expected {expected_events:.3e} detected events exceeds the "
             f"budget of {max_events:.3e}; shorten the run or lower the rates")
-    if n_rate * d > _MAX_PAIR_DRAWS:
+    if n_rate * d > _POISSON_LAM_MAX:
         raise MemoryBudgetError(
-            f"expected {n_rate * d:.3e} emitted pairs exceeds the draw budget "
-            f"of {_MAX_PAIR_DRAWS:.1e}")
+            f"expected {n_rate * d:.3e} emitted pairs exceeds the largest "
+            f"Poisson mean the sampler accepts ({_POISSON_LAM_MAX:.3e}); "
+            "shorten the run or lower the pair rate")
 
     rng_pairs = _substream(run.seed, _SUB_PAIRS)
-    rng_routing = _substream(run.seed, _SUB_ROUTING)
-    rng_survival = _substream(run.seed, _SUB_SURVIVAL)
-
     n_pairs = int(rng_pairs.poisson(n_rate * d))
 
-    # survival is decided by 32-bit uniforms against a scaled threshold;
-    # the probability quantization (2^-32, absolute) is far below any
-    # statistical tolerance in use
-    def survive(u: np.ndarray, eff: float) -> np.ndarray:
-        k = round(eff * 4294967296.0)
-        if k <= 0:
-            return np.zeros(u.size, dtype=bool)
-        if k >= 4294967296:
-            return np.ones(u.size, dtype=bool)
-        return u < np.uint32(k)
-
-    det1_parts: list[np.ndarray] = []
-    det2_parts: list[np.ndarray] = []
-    coincident = 0
-    for start in range(0, n_pairs, _CHUNK):
-        m = min(_CHUNK, n_pairs - start)
-        t = rng_pairs.uniform(0.0, d, m)
-        if chain.splitter_present:
-            # two routing bits per pair: photon a -> bit 0, photon b -> bit 1
-            fate = rng_routing.integers(0, 4, m, dtype=np.uint8)
-            in2_a = (fate & 1).view(np.bool_)
-            in2_b = (fate >> 1).view(np.bool_)
-        else:
-            in2_a = np.zeros(m, dtype=bool)
-            in2_b = np.ones(m, dtype=bool)
-        u_a = rng_survival.integers(0, 1 << 32, size=m, dtype=np.uint32)
-        u_b = rng_survival.integers(0, 1 << 32, size=m, dtype=np.uint32)
-        if e1 == e2:
-            live_a = survive(u_a, e1)
-            live_b = survive(u_b, e1)
-        else:
-            live_a = np.where(in2_a, survive(u_a, e2), survive(u_a, e1))
-            live_b = np.where(in2_b, survive(u_b, e2), survive(u_b, e1))
-        coincident += int(np.count_nonzero((in2_a ^ in2_b) & live_a & live_b))
-        det1_parts.append(t[live_a & ~in2_a])
-        det1_parts.append(t[live_b & ~in2_b])
-        det2_parts.append(t[live_a & in2_a])
-        det2_parts.append(t[live_b & in2_b])
+    # per-photon fate probabilities (arm 1, arm 2, lost): photon a leaves by
+    # port 1 and photon b by port 2 unless the splitter sends it across
+    cross = 0.5 if chain.splitter_present else 0.0
+    fate_a = [(1.0 - cross) * e1, cross * e2]
+    fate_b = [cross * e1, (1.0 - cross) * e2]
+    fate_a.append(1.0 - sum(fate_a))
+    fate_b.append(1.0 - sum(fate_b))
+    # class (i, j) = (fate of a, fate of b) at flat index 3 i + j; the
+    # undetected class (lost, lost) comes last and gets no emission time
+    counts = rng_pairs.multinomial(n_pairs, np.outer(fate_a, fate_b).ravel())
+    ends = np.cumsum(counts[:-1])
+    pair_t = np.split(rng_pairs.uniform(0.0, d, int(ends[-1])), ends[:-1])
+    # arm k sees class (k, j) through photon a and (i, k) through photon b,
+    # so the (k, k) class goes in twice
+    photons_per_arm = [
+        np.concatenate([pair_t[3 * k + j] for j in range(3)]
+                       + [pair_t[3 * i + k] for i in range(3)])
+        for k in (0, 1)]
+    coincident = int(counts[1] + counts[3])
 
     rng_dark1 = _substream(run.seed, _SUB_DARK1)
     rng_dark2 = _substream(run.seed, _SUB_DARK2)
@@ -386,9 +372,7 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
     rng_jitter = _substream(run.seed, _SUB_JITTER)
     duration_ps = run.duration_ps
     per_detector: list[np.ndarray] = []
-    for photon_parts, dark_t in ((det1_parts, dark1_t), (det2_parts, dark2_t)):
-        photons = (np.concatenate(photon_parts) if photon_parts
-                   else np.empty(0, dtype=np.float64))
+    for photons, dark_t in zip(photons_per_arm, (dark1_t, dark2_t)):
         if chain.jitter_ps > 0.0 and photons.size:
             photons = photons + rng_jitter.normal(
                 0.0, chain.jitter_ps * 1e-12, photons.size)

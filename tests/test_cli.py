@@ -1,8 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pairsim
 from pairsim import cli, keyvalue
 from pairsim import source as source_mod
 from test_source import make_chain, make_source
@@ -127,6 +131,43 @@ class TestSimulate:
                              str(first) + ".manifest", "--out", str(second))
         assert code == 0
         assert sha(first) == sha(second)
+
+    def test_from_manifest_refuses_other_rng_scheme(self, capsys, tmp_path,
+                                                    small_config):
+        first = tmp_path / "first.events"
+        run_cli(capsys, "simulate", "--config", str(small_config),
+                "--duration", "0.2", "--seed", "11", "--out", str(first))
+        manifest = keyvalue.read_keyvalue(str(first) + ".manifest")
+        assert manifest["rng_scheme"] == source_mod.RNG_SCHEME
+        for scheme in (None, "per-pair-0"):
+            edited = {k: v for k, v in manifest.items() if k != "rng_scheme"}
+            if scheme is not None:
+                edited["rng_scheme"] = scheme
+            path = tmp_path / "edited.manifest"
+            keyvalue.write_keyvalue(path, edited)
+            code, _, err = run_cli(capsys, "simulate", "--from-manifest",
+                                   str(path), "--out",
+                                   str(tmp_path / "second.events"))
+            assert code == 1
+            assert source_mod.RNG_SCHEME in err
+            assert (scheme or "<missing>") in err
+        assert not (tmp_path / "second.events").exists()
+
+    def test_jobs_below_one_is_usage_error(self, capsys, tmp_path,
+                                           small_config):
+        for jobs in ("0", "-2"):
+            code, _, err = run_cli(capsys, "simulate", "--config",
+                                   str(small_config), "--duration", "0.1",
+                                   "--seed", "1", "--out",
+                                   str(tmp_path / "x.events"), "--jobs", jobs)
+            assert code == 1 and "--jobs" in err
+
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert cli._worker_count(1) == 1
+        assert cli._worker_count(8) == 2
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._worker_count(8) == 1
 
     def test_jobs_write_one_file_per_seed(self, capsys, tmp_path,
                                           small_config):
@@ -304,6 +345,17 @@ class TestTable1:
         code, _, err = run_cli(capsys, "table1", "--data",
                                str(tmp_path / "absent.txt"))
         assert code == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src_dir = Path(pairsim.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pairsim.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src_dir)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_version_flag(capsys):

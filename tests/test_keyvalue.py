@@ -26,6 +26,12 @@ def test_float_repr_round_trip():
     assert keyvalue.get_float(kv, "v") == 1.0 / 5.2
 
 
+def test_none_renders_empty():
+    assert keyvalue.format_value(None) == ""
+    text = keyvalue.format_keyvalue({"a": None, "b": False})
+    assert text == "a = \nb = false\n"
+
+
 def test_malformed_line_names_position():
     with pytest.raises(DataFormatError, match="f.txt:2"):
         keyvalue.parse_keyvalue("a = 1\nnonsense\n", source="f.txt")

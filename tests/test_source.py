@@ -196,6 +196,11 @@ class TestSimulateRun:
         (1e5, 0.5, 0.5, 0.5, 0.5, 5e3, False, 1.0),
         (2e4, 1.0, 1.0, 1.0, 1.0, 0.0, True, 1.0),
         (1e4, 0.8, 1.0, 0.8, 1.0, 1e3, False, 2.0),
+        # unequal arm efficiencies, 0.02 vs 0.15
+        (5e5, 0.2, 0.1, 0.5, 0.3, 1e3, True, 1.0),
+        (5e5, 0.2, 0.1, 0.5, 0.3, 1e3, False, 1.0),
+        # 3e9 emitted pairs, 6e5 detected photons
+        (1e9, 0.01, 0.01, 0.01, 0.01, 0.0, True, 3.0),
     ])
     def test_monte_carlo_matches_closed_form(self, n_target, mu1, eta1, mu2,
                                              eta2, dark, splitter, duration):
@@ -276,6 +281,18 @@ class TestSimulateRun:
         with pytest.raises(MemoryBudgetError, match="budget"):
             simulate_run(reference_source(), reference_chain(),
                          RunConfig(10.0, seed=1), max_events=1000)
+
+    def test_pair_count_beyond_sampler_limit_rejected(self):
+        # ~3.3e19 pairs over 10 s, none detected: within the event budget
+        src = SourceConfig(pump_power=OpticalPower(1.0),
+                           coupling_efficiency=Efficiency(1.0),
+                           pump_wavelength=Wavelength(657.0),
+                           conversion_efficiency=1.0,
+                           spectral_center=Wavelength(1314.0),
+                           spectral_fwhm_nm=30.0)
+        with pytest.raises(MemoryBudgetError, match="emitted pairs"):
+            simulate_run(src, make_chain(mu1=0.0, mu2=0.0),
+                         RunConfig(10.0, seed=1))
 
 
 class TestPairSpectrum:
