@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, Rate
-from .events import EventStream
+from .events import EventStream, _cluster_bounds
 
 __all__ = [
     "WindowConfig",
@@ -121,36 +121,15 @@ def count_singles(stream: EventStream) -> tuple[Rate, Rate]:
     return Rate(n1 / d), Rate(n2 / d)
 
 
-def _greedy_match_count(t1: np.ndarray, t2: np.ndarray,
-                        half_window_ps: float) -> int:
-    """One-to-one greedy matching in time order, |t1 - t2| <= half window.
-
-    Events with no partner inside the window never influence the matching,
-    so both sides are first reduced to window-overlap candidates (vectorized;
-    padded by 1 ps so float rounding of the bounds can only widen the
-    candidate set) and the exact sequential matcher runs only on those.
-    """
-    if t1.size == 0 or t2.size == 0:
-        return 0
-    pad = half_window_ps + 1.0
-    lo = np.searchsorted(t2, t1 - pad, side="left")
-    hi = np.searchsorted(t2, t1 + pad, side="right")
-    c1 = t1[hi > lo]
-    lo = np.searchsorted(t1, t2 - pad, side="left")
-    hi = np.searchsorted(t1, t2 + pad, side="right")
-    c2 = t2[hi > lo]
-    if c1.size == 0 or c2.size == 0:
-        return 0
-
-    a = c1.tolist()
-    b = c2.tolist()
+def _two_pointer_matches(a: list[int], b: list[int], half_window: int) -> int:
+    """Greedy one-to-one start/stop matching of two sorted lists."""
     i = j = matches = 0
     n1, n2 = len(a), len(b)
     while i < n1 and j < n2:
         dt = b[j] - a[i]
-        if dt < -half_window_ps:
+        if dt < -half_window:
             j += 1
-        elif dt > half_window_ps:
+        elif dt > half_window:
             i += 1
         else:
             matches += 1
@@ -159,24 +138,64 @@ def _greedy_match_count(t1: np.ndarray, t2: np.ndarray,
     return matches
 
 
-def _coincidence_event_count(stream: EventStream,
-                             window: WindowConfig) -> int:
-    t1, t2 = _split_times(stream)
-    return _greedy_match_count(t1, t2, window.half_window_ps)
+def _has_partner(a: np.ndarray, b: np.ndarray, half_window: int) -> np.ndarray:
+    """Mask of the events of sorted a with an event of sorted b at most
+    half_window away: only the two neighbours around each insertion point
+    can be the nearest."""
+    k = np.searchsorted(b, a)
+    right = b[np.minimum(k, b.size - 1)]
+    left = b[np.maximum(k - 1, 0)]
+    return ((np.abs(right - a) <= half_window)
+            | (np.abs(a - left) <= half_window))
 
 
-def _accidental_event_count(stream: EventStream, window: WindowConfig) -> int:
-    t1, t2 = _split_times(stream)
-    if t2.size:
-        t2 = np.sort((t2 + window.delay_ps) % stream.duration_ps)
-    return _greedy_match_count(t1, t2, window.half_window_ps)
+def _greedy_match_count(t1: np.ndarray, t2: np.ndarray,
+                        half_window_ps: float) -> int:
+    """One-to-one greedy matching in time order, |t1 - t2| <= half window.
+
+    Timestamps are integers, so the window is its integer floor. Events with
+    no partner inside the window never influence the matching and are
+    pruned, so every candidate shares its cluster with a partner. A gap
+    wider than the window between consecutive candidates is never spanned
+    by a match, so the clusters match independently: one with a single
+    event of either detector holds exactly one match (that event has a
+    partner, and nothing else competes for it), and the exact sequential
+    matcher runs only on clusters with at least two events per detector.
+    """
+    if t1.size == 0 or t2.size == 0:
+        return 0
+    half_window = min(math.floor(half_window_ps), np.iinfo(np.int64).max)
+    c1 = t1[_has_partner(t1, t2, half_window)]
+    c2 = t2[_has_partner(t2, t1, half_window)]
+    if c1.size == 0:
+        return 0
+
+    merged = np.concatenate((c1, c2))
+    order = np.argsort(merged, kind="stable")
+    starts, ends = _cluster_bounds(np.diff(merged[order]) > half_window)
+    n1 = np.add.reduceat((order < c1.size).astype(np.int64), starts)
+    n2 = ends - starts - n1
+    ambiguous = np.minimum(n1, n2) > 1
+    return (int(np.count_nonzero(~ambiguous))
+            + _two_pointer_matches(c1[np.repeat(ambiguous, n1)].tolist(),
+                                   c2[np.repeat(ambiguous, n2)].tolist(),
+                                   half_window))
+
+
+def _delayed(t2: np.ndarray, delay_ps: int, duration_ps: int) -> np.ndarray:
+    """Sorted (t2 + delay) mod duration: sorted t2 rotated at one point, for
+    any delay (it may exceed the duration)."""
+    shift = delay_ps % duration_ps
+    k = int(np.searchsorted(t2, duration_ps - shift))
+    return np.concatenate((t2[k:] - (duration_ps - shift), t2[:k] + shift))
 
 
 def count_coincidences(stream: EventStream,
                        window: WindowConfig = WindowConfig()) -> Rate:
     """Raw coincidence rate from greedy start/stop matching."""
     d = _require_duration(stream)
-    return Rate(_coincidence_event_count(stream, window) / d)
+    t1, t2 = _split_times(stream)
+    return Rate(_greedy_match_count(t1, t2, window.half_window_ps) / d)
 
 
 def estimate_accidentals(stream: EventStream,
@@ -188,7 +207,10 @@ def estimate_accidentals(stream: EventStream,
     recounts coincidences.
     """
     d = _require_duration(stream)
-    return Rate(_accidental_event_count(stream, window) / d)
+    t1, t2 = _split_times(stream)
+    return Rate(_greedy_match_count(
+        t1, _delayed(t2, window.delay_ps, stream.duration_ps),
+        window.half_window_ps) / d)
 
 
 def net_summary(stream: EventStream, window: WindowConfig = WindowConfig(),
@@ -196,9 +218,12 @@ def net_summary(stream: EventStream, window: WindowConfig = WindowConfig(),
                 ) -> CountSummary:
     """Full raw/net summary with dark and accidental subtraction."""
     duration_s = _require_duration(stream)
-    n1, n2 = stream.counts()
-    rc_count = _coincidence_event_count(stream, window)
-    acc_count = _accidental_event_count(stream, window)
+    t1, t2 = _split_times(stream)
+    n1, n2 = t1.size, t2.size
+    rc_count = _greedy_match_count(t1, t2, window.half_window_ps)
+    acc_count = _greedy_match_count(
+        t1, _delayed(t2, window.delay_ps, stream.duration_ps),
+        window.half_window_ps)
 
     floored: list[str] = []
     s_nets = []

@@ -98,6 +98,10 @@ def infer_pair_rate(inp: EstimateInput) -> Rate:
     n = inp.s1_net.hz * inp.s2_net.hz / inp.rc_net.hz
     if inp.splitter_correction:
         n *= 0.5
+    if not (0.0 < n < math.inf):
+        raise InferenceError(
+            f"inferred pair rate {n:g} Hz is not a positive finite number; "
+            "the net singles rates are zero or the rates under/overflow")
     return Rate(n)
 
 
@@ -129,7 +133,8 @@ def estimate(inp: EstimateInput,
     known) conversion efficiency and coincidences per pump watt.
 
     With a run duration the 1-sigma Poisson uncertainty follows from the
-    three counts: sigma_N / N = sqrt(1/C1 + 1/C2 + 1/Cc).
+    three counts: sigma_N / N = sqrt(1/C1 + 1/C2 + 1/Cc). A duration that
+    implies fewer than one net count in any of them is rejected.
     """
     n = infer_pair_rate(inp)
     products = efficiency_products(inp)
@@ -151,6 +156,12 @@ def estimate(inp: EstimateInput,
             raise ConfigError(f"duration_s must be > 0, got {duration_s}")
         counts = (inp.s1_net.hz * duration_s, inp.s2_net.hz * duration_s,
                   inp.rc_net.hz * duration_s)
+        if min(counts) < 1.0:
+            raise ConfigError(
+                f"duration_s = {duration_s:g} s implies fewer than one net "
+                "count (S1, S2, Rc = "
+                + ", ".join(f"{c:.3g}" for c in counts)
+                + "); Poisson uncertainties need a longer run")
         rel = math.sqrt(sum(1.0 / c for c in counts))
         sigma_n = n.hz * rel
         if eta is not None:

@@ -33,6 +33,20 @@ __all__ = ["EventStream", "write_event_file", "read_event_file"]
 FILE_MAGIC = "# pairsim-events v1"
 
 
+def _cluster_bounds(cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of the clusters of a non-empty sorted time array of
+    cut.size + 1 events, where cut[k] separates events k and k + 1.
+
+    The dead-time filter and the coincidence matcher are sequential rules
+    that only a small gap can couple; each cuts where the gap settles the
+    outcome, decides whole clusters at once, and runs its sequential rule
+    only inside the clusters that stay ambiguous.
+    """
+    starts = np.concatenate(([0], np.flatnonzero(cut) + 1))
+    ends = np.append(starts[1:], cut.size + 1)
+    return starts, ends
+
+
 @dataclass(frozen=True)
 class EventStream:
     """Sorted detection events from two detectors over one run."""

@@ -281,6 +281,29 @@ def solve_degeneracy_temperature(pump: Wavelength, poling_period_um: float,
     return point.temperature_c
 
 
+def _signal_scan_per_m(pump: Wavelength, signal_nm: np.ndarray,
+                       temperature_c: float,
+                       model: SellmeierModel) -> np.ndarray:
+    """_index_sum_per_m over an array of signal wavelengths above the pump,
+    each with its energy-conserving idler, in one index_um call per
+    wavelength set; bit-identical to the scalar path, including the range
+    error that path raises first."""
+    n_p = refractive_index(model, pump, temperature_c)
+    idler_nm = np.where(signal_nm == 2.0 * pump.nm, signal_nm,
+                        1.0 / (1.0 / pump.nm - 1.0 / signal_nm))
+    signal_um, idler_um = signal_nm * 1e-3, idler_nm * 1e-3
+    lo, hi = model.wavelength_range_um
+    outside = np.flatnonzero((np.minimum(signal_um, idler_um) < lo)
+                             | (np.maximum(signal_um, idler_um) > hi))
+    if outside.size:
+        for nm in (signal_nm[outside[0]], idler_nm[outside[0]]):
+            model.check_range(Wavelength(nm), temperature_c)
+    n_s = model.index_um(signal_um, temperature_c)
+    n_i = model.index_um(idler_um, temperature_c)
+    return (n_p / pump.meters - n_s / (signal_nm * 1e-9)
+            - n_i / (idler_nm * 1e-9))
+
+
 def solve_signal_wavelength(pump: Wavelength, poling_period_um: float,
                             temperature_c: float,
                             model: SellmeierModel | None = None,
@@ -307,7 +330,8 @@ def solve_signal_wavelength(pump: Wavelength, poling_period_um: float,
     if hi_nm <= lo_nm:
         raise SolverError("degenerate wavelength sits at the model's validity edge")
     grid = np.linspace(lo_nm, hi_nm, 512)
-    values = [mismatch(g) for g in grid]
+    values = (_signal_scan_per_m(pump, grid, temperature_c, model)
+              - grating).tolist()
     root_nm = None
     for i in range(len(grid) - 1):
         root_nm = _bracketed_root(mismatch, float(grid[i]), float(grid[i + 1]),

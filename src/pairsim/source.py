@@ -41,7 +41,7 @@ import numpy as np
 
 from .core import (ConfigError, Efficiency, MemoryBudgetError, OpticalPower,
                    Rate, Wavelength, photon_flux)
-from .events import EventStream
+from .events import EventStream, _cluster_bounds
 from . import keyvalue
 
 __all__ = [
@@ -292,15 +292,25 @@ def _substream(seed: int, index: int) -> np.random.Generator:
 
 def _deadtime_filter(times_s: np.ndarray, dead_s: float) -> np.ndarray:
     """Non-paralyzable dead time: drop events closer than dead_s to the last
-    accepted one; dropped events do not extend the dead window."""
+    accepted one; dropped events do not extend the dead window.
+
+    An event at least dead_s after its predecessor (the same float key
+    t[i - 1] + dead_s the sequential rule searches for) is accepted whatever
+    came before, so it starts a cluster. A cluster shorter than dead_s keeps
+    only its start; the sequential rule runs only on the longer ones.
+    """
     if dead_s <= 0.0 or times_s.size == 0:
         return times_s
+    starts, ends = _cluster_bounds(times_s[1:] >= times_s[:-1] + dead_s)
     keep = np.zeros(times_s.size, dtype=bool)
-    i = 0
-    n = times_s.size
-    while i < n:
-        keep[i] = True
-        i = int(np.searchsorted(times_s, times_s[i] + dead_s, side="left"))
+    keep[starts] = True
+    long = np.flatnonzero(times_s[ends - 1] >= times_s[starts] + dead_s)
+    for start, end in zip(starts[long].tolist(), ends[long].tolist()):
+        cluster = times_s[start:end]
+        i = 0
+        while i < cluster.size:
+            keep[start + i] = True
+            i = int(np.searchsorted(cluster, cluster[i] + dead_s, side="left"))
     return times_s[keep]
 
 
@@ -322,7 +332,9 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
     Deterministic for a fixed (config, seed). Raises MemoryBudgetError before
     generating anything when the expected detected-event count exceeds
     max_events or the expected pair count exceeds the largest Poisson mean
-    numpy can sample (about 9.2e18).
+    numpy can sample (about 9.2e18). Raises ConfigError for a positive dead
+    time below the float spacing of the run's event times, which the
+    dead-time rule cannot resolve.
     """
     n_rate = pair_rate(source).hz
     e1, e2 = chain.arm_efficiencies
@@ -338,6 +350,12 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
             f"expected {n_rate * d:.3e} emitted pairs exceeds the largest "
             f"Poisson mean the sampler accepts ({_POISSON_LAM_MAX:.3e}); "
             "shorten the run or lower the pair rate")
+    dead_s = chain.dead_time_ns * 1e-9
+    if 0.0 < dead_s < math.ulp(d):
+        raise ConfigError(
+            f"dead time {dead_s:.3e} s is below the float spacing "
+            f"{math.ulp(d):.3e} s of event times in a {d:g} s run; "
+            "use 0 for no dead time")
 
     rng_pairs = _substream(run.seed, _SUB_PAIRS)
     n_pairs = int(rng_pairs.poisson(n_rate * d))
@@ -378,7 +396,7 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
                 0.0, chain.jitter_ps * 1e-12, photons.size)
             photons = photons[(photons >= 0.0) & (photons < d)]
         merged = np.sort(np.concatenate((photons, dark_t)))
-        merged = _deadtime_filter(merged, chain.dead_time_ns * 1e-9)
+        merged = _deadtime_filter(merged, dead_s)
         per_detector.append(
             _quantize(merged, duration_ps, run.timestamp_resolution_ps))
 

@@ -286,6 +286,19 @@ class TestEstimate:
                                "--s2", "1e3", "--rc", "0", "--splitter")
         assert code == 3
 
+    def test_underflowed_pair_rate_is_solver_error(self, capsys):
+        code, out, err = run_cli(capsys, "estimate", "--s1", "1e-300",
+                                 "--s2", "1e-300", "--rc", "1e-300")
+        assert code == 3 and out == ""
+        assert "positive finite" in err
+
+    def test_duration_below_one_count_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "estimate", "--s1", "155e3",
+                                 "--s2", "155e3", "--rc", "1550",
+                                 "--splitter", "--duration", "5e-4")
+        assert code == 1 and out == ""
+        assert "fewer than one net count" in err
+
     def test_summary_csv_input(self, capsys, tmp_path, small_config):
         events = tmp_path / "run.events"
         run_cli(capsys, "simulate", "--config", str(small_config),

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pairsim import (ConfigError, EventStream, Rate, WindowConfig,
                      count_coincidences, count_singles, estimate_accidentals,
                      net_summary)
+from pairsim.counting import _greedy_match_count
 
 
 def brute_force_matches(t1, t2, half_window) -> int:
@@ -42,6 +44,35 @@ def poisson_streams(rate1_hz, rate2_hz, duration_s, seed):
     t1 = np.sort(rng.integers(0, d_ps, n1))
     t2 = np.sort(rng.integers(0, d_ps, n2))
     return stream_from_times(t1, t2, d_ps)
+
+
+@st.composite
+def tied_streams(draw):
+    """Short runs crowded with duplicate timestamps and chains of events one
+    half window apart around shared centres, a half window that is often
+    below 1 ps (only exact ties match), and a delay that may exceed the run
+    duration."""
+    duration = draw(st.integers(1, 3000))
+    half = draw(st.sampled_from((0.25, 0.5, 1.0, 2.5, 4.0, 7.0, 20.0)))
+    reach = int(half) + 2
+    centers = draw(st.lists(st.integers(0, duration - 1), min_size=1,
+                            max_size=8))
+
+    def side():
+        times = []
+        for center in centers:
+            offsets = draw(st.lists(st.integers(-reach, reach), max_size=5))
+            step = draw(st.sampled_from((0, int(half), int(half) + 1)))
+            times += [center + o for o in offsets]
+            times += [center + k * step for k in range(len(offsets))]
+        return np.sort(np.clip(np.array(times, dtype=np.int64), 0,
+                               duration - 1))
+
+    t1, t2 = side(), side()
+    window_ns = 2.0 * half / 1e3
+    delay_ps = draw(st.integers(int(20.0 * half) + 2,
+                                int(20.0 * half) + 3 * duration + 2))
+    return t1, t2, duration, WindowConfig(window_ns, delay_ps / 1e3)
 
 
 class TestWindowConfig:
@@ -122,6 +153,24 @@ class TestCountCoincidences:
             fast = round(count_coincidences(s, window).hz * s.duration_s)
             slow = brute_force_matches(t1, t2, window.half_window_ps)
             assert fast == slow
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(tied_streams())
+    def test_counts_match_brute_force_property(self, case):
+        t1, t2, duration, window = case
+        half = window.half_window_ps
+        s = stream_from_times(t1, t2, duration)
+        delayed = np.sort((t2 + window.delay_ps) % duration)
+        raw = brute_force_matches(t1, t2, half)
+        acc = brute_force_matches(t1, delayed, half)
+        assert round(count_coincidences(s, window).hz * s.duration_s) == raw
+        assert round(estimate_accidentals(s, window).hz * s.duration_s) == acc
+        summary = net_summary(s, window)
+        assert (summary.coincidence_count, summary.accidental_count) \
+            == (raw, acc)
+        # a zero half window, which WindowConfig cannot express
+        assert _greedy_match_count(t1, t2, 0.0) \
+            == brute_force_matches(t1, t2, 0.0)
 
     def test_independent_streams_rate(self):
         window = WindowConfig(10.0, 500.0)

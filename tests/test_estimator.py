@@ -40,6 +40,14 @@ class TestInferPairRate:
         with pytest.raises(InferenceError, match="positive"):
             infer_pair_rate(paper_point(rc_net=Rate(0.0)))
 
+    def test_underflowed_pair_rate_is_inference_error(self):
+        # S1 * S2 underflows to 0, so N would be 0 and S_i / N divide by zero
+        inp = EstimateInput(Rate(1e-300), Rate(1e-300), Rate(1e-300))
+        with pytest.raises(InferenceError, match="positive finite"):
+            infer_pair_rate(inp)
+        with pytest.raises(InferenceError, match="positive finite"):
+            estimate(inp)
+
     def test_rc_above_singles_is_invariant_violation(self):
         with pytest.raises(ConfigError, match="exceeds"):
             paper_point(rc_net=Rate(200e3))
@@ -124,6 +132,12 @@ class TestEstimate:
         assert res.pair_rate_sigma_hz == pytest.approx(7.75e6 * rel, rel=1e-9)
         assert res.conversion_efficiency_sigma == pytest.approx(
             res.conversion_efficiency * rel, rel=1e-9)
+
+    def test_duration_below_one_count_rejected(self):
+        # Rc = 1550 Hz: 1 ms gives 1.55 coincidences, 0.5 ms gives 0.775
+        assert estimate(paper_point(), duration_s=1e-3).pair_rate_sigma_hz > 0
+        with pytest.raises(ConfigError, match="fewer than one net count"):
+            estimate(paper_point(), duration_s=5e-4)
 
     def test_without_power_or_duration(self):
         res = estimate(EstimateInput(Rate(1e5), Rate(1e5), Rate(1e3)))

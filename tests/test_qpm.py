@@ -9,6 +9,7 @@ from pairsim import (ConfigError, DataFormatError, QpmPoint, SolverError,
                      solve_degeneracy_temperature, solve_poling_period,
                      solve_signal_wavelength, solve_temperature,
                      temperature_tuning_curve)
+from pairsim import qpm
 
 MODEL = default_sellmeier_model()
 
@@ -207,6 +208,47 @@ class TestSignalSolve:
             assert p.signal.nm >= 2.0 * pump.nm - 1e-6
             assert p.idler.nm <= 2.0 * pump.nm + 1e-6
             assert abs(phase_mismatch(p)) < 1e-6
+
+
+def scalar_signal_scan(pump, grid, temperature_c, model=MODEL):
+    """Oracle: the per-point scan the array scan replaced, three scalar
+    refractive_index calls per signal wavelength."""
+    values = []
+    for nm in grid:
+        signal = Wavelength(nm)
+        values.append(qpm._index_sum_per_m(
+            pump, signal, idler_wavelength(pump, signal), temperature_c, model))
+    return values
+
+
+class TestSignalScan:
+    @pytest.mark.parametrize("pump_nm,temperature_c", [
+        (657.0, 60.0), (657.0, 100.0), (657.0, 140.0), (532.0, 25.0),
+        (1064.0, 250.0), (404.5, 180.0)])
+    def test_matches_scalar_path(self, pump_nm, temperature_c):
+        pump = Wavelength(pump_nm)
+        grid = np.linspace(2.0 * pump.nm, MODEL.wavelength_range_um[1] * 1e3,
+                           512)
+        assert qpm._signal_scan_per_m(pump, grid, temperature_c,
+                                      MODEL).tolist() \
+            == scalar_signal_scan(pump, grid, temperature_c)
+
+    # temperature and pump out of the validity range, and a model whose
+    # upper edge 1.63 um comes back one ulp above itself through nm, so the
+    # last signal point of the scan falls outside it
+    @pytest.mark.parametrize("pump_nm,temperature_c,max_um", [
+        (657.0, 300.0, 5.0), (150.0, 100.0, 5.0), (657.0, 100.0, 1.63)])
+    def test_range_error_matches_scalar_path(self, pump_nm, temperature_c,
+                                             max_um):
+        from dataclasses import replace
+        model = replace(MODEL, wavelength_range_um=(0.4, max_um))
+        pump = Wavelength(pump_nm)
+        grid = np.linspace(2.0 * pump.nm, max_um * 1e3, 512)
+        with pytest.raises(ConfigError) as scalar:
+            scalar_signal_scan(pump, grid, temperature_c, model)
+        with pytest.raises(ConfigError) as array:
+            qpm._signal_scan_per_m(pump, grid, temperature_c, model)
+        assert str(array.value) == str(scalar.value)
 
 
 class TestSolveTemperatureGeneral:

@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pairsim import (ConfigError, DetectionChainConfig, Efficiency,
                      MemoryBudgetError, OpticalPower, Rate, RunConfig,
@@ -33,6 +35,51 @@ def make_chain(mu1=0.2, mu2=0.2, eta1=0.1, eta2=0.1, dark1=0.0, dark2=0.0,
         dark1=Rate(dark1), dark2=Rate(dark2),
         dead_time_ns=dead_time_ns, splitter_present=splitter,
         jitter_ps=jitter_ps)
+
+
+def deadtime_sequential(times_s: np.ndarray, dead_s: float) -> np.ndarray:
+    """Oracle: the sequential rule, one searchsorted call per accepted
+    event. It searches for the float key t + dead_s, which can differ by one
+    ulp from the t - last >= dead_s test of the loop in
+    test_dead_time_filter_matches_reference_loop."""
+    if dead_s <= 0.0 or times_s.size == 0:
+        return times_s
+    keep = np.zeros(times_s.size, dtype=bool)
+    i = 0
+    n = times_s.size
+    while i < n:
+        keep[i] = True
+        i = int(np.searchsorted(times_s, times_s[i] + dead_s, side="left"))
+    return times_s[keep]
+
+
+# each step places the next event relative to one of the last three events
+# and the dead time: a tie, exactly on that event's float key t + dead, one
+# ulp under it, inside its dead window, or clear of it
+_DEAD_STEPS = ("tie", "at_key", "under_key", "inside", "clear")
+
+
+@st.composite
+def dead_time_chains(draw):
+    dead = draw(st.sampled_from((1e-9, 5e-8, 3e-7, 1e-6, 1e-5)))
+    times = [draw(st.floats(0.0, 1.0))]
+    for step, back, frac in draw(st.lists(
+            st.tuples(st.sampled_from(_DEAD_STEPS), st.integers(1, 3),
+                      st.floats(0.0, 1.0)),
+            max_size=60)):
+        ref = times[-min(back, len(times))]
+        if step == "tie":
+            t = ref
+        elif step == "at_key":
+            t = ref + dead
+        elif step == "under_key":
+            t = math.nextafter(ref + dead, -math.inf)
+        elif step == "inside":
+            t = ref + frac * dead
+        else:
+            t = ref + (1.0 + 3.0 * frac) * dead
+        times.append(max(t, times[-1]))
+    return np.array(times, dtype=np.float64), dead
 
 
 class TestConfigs:
@@ -240,6 +287,26 @@ class TestSimulateRun:
             got = _deadtime_filter(times, dead)
             assert got.tolist() == reference(times.tolist(), dead)
 
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(dead_time_chains())
+    def test_dead_time_filter_matches_sequential_oracle(self, chain):
+        from pairsim.source import _deadtime_filter
+        times, dead = chain
+        got = _deadtime_filter(times, dead)
+        assert got.dtype == times.dtype
+        assert got.tolist() == deadtime_sequential(times, dead).tolist()
+
+    def test_dead_time_below_float_spacing_rejected(self):
+        # 1e-17 s vanishes next to event times near 1 s: t + dead == t, so
+        # the sequential rule could never move past an event
+        with pytest.raises(ConfigError, match="float spacing"):
+            simulate_run(make_source(1e4), make_chain(dead_time_ns=1e-8),
+                         RunConfig(1.0, seed=1))
+        stream, _ = simulate_run(make_source(1e4),
+                                 make_chain(dead_time_ns=1e-5),
+                                 RunConfig(1.0, seed=1))
+        assert stream.n_events > 0
+
     def test_dead_time_monotone(self):
         src = make_source(2e6)
         window = WindowConfig(1.0, 100.0)
@@ -293,6 +360,39 @@ class TestSimulateRun:
         with pytest.raises(MemoryBudgetError, match="emitted pairs"):
             simulate_run(src, make_chain(mu1=0.0, mu2=0.0),
                          RunConfig(10.0, seed=1))
+
+
+class TestGoldenStream:
+    """Per-seed output of a run with dead time and jitter, pinned bit for
+    bit: a change to these values changes every reproduced event file and
+    needs a new source.RNG_SCHEME."""
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        chain = make_chain(mu1=0.5, mu2=0.5, eta1=0.9, eta2=0.9, dark1=1e3,
+                           dark2=1e3, dead_time_ns=50.0, splitter=False,
+                           jitter_ps=300.0)
+        stream, _ = simulate_run(make_source(2e6), chain,
+                                 RunConfig(0.05, seed=20261018))
+        return stream
+
+    def test_stream_digest(self, stream):
+        assert source_mod.RNG_SCHEME == "marked-1"
+        assert stream.counts() == (43578, 43391)
+        assert hashlib.sha256(stream.times_ps.astype("<i8").tobytes()) \
+            .hexdigest() == ("c2134d3d501f62ac53d3e7118c94f6ab"
+                             "46ed890e4c939f3afd7cc0ec2ed5efda")
+        assert hashlib.sha256(stream.detectors.tobytes()).hexdigest() \
+            == ("dc6076e23897ae1e89201100a2c15a0e"
+                "38acb200fd1b35f2ab0f428d663fa3c2")
+
+    def test_net_summary_counts(self, stream):
+        for window, counts in ((WindowConfig(2.0, 100.0), (18937, 66)),
+                               (WindowConfig(100.0, 2000.0), (21295, 3681))):
+            summary = net_summary(stream, window)
+            assert summary.singles_counts == (43578, 43391)
+            assert (summary.coincidence_count,
+                    summary.accidental_count) == counts
 
 
 class TestPairSpectrum:
