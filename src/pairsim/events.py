@@ -4,7 +4,7 @@ An EventStream is the interchange between the source simulator and the
 coincidence counter: time-ordered detection timestamps in integer picoseconds
 tagged with a detector index (1 or 2), plus run metadata.
 
-File format (text, tab separated)::
+File format (UTF-8 text, tab separated)::
 
     # pairsim-events v1
     # duration_ps = 10000000000000
@@ -15,13 +15,21 @@ File format (text, tab separated)::
     2\t1250
     ...
 
-Header keys other than the four above are ignored on read. Timestamps must
-ascend; the writer/reader round trip is bit exact.
+After the magic line the reader accepts, with LF, CRLF or CR line ends:
+comment lines starting with '#', where '# key = value' sets a header key
+wherever the line stands (the last one wins; other keys are ignored); empty
+lines; and event lines of two ASCII integers around one tab, each with an
+optional sign and surrounding spaces, the detector 1 or 2. Anything else,
+a line of only whitespace included, is a DataFormatError naming the first
+bad line where it can. Timestamps must ascend; the writer/reader round trip
+is bit exact.
 """
 
 from __future__ import annotations
 
 import os
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +75,9 @@ class EventStream:
         if det.size and not np.all((det == 1) | (det == 2)):
             bad = int(det[(det != 1) & (det != 2)][0])
             raise ConfigError(f"detector index must be 1 or 2, got {bad}")
-        if int(self.duration_ps) < 0:
-            raise ConfigError(f"duration must be >= 0 ps, got {self.duration_ps}")
+        if not 0 <= int(self.duration_ps) < 2**63:
+            raise ConfigError(
+                f"duration must be in [0, 2**63) ps, got {self.duration_ps}")
         if int(self.resolution_ps) < 1:
             raise ConfigError(
                 f"timestamp resolution must be >= 1 ps, got {self.resolution_ps}")
@@ -122,49 +131,65 @@ def write_event_file(stream: EventStream, path: str | os.PathLike) -> None:
             fh.write(f"# seed = {stream.seed}\n")
         if stream.config_digest:
             fh.write(f"# config_digest = {stream.config_digest}\n")
-        det = stream.detectors
-        t = stream.times_ps
-        fh.writelines(f"{int(d)}\t{int(ts)}\n" for d, ts in zip(det, t))
+        rows = np.column_stack((stream.detectors, stream.times_ps))
+        for block in np.split(rows, range(1 << 14, len(rows), 1 << 14)):
+            fh.write("%d\t%d\n" * len(block) % tuple(block.ravel().tolist()))
 
 
-def read_event_file(path: str | os.PathLike) -> EventStream:
-    """Parse an event file; malformed lines raise DataFormatError naming the
-    1-based line number."""
-    src = str(path)
-    header: dict[str, str] = {}
-    detectors: list[int] = []
-    times: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if first.rstrip("\n") != FILE_MAGIC:
-            raise DataFormatError(
-                f"{src}:1: not an event file (expected {FILE_MAGIC!r})")
-        for lineno, raw in enumerate(fh, start=2):
+def _first_bad_line(path: str | os.PathLike, fallback: str) -> str:
+    """Error naming the first line that the per-line event rule rejects, else
+    the first timestamp beyond int64, else `fallback`. It only locates the
+    error of a failed bulk parse and yields no events."""
+    src, overflow = str(path), None
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    header[key.strip()] = value.strip()
+            if lineno == 1 or not line.strip() or line.startswith("#"):
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise DataFormatError(
-                    f"{src}:{lineno}: expected '<detector>\\t<timestamp_ps>', "
-                    f"got {line!r}")
+                return (f"{src}:{lineno}: expected '<detector>\\t<timestamp_ps>', "
+                        f"got {line!r}")
             try:
-                d = int(parts[0])
-                ts = int(parts[1])
+                d, ts = int(parts[0]), int(parts[1])
             except ValueError:
-                raise DataFormatError(
-                    f"{src}:{lineno}: non-integer event fields {line!r}") from None
+                return f"{src}:{lineno}: non-integer event fields {line!r}"
             if d not in (1, 2):
-                raise DataFormatError(
-                    f"{src}:{lineno}: detector index must be 1 or 2, got {d}")
-            detectors.append(d)
-            times.append(ts)
+                return f"{src}:{lineno}: detector index must be 1 or 2, got {d}"
+            if overflow is None and not -2**63 <= ts < 2**63:
+                overflow = f"{src}:{lineno}: timestamp {ts} ps exceeds int64"
+    return overflow or fallback
+
+
+def read_event_file(path: str | os.PathLike) -> EventStream:
+    """Parse an event file with one bulk parse of its event lines; a
+    malformed line raises DataFormatError naming its 1-based line number."""
+    src = str(path)
+    # bytes that are not UTF-8 pass this read and then fail the bulk parse
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    if text.partition("\n")[0] != FILE_MAGIC:
+        raise DataFormatError(
+            f"{src}:1: not an event file (expected {FILE_MAGIC!r})")
+    comments = [FILE_MAGIC] + re.findall(r"\n(#.*)", text)  # all '#' lines
+    header = {key.strip(): value.strip() for key, eq, value
+              in (line[1:].partition("=") for line in comments) if eq}
+    # the bulk parse drops a '#' and the rest of its line, and reads \x1c-\x1f
+    # as spaces; the per-line rule allows them only in lines starting with '#'
+    stray = any(c in text and text.count(c) != sum(x.count(c) for x in comments)
+                for c in "#\x1c\x1d\x1e\x1f")
+    del text
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(path, np.int64, delimiter="\t", encoding="utf-8",
+                              ndmin=2)
+        if stray or rows.size and (rows.shape[1] != 2 or rows[:, 0].min() < 1
+                                   or rows[:, 0].max() > 2):
+            raise ValueError("malformed event lines")
+    except ValueError as exc:
+        raise DataFormatError(_first_bad_line(path, f"{src}: {exc}")) from None
+    rows = rows.reshape(-1, 2)      # a file without events loads as (0, 1)
 
     if "duration_ps" not in header:
         raise DataFormatError(f"{src}: header is missing duration_ps")
@@ -177,8 +202,8 @@ def read_event_file(path: str | os.PathLike) -> EventStream:
 
     try:
         return EventStream(
-            detectors=np.asarray(detectors, dtype=np.uint8),
-            times_ps=np.asarray(times, dtype=np.int64),
+            detectors=rows[:, 0].astype(np.uint8),
+            times_ps=rows[:, 1],
             duration_ps=duration_ps,
             resolution_ps=resolution_ps,
             seed=seed,

@@ -327,6 +327,8 @@ def solve_signal_wavelength(pump: Wavelength, poling_period_um: float,
 
     lo_nm = 2.0 * pump.nm
     hi_nm = model.wavelength_range_um[1] * 1e3
+    while hi_nm * 1e-3 > model.wavelength_range_um[1]:  # 1.63 um rounds up
+        hi_nm = math.nextafter(hi_nm, 0.0)    # keep the last scan point inside
     if hi_nm <= lo_nm:
         raise SolverError("degenerate wavelength sits at the model's validity edge")
     grid = np.linspace(lo_nm, hi_nm, 512)

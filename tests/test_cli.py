@@ -74,6 +74,22 @@ class TestQpm:
                                "--period", "10e-6")
         assert code == 3 and "no degeneracy temperature" in err
 
+    def test_sellmeier_edge_that_rounds_up_through_nm(self, capsys,
+                                                       tmp_path):
+        from importlib import resources
+        text = resources.files("pairsim.data").joinpath(
+            "cln_ne_sellmeier.txt").read_text(encoding="utf-8")
+        path = tmp_path / "model.txt"
+        path.write_text(text.replace("wavelength_max_um = 5.00",
+                                     "wavelength_max_um = 1.63"),
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "qpm", "--sellmeier", str(path),
+                                 "--pump", "657e-9", "--period", "12.4e-6",
+                                 "--temp", "140")
+        assert code == 0, err
+        signal = keyvalue.get_float(parse_out(out), "signal_wavelength_m")
+        assert 1314e-9 < signal < 1.63e-6
+
     def test_tuning_curve_csv(self, capsys):
         code, out, _ = run_cli(capsys, "qpm", "--pump", "657e-9",
                                "--signal", "1314e-9", "--temp", "100")
@@ -254,6 +270,21 @@ class TestCount:
                         "1\t50\n2\t10\n", encoding="utf-8")
         code, _, err = run_cli(capsys, "count", str(path))
         assert code == 2 and "non-decreasing" in err
+
+    def test_timestamp_beyond_int64_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.events"
+        path.write_text("# pairsim-events v1\n# duration_ps = 1000\n"
+                        "1\t10\n2\t99999999999999999999\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "count", str(path))
+        assert code == 2 and ":4:" in err
+
+    def test_duration_beyond_int64_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.events"
+        path.write_text("# pairsim-events v1\n"
+                        "# duration_ps = 99999999999999999999\n1\t10\n",
+                        encoding="utf-8")
+        code, _, err = run_cli(capsys, "count", str(path))
+        assert code == 2 and "duration" in err
 
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "count", str(tmp_path / "nope.events"))

@@ -1,5 +1,9 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pairsim import (ConfigError, DataFormatError, EventStream,
                      read_event_file, write_event_file)
@@ -40,6 +44,11 @@ class TestEventStream:
             small_stream(times_ps=np.array([100, 100, 2500, 10_000]))
         with pytest.raises(ConfigError, match="lie in"):
             small_stream(times_ps=np.array([-1, 100, 2500, 7000]))
+
+    def test_rejects_duration_beyond_int64(self):
+        with pytest.raises(ConfigError, match="duration"):
+            small_stream(duration_ps=2**63)
+        assert small_stream(duration_ps=2**63 - 1).duration_ps == 2**63 - 1
 
     def test_ties_and_empty_allowed(self):
         s = small_stream(detectors=np.array([], dtype=np.uint8),
@@ -105,3 +114,102 @@ class TestEventFile:
         path.write_text("# pairsim-events v1\n1\t10\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="duration_ps"):
             read_event_file(path)
+
+
+HEAD = "# pairsim-events v1\n# duration_ps = 1000\n"
+
+# One row per line form: (file text, result). The result is the list of
+# (detector, timestamp) events read, or (line, fragment) for a
+# DataFormatError (exit 2), where line is the 1-based line it names (None
+# for none). Rows marked "changed" differ from the previous per-line reader
+# on purpose; every other row is that reader's result.
+READER_PARITY = {
+    "blank line in body": (HEAD + "1\t10\n\n2\t20\n", [(1, 10), (2, 20)]),
+    # changed: was skipped, the bulk parser rejects it
+    "whitespace-only line in body": (HEAD + "1\t10\n \t \n2\t20\n",
+                                     (None, "could not convert")),
+    "comment in body": (HEAD + "1\t10\n# note\n2\t20\n", [(1, 10), (2, 20)]),
+    "header key after events": (
+        "# pairsim-events v1\n1\t10\n2\t20\n# duration_ps = 1000\n",
+        [(1, 10), (2, 20)]),
+    "blank line in header": (
+        "# pairsim-events v1\n\n# duration_ps = 1000\n1\t10\n", [(1, 10)]),
+    "CRLF line ends": (HEAD.replace("\n", "\r\n") + "1\t10\r\n2\t20\r\n",
+                       [(1, 10), (2, 20)]),
+    "CR line ends": (HEAD.replace("\n", "\r") + "1\t10\r2\t20\r",
+                     [(1, 10), (2, 20)]),
+    "plus sign": (HEAD + "1\t+10\n", [(1, 10)]),
+    "spaces around field": (HEAD + "1\t 10 \n", [(1, 10)]),
+    # changed: int() read digit separators and non-ASCII digits
+    "digit separator": (HEAD + "1\t1_0\n", (None, "could not convert")),
+    "non-ASCII digits": (HEAD + "1\t\u0661\u0660\n", (None, "could not convert")),
+    "inline comment": (HEAD + "1\t10 # c\n", (3, "non-integer event fields")),
+    "comment after indent": (HEAD + "  # note\n1\t10\n", (3, "expected")),
+    "file separator padding": (HEAD + "1\t\x1c10\n", (3, "non-integer")),
+    "three columns": (HEAD + "1\t10\t5\n", (3, "expected")),
+    "one column": (HEAD + "1\t10\n7\n", (4, "expected")),
+    "space separator": (HEAD + "1 10\n", (3, "expected")),
+    "non-integer fields": (HEAD + "1\t10.5\n", (3, "non-integer")),
+    "detector 0": (HEAD + "1\t10\n0\t20\n", (4, "detector index")),
+    "detector 3": (HEAD + "1\t10\n3\t20\n", (4, "detector index")),
+    "detector 257": (HEAD + "257\t10\n", (3, "detector index")),
+    # changed: was an OverflowError traceback
+    "timestamp beyond int64": (HEAD + "1\t10\n2\t99999999999999999999\n",
+                               (4, "exceeds int64")),
+    "timestamp beyond int64, later bad line": (
+        HEAD + "1\t99999999999999999999\n3\t20\n", (4, "detector index")),
+    "negative timestamp": (HEAD + "1\t-5\n", (None, "lie in")),
+    # changed: was accepted, then an OverflowError traceback in count
+    "duration beyond int64": (
+        "# pairsim-events v1\n# duration_ps = 99999999999999999999\n1\t10\n",
+        (None, "duration must be")),
+    # changed: was a UnicodeDecodeError traceback
+    "bytes not UTF-8": (HEAD + "1\t\udcff10\n", (3, "non-integer")),
+    "empty body": (HEAD, []),
+    "no trailing newline": (HEAD + "1\t10\n2\t20", [(1, 10), (2, 20)]),
+}
+
+
+@pytest.mark.parametrize("text,expected", READER_PARITY.values(),
+                         ids=READER_PARITY.keys())
+def test_reader_parity(tmp_path, text, expected):
+    path = tmp_path / "events.txt"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    if isinstance(expected, list):
+        stream = read_event_file(path)
+        assert list(zip(stream.detectors.tolist(),
+                        stream.times_ps.tolist())) == expected
+        return
+    line, fragment = expected
+    with pytest.raises(DataFormatError) as err:
+        read_event_file(path)
+    prefix = f"{path}:{line}: " if line else f"{path}: "
+    assert str(err.value).startswith(prefix) and fragment in str(err.value)
+
+
+@st.composite
+def event_streams(draw):
+    duration = draw(st.integers(1, 50) | st.integers(1, 2**63 - 1))
+    times = sorted(draw(st.lists(
+        st.one_of(st.integers(0, duration - 1), st.just(duration - 1),
+                  st.just(0)), max_size=40)))
+    only = draw(st.sampled_from((None, 1, 2)))      # None: both detectors
+    detectors = draw(st.lists(
+        st.sampled_from((1, 2)) if only is None else st.just(only),
+        min_size=len(times), max_size=len(times)))
+    return EventStream(
+        detectors=np.array(detectors, dtype=np.uint8),
+        times_ps=np.array(times, dtype=np.int64), duration_ps=duration,
+        resolution_ps=draw(st.integers(1, 1000)),
+        seed=draw(st.none() | st.integers(0, 2**64)),
+        config_digest=draw(st.sampled_from(("", "abc123"))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(event_streams())
+def test_write_read_round_trip_property(stream):
+    """Ties, one-detector and empty streams, timestamps at duration - 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events.txt")
+        write_event_file(stream, path)
+        assert read_event_file(path) == stream

@@ -189,6 +189,17 @@ class TestSignalSolve:
         assert point.signal.nm == pytest.approx(1400.0, abs=1e-3)
         assert abs(phase_mismatch(point)) < 1e-6
 
+    # 1.63 um (also 1.64, 1.65) comes back one ulp above itself through nm
+    @pytest.mark.parametrize("max_um", [1.63, 1.64, 1.65])
+    def test_model_edge_that_rounds_up_through_nm(self, max_um):
+        from dataclasses import replace
+        model = replace(MODEL, wavelength_range_um=(0.4, max_um))
+        pump = Wavelength(657.0)
+        period = solve_poling_period(pump, Wavelength(1400.0), 100.0,
+                                     model).poling_period_um
+        point = solve_signal_wavelength(pump, period, 100.0, model)
+        assert point.signal.nm == pytest.approx(1400.0, abs=1e-3)
+
     def test_no_solution_below_degeneracy_temperature(self):
         pump = Wavelength(657.0)
         period = solve_poling_period(pump, Wavelength(1314.0), 100.0).poling_period_um

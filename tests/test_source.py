@@ -9,8 +9,9 @@ from pairsim import (ConfigError, DetectionChainConfig, Efficiency,
                      MemoryBudgetError, OpticalPower, Rate, RunConfig,
                      SourceConfig, TrueCounts, Wavelength, WindowConfig,
                      config_digest, count_coincidences, expected_rates,
-                     net_summary, pair_rate, photon_flux, reference_chain,
-                     reference_source, sample_pair_spectrum, simulate_run)
+                     net_summary, pair_rate, photon_flux, read_event_file,
+                     reference_chain, reference_source, sample_pair_spectrum,
+                     simulate_run, write_event_file)
 from pairsim import keyvalue, source as source_mod
 
 FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -385,6 +386,15 @@ class TestGoldenStream:
         assert hashlib.sha256(stream.detectors.tobytes()).hexdigest() \
             == ("dc6076e23897ae1e89201100a2c15a0e"
                 "38acb200fd1b35f2ab0f428d663fa3c2")
+
+    def test_event_file_digest(self, stream, tmp_path):
+        # computed with the previous per-line writer: the output_sha256 of
+        # old manifests and --from-manifest reproduction rely on these bytes
+        path = tmp_path / "golden.events"
+        write_event_file(stream, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ebd243e605589c5c133a997f5e63f8d5f4c6069911c7527fc6b97ba8c656b975")
+        assert read_event_file(path) == stream
 
     def test_net_summary_counts(self, stream):
         for window, counts in ((WindowConfig(2.0, 100.0), (18937, 66)),
