@@ -15,14 +15,8 @@ File format (UTF-8 text, tab separated)::
     2\t1250
     ...
 
-After the magic line the reader accepts, with LF, CRLF or CR line ends:
-comment lines starting with '#', where '# key = value' sets a header key
-wherever the line stands (the last one wins; other keys are ignored); empty
-lines; and event lines of two ASCII integers around one tab, each with an
-optional sign and surrounding spaces, the detector 1 or 2. Anything else,
-a line of only whitespace included, is a DataFormatError naming the first
-bad line where it can. Timestamps must ascend; the writer/reader round trip
-is bit exact.
+README "File formats" gives the exact lines the reader accepts. Timestamps
+must ascend; the writer/reader round trip is bit exact.
 """
 
 from __future__ import annotations
@@ -82,7 +76,7 @@ class EventStream:
             raise ConfigError(
                 f"timestamp resolution must be >= 1 ps, got {self.resolution_ps}")
         if t.size:
-            if np.any(np.diff(t) < 0):
+            if np.any(t[1:] < t[:-1]):     # np.diff can overflow
                 raise ConfigError("timestamps must be non-decreasing")
             if t[0] < 0 or t[-1] >= self.duration_ps:
                 raise ConfigError(
@@ -137,9 +131,7 @@ def write_event_file(stream: EventStream, path: str | os.PathLike) -> None:
 
 
 def _first_bad_line(path: str | os.PathLike, fallback: str) -> str:
-    """Error naming the first line that the per-line event rule rejects, else
-    the first timestamp beyond int64, else `fallback`. It only locates the
-    error of a failed bulk parse and yields no events."""
+    """Locate a failed bulk parse by the previous per-line rule (no events)."""
     src, overflow = str(path), None
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -164,50 +156,41 @@ def _first_bad_line(path: str | os.PathLike, fallback: str) -> str:
 def read_event_file(path: str | os.PathLike) -> EventStream:
     """Parse an event file with one bulk parse of its event lines; a
     malformed line raises DataFormatError naming its 1-based line number."""
-    src = str(path)
-    # bytes that are not UTF-8 pass this read and then fail the bulk parse
+    src, header, stray = str(path), {}, False
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        text = fh.read()
-    if text.partition("\n")[0] != FILE_MAGIC:
-        raise DataFormatError(
-            f"{src}:1: not an event file (expected {FILE_MAGIC!r})")
-    comments = [FILE_MAGIC] + re.findall(r"\n(#.*)", text)  # all '#' lines
-    header = {key.strip(): value.strip() for key, eq, value
-              in (line[1:].partition("=") for line in comments) if eq}
-    # the bulk parse drops a '#' and the rest of its line, and reads \x1c-\x1f
-    # as spaces; the per-line rule allows them only in lines starting with '#'
-    stray = any(c in text and text.count(c) != sum(x.count(c) for x in comments)
-                for c in "#\x1c\x1d\x1e\x1f")
-    del text
+        if fh.readline().rstrip("\n") != FILE_MAGIC:
+            raise DataFormatError(
+                f"{src}:1: not an event file (expected {FILE_MAGIC!r})")
+        # header keys: any '#' line, the last wins. The bulk parse fails bad
+        # UTF-8 but drops '#...' and reads \x1c-\x1f as spaces: catch strays
+        while chunk := fh.read(1 << 20) + fh.readline():    # whole lines
+            comments = re.findall(r"^#.*", chunk, re.M) if "#" in chunk else []
+            header.update((key.strip(), value.strip()) for key, eq, value
+                          in (x[1:].partition("=") for x in comments) if eq)
+            stray = stray or any(c in chunk and chunk.count(c) != sum(
+                x.count(c) for x in comments) for c in "#\x1c\x1d\x1e\x1f")
     try:
         with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            warnings.simplefilter("error")  # numpy 1.x would read 10.5 as 10
+            warnings.filterwarnings("ignore", "loadtxt: input contained")
             rows = np.loadtxt(path, np.int64, delimiter="\t", encoding="utf-8",
                               ndmin=2)
         if stray or rows.size and (rows.shape[1] != 2 or rows[:, 0].min() < 1
                                    or rows[:, 0].max() > 2):
             raise ValueError("malformed event lines")
-    except ValueError as exc:
+    except (ValueError, Warning) as exc:
         raise DataFormatError(_first_bad_line(path, f"{src}: {exc}")) from None
     rows = rows.reshape(-1, 2)      # a file without events loads as (0, 1)
-
     if "duration_ps" not in header:
         raise DataFormatError(f"{src}: header is missing duration_ps")
     try:
-        duration_ps = int(header["duration_ps"])
-        resolution_ps = int(header.get("resolution_ps", "1"))
-        seed = int(header["seed"]) if "seed" in header else None
-    except ValueError as exc:
-        raise DataFormatError(f"{src}: bad header value ({exc})") from None
-
-    try:
         return EventStream(
-            detectors=rows[:, 0].astype(np.uint8),
-            times_ps=rows[:, 1],
-            duration_ps=duration_ps,
-            resolution_ps=resolution_ps,
-            seed=seed,
-            config_digest=header.get("config_digest", ""),
-        )
+            detectors=rows[:, 0].astype(np.uint8), times_ps=rows[:, 1],
+            duration_ps=int(header["duration_ps"]),
+            resolution_ps=int(header.get("resolution_ps", "1")),
+            seed=int(header["seed"]) if "seed" in header else None,
+            config_digest=header.get("config_digest", ""))
     except ConfigError as exc:
         raise DataFormatError(f"{src}: {exc}") from None
+    except ValueError as exc:       # a header value that int() cannot read
+        raise DataFormatError(f"{src}: bad header value ({exc})") from None

@@ -1,5 +1,7 @@
 import os
+import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pairsim import (ConfigError, DataFormatError, EventStream,
                      read_event_file, write_event_file)
+from pairsim import events
 
 
 def small_stream(**overrides):
@@ -49,6 +52,13 @@ class TestEventStream:
         with pytest.raises(ConfigError, match="duration"):
             small_stream(duration_ps=2**63)
         assert small_stream(duration_ps=2**63 - 1).duration_ps == 2**63 - 1
+
+    def test_rejects_decrease_beyond_int64_difference(self):
+        # -10 - (2**63 - 2) wraps to a positive int64 difference
+        with pytest.raises(ConfigError, match="non-decreasing"):
+            small_stream(detectors=np.array([1, 1, 2, 1], dtype=np.uint8),
+                         times_ps=np.array([0, 2**63 - 2, -10, 5]),
+                         duration_ps=2**63 - 1)
 
     def test_ties_and_empty_allowed(self):
         s = small_stream(detectors=np.array([], dtype=np.uint8),
@@ -159,6 +169,11 @@ READER_PARITY = {
     "timestamp beyond int64, later bad line": (
         HEAD + "1\t99999999999999999999\n3\t20\n", (4, "detector index")),
     "negative timestamp": (HEAD + "1\t-5\n", (None, "lie in")),
+    # changed: was accepted, the int64 difference of the decrease wraps
+    "decrease beyond int64 difference": (
+        "# pairsim-events v1\n# duration_ps = 9223372036854775807\n"
+        "1\t0\n1\t9223372036854775806\n2\t-10\n1\t5\n",
+        (None, "non-decreasing")),
     # changed: was accepted, then an OverflowError traceback in count
     "duration beyond int64": (
         "# pairsim-events v1\n# duration_ps = 99999999999999999999\n1\t10\n",
@@ -185,6 +200,55 @@ def test_reader_parity(tmp_path, text, expected):
         read_event_file(path)
     prefix = f"{path}:{line}: " if line else f"{path}: "
     assert str(err.value).startswith(prefix) and fragment in str(err.value)
+
+
+@pytest.mark.filterwarnings("ignore")
+@pytest.mark.parametrize("line", ["1\t10.5", "1\t1e3", "1.9\t10"])
+def test_non_integer_fields_rejected_under_any_warning_filter(tmp_path, line):
+    path = tmp_path / "events.txt"
+    path.write_text(HEAD + line + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError,
+                       match=f"^{re.escape(str(path))}:3: non-integer"):
+        read_event_file(path)
+
+
+@pytest.mark.filterwarnings("ignore")
+def test_bulk_parse_warning_is_data_error(tmp_path, monkeypatch):
+    """numpy 1.x loadtxt reads '10.5' as 10 and only warns; the reader's own
+    warning filter turns that into a located error whatever the caller's."""
+    def truncating_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt: integer via a float", DeprecationWarning)
+        return np.array([[1, 10]], dtype=np.int64)
+
+    monkeypatch.setattr(events.np, "loadtxt", truncating_loadtxt)
+    path = tmp_path / "events.txt"
+    path.write_text(HEAD + "1\t10.5\n", encoding="utf-8")
+    with pytest.raises(DataFormatError,
+                       match=f"^{re.escape(str(path))}:3: non-integer"):
+        read_event_file(path)
+
+
+def test_scan_reads_every_chunk(tmp_path):
+    """The header and stray-character scan reads the file in chunks of 2**20
+    characters after the magic line, each completed to a line end: keys and
+    stray '#' past the first chunk count, and a line the cut splits stays
+    whole."""
+    body = "".join(f"1\t{i}\n" for i in range(200_000))      # about 1.8 MB
+    path = tmp_path / "events.txt"
+    path.write_text("# pairsim-events v1\n" + body + "# duration_ps = 300000\n"
+                    "# duration_ps = 200000\n", encoding="utf-8")
+    stream = read_event_file(path)
+    assert stream.duration_ps == 200_000 and stream.n_events == 200_000
+    path.write_text(HEAD.replace("1000", "300000") + body + "1\t250000 # c\n",
+                    encoding="utf-8")
+    with pytest.raises(DataFormatError, match=":200003: non-integer"):
+        read_event_file(path)
+    # 104857 lines of 10 characters, then the cut falls just before this '#'
+    body = "".join(f"1\t{i:07d}\n" for i in range(104_857)) + "2\t999 # c\n"
+    path.write_text("# pairsim-events v1\n" + body
+                    + "# duration_ps = 2000000\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=":104859: non-integer"):
+        read_event_file(path)
 
 
 @st.composite
