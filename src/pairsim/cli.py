@@ -279,6 +279,13 @@ def _cmd_count(args) -> int:
     window = counting.WindowConfig(
         coincidence_window_ns=args.window * 1e9,
         accidental_delay_ns=args.delay * 1e9)
+    # the delayed times wrap inside the run: the 10-window rule applies to
+    # the delay's distance from the nearest multiple of the duration
+    d = stream.duration_ps
+    if d > 0 and min(window.delay_ps % d, -window.delay_ps % d) \
+            <= 10.0 * window.coincidence_window_ns * 1e3:
+        raise _UsageError(f"--delay {args.delay} s wraps to within 10 windows "
+                          f"of zero in a {stream.duration_s} s run")
     summary = counting.net_summary(
         stream, window, (Rate(args.dark1), Rate(args.dark2)))
     _emit(_mapping_report(summary.to_mapping(), args.csv), args.out, "count", {

@@ -49,6 +49,26 @@ def _cluster_bounds(cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, ends
 
 
+def _merge_sorted(t1: np.ndarray, t2: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(times, is1) of sorted t1 and t2 merged, t1 first at ties: timsort
+    merges the sorted runs in linear time."""
+    times = np.concatenate((t1, t2))
+    order = np.argsort(times, kind="stable")
+    return times[order], order < t1.size
+
+
+def _cast_exact(values, dtype: type, what: str) -> np.ndarray:
+    """values as a contiguous dtype array, or ConfigError naming the first
+    value the cast would change."""
+    a = np.asarray(values)
+    with np.errstate(invalid="ignore"):     # NaN, overflow: changed below
+        out = np.ascontiguousarray(a, dtype=dtype)
+    if a.dtype != dtype and np.any(changed := out != a):
+        raise ConfigError(f"{what}, got {a.flat[int(np.argmax(changed))]}")
+    return out
+
+
 @dataclass(frozen=True)
 class EventStream:
     """Sorted detection events from two detectors over one run."""
@@ -61,8 +81,10 @@ class EventStream:
     config_digest: str = ""
 
     def __post_init__(self) -> None:
-        det = np.ascontiguousarray(self.detectors, dtype=np.uint8)
-        t = np.ascontiguousarray(self.times_ps, dtype=np.int64)
+        det = _cast_exact(self.detectors, np.uint8,
+                          "detector index must be 1 or 2")
+        t = _cast_exact(self.times_ps, np.int64,
+                        "timestamps must be int64 picoseconds")
         if det.ndim != 1 or t.ndim != 1 or det.shape != t.shape:
             raise ConfigError("detectors and times_ps must be 1-d arrays of "
                               "equal length")

@@ -41,7 +41,7 @@ import numpy as np
 
 from .core import (ConfigError, Efficiency, MemoryBudgetError, OpticalPower,
                    Rate, Wavelength, photon_flux)
-from .events import EventStream, _cluster_bounds
+from .events import EventStream, _cluster_bounds, _merge_sorted
 from . import keyvalue
 
 __all__ = [
@@ -400,14 +400,10 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
         per_detector.append(
             _quantize(merged, duration_ps, run.timestamp_resolution_ps))
 
-    t1, t2 = per_detector
-    det = np.concatenate((np.full(t1.size, 1, dtype=np.uint8),
-                          np.full(t2.size, 2, dtype=np.uint8)))
-    t_all = np.concatenate((t1, t2))
-    order = np.lexsort((det, t_all))   # by time, then detector
+    times, is1 = _merge_sorted(*per_detector)
     stream = EventStream(
-        detectors=det[order],
-        times_ps=t_all[order],
+        detectors=np.subtract(2, is1, dtype=np.uint8),
+        times_ps=times,
         duration_ps=duration_ps,
         resolution_ps=run.timestamp_resolution_ps,
         seed=int(run.seed),

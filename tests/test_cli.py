@@ -246,6 +246,25 @@ class TestCount:
         manifest = keyvalue.read_keyvalue(str(report) + ".manifest")
         assert manifest["command"] == "count"
 
+    @pytest.mark.parametrize("delay", ["0.2", "0.4", "0.200000001",
+                                       "0.399999999"])
+    def test_delay_aliasing_zero_is_usage_error(self, capsys, event_file,
+                                                delay):
+        # the 0.2 s run wraps these delays to within one window of zero
+        code, out, err = run_cli(capsys, "count", str(event_file),
+                                 "--delay", delay)
+        assert code == 1 and out == ""
+        assert "within 10 windows" in err
+
+    @pytest.mark.parametrize("delay", ["1e-7", "0.200000011", "0.399999989"])
+    def test_delay_clear_of_aliasing_passes(self, capsys, event_file, delay):
+        code, out, _ = run_cli(capsys, "count", str(event_file),
+                               "--delay", delay)
+        assert code == 0
+        kv = parse_out(out)
+        assert keyvalue.get_int(kv, "rc_accidental_count") \
+            < keyvalue.get_int(kv, "rc_count")
+
     def test_empty_file_with_duration_gives_zero_summary(self, capsys,
                                                          tmp_path):
         path = tmp_path / "empty.events"

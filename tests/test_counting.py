@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from pairsim import (ConfigError, EventStream, Rate, WindowConfig,
                      count_coincidences, count_singles, estimate_accidentals,
                      net_summary)
-from pairsim.counting import _greedy_match_count
+from pairsim.counting import _greedy_match_count, _match_count
+from pairsim.events import _merge_sorted
 
 
 def brute_force_matches(t1, t2, half_window) -> int:
@@ -171,6 +172,36 @@ class TestCountCoincidences:
         # a zero half window, which WindowConfig cannot express
         assert _greedy_match_count(t1, t2, 0.0) \
             == brute_force_matches(t1, t2, 0.0)
+
+    @pytest.mark.parametrize("t1, t2, matches", [
+        # 0 has only its same-detector neighbour 400 within the window
+        ([0, 400], [800], 1),
+        # a same-detector event sits between 0 and its partner 450
+        ([0, 200], [450], 1),
+        ([0], [100, 300, 450], 1),
+        # chains of same-detector neighbours on both sides
+        ([0, 400, 800, 1200], [1600, 2000, 2400], 1),
+        # one detector-2 event inside a detector-1 chain
+        ([0, 400, 800], [600], 1),
+        # a cluster of one detector only
+        ([0, 300], [2000], 0),
+        ([], [], 0),
+        ([5], [], 0),
+        ([], [5], 0),
+    ])
+    def test_merged_kernel_cases(self, t1, t2, matches):
+        assert brute_force_matches(t1, t2, 500.0) == matches
+        s = stream_from_times(t1, t2, 10_000)
+        assert count_coincidences(s, WindowConfig(1.0, 100.0)).hz \
+            * s.duration_s == matches
+        assert _match_count(s.times_ps, s.detectors == 1, 500.0) == matches
+
+    def test_merged_kernel_exact_ties_at_zero_half_window(self):
+        t1 = np.array([5, 5, 7, 9, 9, 9], dtype=np.int64)
+        t2 = np.array([5, 7, 7, 9, 12], dtype=np.int64)
+        times, is1 = _merge_sorted(t1, t2)
+        assert _match_count(times, is1, 0.0) \
+            == brute_force_matches(t1, t2, 0.0) == 3
 
     def test_independent_streams_rate(self):
         window = WindowConfig(10.0, 500.0)

@@ -42,6 +42,25 @@ class TestEventStream:
         with pytest.raises(ConfigError, match="detector index"):
             small_stream(detectors=np.array([1, 3, 1, 2]))
 
+    @pytest.mark.parametrize("detectors, bad", [
+        ([1, 257, 1, 2], "257"),            # wraps to 1 in uint8
+        ([1, -255, 1, 2], "-255"),          # wraps to 1 as well
+        ([1.7, 2.2, 1.0, 2.0], "1.7"),      # truncates to 1
+    ])
+    def test_rejects_detector_cast_that_changes_value(self, detectors, bad):
+        with pytest.raises(ConfigError, match=f"detector index .* got {bad}$"):
+            small_stream(detectors=np.array(detectors))
+
+    def test_rejects_fractional_times(self):
+        with pytest.raises(ConfigError, match="int64 picoseconds, got 1.9$"):
+            small_stream(times_ps=np.array([1.9, 2.5, 2500.0, 7000.0]))
+
+    def test_accepts_cast_that_keeps_values(self):
+        assert small_stream(detectors=[1.0, 2.0, 1.0, 2.0],
+                            times_ps=np.array([100, 100, 2500, 7000],
+                                              dtype=np.uint32)) \
+            == small_stream()
+
     def test_rejects_out_of_range_times(self):
         with pytest.raises(ConfigError, match="lie in"):
             small_stream(times_ps=np.array([100, 100, 2500, 10_000]))
