@@ -15,19 +15,19 @@ Exit codes: 0 success, 1 usage/config error, 2 data/parse error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
+import math
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .core import (ConfigError, DataFormatError, OpticalPower, Rate,
                    SolverError, Wavelength)
-from . import counting, estimator, keyvalue, qpm, source
-from .events import read_event_file, write_event_file
+from . import keyvalue
+
+# Each command imports the layers it uses when it runs, so that estimate and
+# table1 start without numpy and no command loads a layer it does not call.
 
 __all__ = ["main"]
 
@@ -81,6 +81,20 @@ def _emit(text: str, out: str | None, command: str,
     _write_manifest(path, command, fields)
 
 
+def read_event_file(path):
+    """events.read_event_file, imported on first call. The event-file
+    functions stay attributes of this module so that a tracer can wrap the
+    ones the commands call."""
+    from .events import read_event_file
+    return read_event_file(path)
+
+
+def write_event_file(stream, path) -> None:
+    """events.write_event_file, imported on first call."""
+    from .events import write_event_file
+    write_event_file(stream, path)
+
+
 def _mapping_report(mapping: dict[str, object], csv: bool) -> str:
     """Key-value or CSV rendering of one flat result mapping; both carry
     identical values (keyvalue.format_value)."""
@@ -92,7 +106,7 @@ def _mapping_report(mapping: dict[str, object], csv: bool) -> str:
 
 # ---------------------------------------------------------------- qpm ----
 
-def _point_mapping(point: qpm.QpmPoint, model) -> dict[str, object]:
+def _point_mapping(point, mismatch: float) -> dict[str, object]:
     return {
         "poling_period_m": point.poling_period_um * 1e-6,
         "temperature_c": point.temperature_c,
@@ -100,11 +114,13 @@ def _point_mapping(point: qpm.QpmPoint, model) -> dict[str, object]:
         "signal_wavelength_m": point.signal.meters,
         "idler_wavelength_m": point.idler.meters,
         "qpm_order": point.qpm_order,
-        "phase_mismatch_rad_per_m": qpm.phase_mismatch(point, model),
+        "phase_mismatch_rad_per_m": mismatch,
     }
 
 
 def _cmd_qpm(args) -> int:
+    import numpy as np
+    from . import qpm
     model = (qpm.load_sellmeier_file(args.sellmeier) if args.sellmeier
              else qpm.default_sellmeier_model())
     pump = Wavelength.from_meters(args.pump)
@@ -115,10 +131,14 @@ def _cmd_qpm(args) -> int:
             raise _UsageError("--curve requires --period")
         try:
             t0, t1, n = args.curve.split(":")
-            temps = np.linspace(float(t0), float(t1), int(n))
+            t0, t1, n = float(t0), float(t1), int(n)
+            if not (math.isfinite(t0) and math.isfinite(t1) and n >= 1):
+                raise ValueError
         except ValueError:
             raise _UsageError(
-                f"--curve expects START:STOP:POINTS, got {args.curve!r}") from None
+                "--curve expects START:STOP:POINTS with finite temperatures "
+                f"and POINTS >= 1, got {args.curve!r}") from None
+        temps = np.linspace(t0, t1, n)
         points = qpm.temperature_tuning_curve(
             pump, args.period * 1e6, temps, model, order)
         lines = ["temperature_c,signal_wavelength_m,idler_wavelength_m"]
@@ -161,7 +181,8 @@ def _cmd_qpm(args) -> int:
         raise _UsageError("give two of --period/--temp/--signal (or just "
                           "--period for degenerate operation)")
 
-    _emit(_mapping_report(_point_mapping(point, model), args.csv),
+    mapping = _point_mapping(point, qpm.phase_mismatch(point, model))
+    _emit(_mapping_report(mapping, args.csv),
           args.out, "qpm", {"pump_wavelength_m": args.pump,
                             "qpm_order": order})
     return EXIT_OK
@@ -169,14 +190,9 @@ def _cmd_qpm(args) -> int:
 
 # ----------------------------------------------------------- simulate ----
 
-def _load_run_configs(path: str):
-    kv = keyvalue.read_keyvalue(path)
-    return (source.source_from_mapping(kv, path),
-            source.chain_from_mapping(kv, path))
-
-
 def _simulate_one(src_cfg, chain_cfg, run_cfg, out_path: Path,
                   manifest_extra: dict[str, object]) -> dict[str, object]:
+    from . import source
     stream, truth = source.simulate_run(src_cfg, chain_cfg, run_cfg)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_event_file(stream, out_path)
@@ -214,6 +230,7 @@ def _worker_count(jobs: int) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import source
     if args.jobs < 1:
         raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
     if args.from_manifest:
@@ -240,7 +257,9 @@ def _cmd_simulate(args) -> int:
                               "--seed (or --from-manifest)")
         if args.out is None:
             raise _UsageError("simulate needs --out")
-        src_cfg, chain_cfg = _load_run_configs(args.config)
+        kv = keyvalue.read_keyvalue(args.config)
+        src_cfg = source.source_from_mapping(kv, args.config)
+        chain_cfg = source.chain_from_mapping(kv, args.config)
         duration, seed, resolution = args.duration, args.seed, args.resolution_ps
         out = args.out
         config_path = args.config
@@ -259,6 +278,7 @@ def _cmd_simulate(args) -> int:
             source.RunConfig(duration, seeds[0], resolution),
             outputs[0], extra)]
     else:
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=_worker_count(args.jobs)) as pool:
             futures = [pool.submit(
@@ -275,6 +295,7 @@ def _cmd_simulate(args) -> int:
 # -------------------------------------------------------------- count ----
 
 def _cmd_count(args) -> int:
+    from . import counting
     stream = read_event_file(args.events)
     window = counting.WindowConfig(
         coincidence_window_ns=args.window * 1e9,
@@ -313,6 +334,7 @@ def _read_summary_csv(path: str) -> dict[str, str]:
 
 
 def _cmd_estimate(args) -> int:
+    from . import estimator
     duration = args.duration
     if args.summary:
         row = _read_summary_csv(args.summary)
@@ -347,6 +369,7 @@ def _cmd_estimate(args) -> int:
 # ------------------------------------------------------------- table1 ----
 
 def _cmd_table1(args) -> int:
+    from . import estimator
     records = estimator.load_source_records(args.data)
     rows = estimator.compare_sources(records,
                                      max_deviation_factor=args.max_dev)

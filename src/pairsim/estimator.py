@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .core import (ConfigError, Efficiency, InferenceError, OpticalPower,
-                   Rate, Wavelength, photon_flux)
+                   Rate, Wavelength, _require_finite, photon_flux)
 from . import keyvalue
 
 __all__ = [
@@ -152,6 +152,7 @@ def estimate(inp: EstimateInput,
     sigma_n = None
     sigma_eta = None
     if duration_s is not None:
+        duration_s = _require_finite("duration_s", duration_s)
         if duration_s <= 0.0:
             raise ConfigError(f"duration_s must be > 0, got {duration_s}")
         counts = (inp.s1_net.hz * duration_s, inp.s2_net.hz * duration_s,
@@ -252,7 +253,12 @@ def compare_sources(records: list[SourceRecord] | None = None,
     """Recompute each source's figures from its own published rates and flag
     rows whose computed eta or Rc/P deviates from the published value by more
     than max_deviation_factor (in either direction). Discrepancies are
-    reported, never raised."""
+    reported, never raised; a factor below 1 or not finite is a
+    ConfigError."""
+    if not 1.0 <= _require_finite("max_deviation_factor",
+                                  max_deviation_factor):
+        raise ConfigError("max_deviation_factor must be >= 1, got "
+                          f"{max_deviation_factor}")
     if records is None:
         records = load_source_records()
     rows = []

@@ -58,10 +58,16 @@ def _merge_sorted(t1: np.ndarray, t2: np.ndarray
     return times[order], order < t1.size
 
 
-def _cast_exact(values, dtype: type, what: str) -> np.ndarray:
-    """values as a contiguous dtype array, or ConfigError naming the first
-    value the cast would change."""
-    a = np.asarray(values)
+def _cast_exact(values, dtype: type, name: str, what: str) -> np.ndarray:
+    """values as a contiguous dtype array, or ConfigError naming the field
+    when they are not real numbers (strings, objects such as Python ints
+    beyond int64) or the first value the cast would change."""
+    try:
+        a = np.asarray(values)
+    except (OverflowError, TypeError, ValueError) as exc:    # e.g. ragged
+        raise ConfigError(f"{name}: {exc}") from None
+    if a.dtype.kind not in "biuf":
+        raise ConfigError(f"{name} must be numbers, got dtype {a.dtype}")
     with np.errstate(invalid="ignore"):     # NaN, overflow: changed below
         out = np.ascontiguousarray(a, dtype=dtype)
     if a.dtype != dtype and np.any(changed := out != a):
@@ -81,9 +87,9 @@ class EventStream:
     config_digest: str = ""
 
     def __post_init__(self) -> None:
-        det = _cast_exact(self.detectors, np.uint8,
+        det = _cast_exact(self.detectors, np.uint8, "detectors",
                           "detector index must be 1 or 2")
-        t = _cast_exact(self.times_ps, np.int64,
+        t = _cast_exact(self.times_ps, np.int64, "times_ps",
                         "timestamps must be int64 picoseconds")
         if det.ndim != 1 or t.ndim != 1 or det.shape != t.shape:
             raise ConfigError("detectors and times_ps must be 1-d arrays of "

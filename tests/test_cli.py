@@ -421,6 +421,89 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+_SIMULATE = ["simulate", "--config", "{config}", "--duration", "0.05",
+             "--seed", "1", "--out", "{tmp}/sim.events"]
+
+
+@pytest.mark.parametrize("argv, loaded, unloaded", [
+    (None, {"pairsim.cli"}, {"numpy", "concurrent.futures"}),
+    (["estimate", "--s1", "1e5", "--s2", "1e5", "--rc", "1e3",
+      "--duration", "2"], {"pairsim.estimator"}, {"numpy"}),
+    (["table1"], {"pairsim.estimator"}, {"numpy"}),
+    (["qpm", "--pump", "657e-9", "--period", "12.4e-6", "--curve",
+      "100:130:3"], {"numpy", "pairsim.qpm"},
+     {"pairsim.source", "pairsim.events", "pairsim.counting"}),
+    (_SIMULATE, {"pairsim.source", "pairsim.events"},
+     {"pairsim.qpm", "pairsim.counting", "pairsim.estimator",
+      "concurrent.futures"}),
+    (_SIMULATE + ["--jobs", "2"], {"concurrent.futures", "pairsim.source"},
+     {"pairsim.qpm", "pairsim.counting"}),
+    (["count", "{tmp}/tiny.events"], {"pairsim.counting", "pairsim.events"},
+     {"pairsim.source", "pairsim.qpm", "pairsim.estimator"}),
+], ids=["import", "estimate", "table1", "qpm", "simulate", "simulate-jobs",
+        "count"])
+def test_command_loads_only_its_layers(tmp_path, small_config, argv, loaded,
+                                       unloaded):
+    """In a fresh interpreter, main(argv) exits 0 having imported loaded and
+    none of unloaded (argv None: only import pairsim.cli)."""
+    pairsim.write_event_file(pairsim.EventStream(
+        detectors=[1, 2, 1], times_ps=[10, 20, 5000], duration_ps=10**12),
+        tmp_path / "tiny.events")
+    if argv is not None:
+        argv = [a.format(config=small_config, tmp=tmp_path) for a in argv]
+    src_dir = Path(pairsim.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pairsim.cli\n"
+         f"code = 0 if {argv!r} is None else pairsim.cli.main({argv!r})\n"
+         "print(*sys.modules)\n"
+         "sys.exit(code)"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src_dir)))
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stdout.splitlines()[-1].split())
+    assert loaded <= modules and not unloaded & modules
+    if argv is not None and "--jobs" in argv:
+        assert {p.name for p in tmp_path.glob("sim.events.seed?")} \
+            == {"sim.events.seed1", "sim.events.seed2"}
+
+
+_ESTIMATE = ("estimate --s1=1e5 --s2=1e5 --rc=1e3 --power=1e-3 "
+             "--pump=657e-9 --duration=2")
+_CURVE = "qpm --pump=657e-9 --period=12.4e-6 --curve=100:130:3"
+
+
+@pytest.mark.parametrize("template, valid, codes", [
+    # {v} takes a valid value (exit 0), then nan, inf, 0 and -1 in turn
+    # a zero singles rate is below rc: inconsistent input
+    (_ESTIMATE.replace("--s1=1e5", "--s1={v}"), "1e5", (1, 1, 1, 1)),
+    (_ESTIMATE.replace("--s2=1e5", "--s2={v}"), "1e5", (1, 1, 1, 1)),
+    # rc = 0 or power = 0 leaves nothing to infer: a solver error
+    (_ESTIMATE.replace("--rc=1e3", "--rc={v}"), "1e3", (1, 1, 3, 1)),
+    (_ESTIMATE.replace("--power=1e-3", "--power={v}"), "1e-3", (1, 1, 3, 1)),
+    (_ESTIMATE.replace("--pump=657e-9", "--pump={v}"), "657e-9",
+     (1, 1, 1, 1)),
+    (_ESTIMATE.replace("--duration=2", "--duration={v}"), "2", (1, 1, 1, 1)),
+    # duration_s read from the summary CSV
+    ("estimate --summary={summary}", "2", (1, 1, 1, 1)),
+    ("table1 --max-dev={v}", "2", (1, 1, 1, 1)),
+    # 0 and -1 C lie outside the Sellmeier model's validity range
+    (_CURVE.replace("=100:", "={v}:"), "100", (1, 1, 1, 1)),
+    (_CURVE.replace(":130:", ":{v}:"), "130", (1, 1, 1, 1)),
+    (_CURVE.replace(":3", ":{v}"), "3", (1, 1, 1, 1)),
+])
+def test_float_option_edge_values_exit_codes(capsys, tmp_path, template,
+                                             valid, codes):
+    summary = tmp_path / "sum.csv"
+    got = []
+    for v in (valid, "nan", "inf", "0", "-1"):
+        summary.write_text("s1_net_hz,s2_net_hz,rc_net_hz,duration_s\n"
+                           f"1e5,1e5,1e3,{v}\n", encoding="utf-8")
+        got.append(run_cli(capsys, *template.format(
+            v=v, summary=summary).split())[0])
+    assert tuple(got) == (0, *codes)
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

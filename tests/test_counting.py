@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pairsim import (ConfigError, EventStream, Rate, WindowConfig,
                      count_coincidences, count_singles, estimate_accidentals,
                      net_summary)
-from pairsim.counting import _greedy_match_count, _match_count
+from pairsim.counting import _match_count
 from pairsim.events import _merge_sorted
 
 
@@ -170,7 +170,7 @@ class TestCountCoincidences:
         assert (summary.coincidence_count, summary.accidental_count) \
             == (raw, acc)
         # a zero half window, which WindowConfig cannot express
-        assert _greedy_match_count(t1, t2, 0.0) \
+        assert _match_count(*_merge_sorted(t1, t2), 0.0) \
             == brute_force_matches(t1, t2, 0.0)
 
     @pytest.mark.parametrize("t1, t2, matches", [

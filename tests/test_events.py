@@ -61,6 +61,18 @@ class TestEventStream:
                                               dtype=np.uint32)) \
             == small_stream()
 
+    @pytest.mark.parametrize("field, values, message", [
+        ("times_ps", [2**70, 2**70 + 1, 2**70 + 2, 2**70 + 3],
+         "times_ps must be numbers, got dtype object"),
+        ("detectors", np.array(["1", "2", "1", "2"]),
+         "detectors must be numbers, got dtype <U1"),
+        ("times_ps", [[100], [100], [2500], [7000, 1]], "times_ps: "),
+    ])
+    def test_rejects_uncastable_values_naming_the_field(self, field, values,
+                                                         message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            small_stream(**{field: values}, duration_ps=2**63 - 1)
+
     def test_rejects_out_of_range_times(self):
         with pytest.raises(ConfigError, match="lie in"):
             small_stream(times_ps=np.array([100, 100, 2500, 10_000]))
@@ -286,6 +298,36 @@ def event_streams(draw):
         resolution_ps=draw(st.integers(1, 1000)),
         seed=draw(st.none() | st.integers(0, 2**64)),
         config_digest=draw(st.sampled_from(("", "abc123"))))
+
+
+@st.composite
+def uncastable(draw, n: int):
+    """n values that no EventStream field can hold exactly: strings, an
+    object array, or Python integers with one beyond the int64 range."""
+    values = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(("str", "bytes", "object", "beyond")))
+    if kind == "str":
+        return np.array([str(v) for v in values])
+    if kind == "bytes":
+        return np.array([str(v).encode() for v in values])
+    if kind == "object":
+        return np.array(values, dtype=object)
+    values[draw(st.integers(0, n - 1))] = draw(
+        st.integers(2**63, 2**80) | st.integers(-2**80, -2**63 - 1))
+    return values if draw(st.booleans()) else np.array(values)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_uncastable_input_is_config_error_property(data):
+    """Whatever numpy makes of the input (object, string, uint64 or float64
+    arrays), the constructor raises ConfigError and nothing else."""
+    n = data.draw(st.integers(1, 5))
+    fields = {"detectors": [1] * n, "times_ps": list(range(n))}
+    field = data.draw(st.sampled_from(sorted(fields)))
+    fields[field] = data.draw(uncastable(n))
+    with pytest.raises(ConfigError):
+        EventStream(**fields, duration_ps=2**63 - 1)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
