@@ -197,11 +197,9 @@ def _simulate_one(src_cfg, chain_cfg, run_cfg, out_path: Path,
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_event_file(stream, out_path)
 
-    fields: dict[str, object] = {}
-    for k, v in source.source_to_mapping(src_cfg).items():
-        fields[f"config.{k}"] = v
-    for k, v in source.chain_to_mapping(chain_cfg).items():
-        fields[f"config.{k}"] = v
+    fields: dict[str, object] = {
+        f"config.{k}": v
+        for k, v in source.config_to_mapping(src_cfg, chain_cfg).items()}
     fields["duration_s"] = run_cfg.duration_s
     fields["seed"] = run_cfg.seed
     fields["resolution_ps"] = run_cfg.timestamp_resolution_ps
@@ -244,8 +242,7 @@ def _cmd_simulate(args) -> int:
                 "cannot be reproduced")
         cfg = {k.partition(".")[2]: v for k, v in kv.items()
                if k.startswith("config.")}
-        src_cfg = source.source_from_mapping(cfg, src_txt)
-        chain_cfg = source.chain_from_mapping(cfg, src_txt)
+        src_cfg, chain_cfg = source.config_from_mapping(cfg, src_txt)
         duration = keyvalue.get_float(kv, "duration_s", src_txt)
         seed = keyvalue.get_int(kv, "seed", src_txt)
         resolution = keyvalue.get_int(kv, "resolution_ps", src_txt)
@@ -257,34 +254,29 @@ def _cmd_simulate(args) -> int:
                               "--seed (or --from-manifest)")
         if args.out is None:
             raise _UsageError("simulate needs --out")
-        kv = keyvalue.read_keyvalue(args.config)
-        src_cfg = source.source_from_mapping(kv, args.config)
-        chain_cfg = source.chain_from_mapping(kv, args.config)
+        src_cfg, chain_cfg = source.config_from_mapping(
+            keyvalue.read_keyvalue(args.config), args.config)
         duration, seed, resolution = args.duration, args.seed, args.resolution_ps
         out = args.out
         config_path = args.config
 
-    if duration <= 0:
-        raise _UsageError(f"duration must be > 0 s, got {duration}")
-
-    seeds = [seed + k for k in range(args.jobs)]
+    # every run is validated before the first one writes a file
+    runs = [source.RunConfig(duration, seed + k, resolution)
+            for k in range(args.jobs)]
     outputs = ([Path(out)] if args.jobs == 1
-               else [Path(f"{out}.seed{s}") for s in seeds])
+               else [Path(f"{out}.seed{run.seed}") for run in runs])
     extra = {"config_file": config_path} if config_path else {}
 
     if args.jobs == 1:
-        summaries = [_simulate_one(
-            src_cfg, chain_cfg,
-            source.RunConfig(duration, seeds[0], resolution),
-            outputs[0], extra)]
+        summaries = [_simulate_one(src_cfg, chain_cfg, runs[0], outputs[0],
+                                   extra)]
     else:
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=_worker_count(args.jobs)) as pool:
-            futures = [pool.submit(
-                _simulate_one, src_cfg, chain_cfg,
-                source.RunConfig(duration, s, resolution), path, extra)
-                for s, path in zip(seeds, outputs)]
+            futures = [pool.submit(_simulate_one, src_cfg, chain_cfg, run,
+                                   path, extra)
+                       for run, path in zip(runs, outputs)]
             summaries = [f.result() for f in futures]
 
     for summary in summaries:

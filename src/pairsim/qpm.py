@@ -115,6 +115,18 @@ def default_sellmeier_model() -> SellmeierModel:
     return _model_from_text(ref.read_text(encoding="utf-8"), str(ref))
 
 
+def _check_grating(poling_period_um: float | None, qpm_order: int) -> None:
+    """ConfigError unless the QPM order is an odd positive integer and the
+    poling period, when given, is finite and positive."""
+    if not (qpm_order >= 1 and qpm_order % 2 == 1):
+        raise ConfigError(
+            f"QPM order must be an odd positive integer, got {qpm_order}")
+    if poling_period_um is not None and not (
+            math.isfinite(poling_period_um) and poling_period_um > 0.0):
+        raise ConfigError("poling period must be finite and > 0 um, got "
+                          f"{poling_period_um}")
+
+
 @dataclass(frozen=True)
 class QpmPoint:
     """One quasi-phase-matching operating point.
@@ -131,13 +143,7 @@ class QpmPoint:
     qpm_order: int = 1
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.poling_period_um)
-                and self.poling_period_um > 0.0):
-            raise ConfigError(
-                f"poling period must be > 0 um, got {self.poling_period_um}")
-        if self.qpm_order < 1 or self.qpm_order % 2 == 0:
-            raise ConfigError(
-                f"QPM order must be an odd positive integer, got {self.qpm_order}")
+        _check_grating(self.poling_period_um, self.qpm_order)
         lhs = 1.0 / self.signal.nm + 1.0 / self.idler.nm
         rhs = 1.0 / self.pump.nm
         if abs(lhs - rhs) > ENERGY_RTOL * rhs:
@@ -189,6 +195,7 @@ def solve_poling_period(pump: Wavelength, signal: Wavelength,
     Period = m / (n_p/lp - n_s/ls - n_i/li). Raises SolverError when the
     denominator is not positive (no forward QPM solution).
     """
+    _check_grating(None, qpm_order)
     model = model or default_sellmeier_model()
     idler = idler_wavelength(pump, signal)
     d = _index_sum_per_m(pump, signal, idler, temperature_c, model)
@@ -241,10 +248,9 @@ def solve_temperature(pump: Wavelength, signal: Wavelength,
     |phase_mismatch| < 1e-6 rad/m. Raises SolverError when the mismatch
     does not change sign over the interval.
     """
+    _check_grating(poling_period_um, qpm_order)
     model = model or default_sellmeier_model()
     idler = idler_wavelength(pump, signal)
-    if poling_period_um <= 0.0:
-        raise ConfigError(f"poling period must be > 0 um, got {poling_period_um}")
     grating = qpm_order / (poling_period_um * 1e-6)
 
     def mismatch(t: float) -> float:
@@ -271,6 +277,7 @@ def solve_degeneracy_temperature(pump: Wavelength, poling_period_um: float,
     Returns degrees Celsius. See solve_temperature for the root-finding
     contract.
     """
+    _check_grating(poling_period_um, qpm_order)
     degenerate = Wavelength(2.0 * pump.nm)
     try:
         point = solve_temperature(pump, degenerate, poling_period_um, model,
@@ -315,9 +322,8 @@ def solve_signal_wavelength(pump: Wavelength, poling_period_um: float,
     floating-point convergence. Raises SolverError when no sign change exists
     (temperature on the wrong side of degeneracy for this period).
     """
+    _check_grating(poling_period_um, qpm_order)
     model = model or default_sellmeier_model()
-    if poling_period_um <= 0.0:
-        raise ConfigError(f"poling period must be > 0 um, got {poling_period_um}")
     grating = qpm_order / (poling_period_um * 1e-6)
 
     def mismatch(signal_nm: float) -> float:
@@ -356,6 +362,7 @@ def temperature_tuning_curve(pump: Wavelength, poling_period_um: float,
                              qpm_order: int = 1) -> list[QpmPoint]:
     """Phase-matched points over a temperature sweep; temperatures with no
     solution are skipped."""
+    _check_grating(poling_period_um, qpm_order)
     model = model or default_sellmeier_model()
     points = []
     for t in temperatures_c:

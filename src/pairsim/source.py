@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import Mapping
@@ -54,10 +54,8 @@ __all__ = [
     "simulate_run",
     "sample_pair_spectrum",
     "config_digest",
-    "source_to_mapping",
-    "chain_to_mapping",
-    "source_from_mapping",
-    "chain_from_mapping",
+    "config_to_mapping",
+    "config_from_mapping",
     "reference_source",
     "reference_chain",
 ]
@@ -159,8 +157,10 @@ class RunConfig:
     timestamp_resolution_ps: int = 1
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0.0):
-            raise ConfigError(f"duration_s must be > 0, got {self.duration_s}")
+        # duration_ps rounds to a whole count in [1, 2^63); NaN fails too
+        if not 0.5 < self.duration_s * 1e12 < 2.0**63:
+            raise ConfigError("duration_s must round to 1 .. 2^63 - 1 ps, "
+                              f"got {self.duration_s}")
         if not 0 <= int(self.seed) < 2**64:
             raise ConfigError(f"seed must fit in uint64, got {self.seed}")
         if int(self.timestamp_resolution_ps) < 1:
@@ -218,69 +218,64 @@ def _si_out(internal: float, scale: float) -> float:
     return y
 
 
-def source_to_mapping(source: SourceConfig) -> dict[str, float]:
+# config key -> (config class, field, unit type, SI -> field scale): the
+# one description of the flat SI config, in file, manifest and digest
+# order. Unit None is a plain float field, unit bool a true/false flag.
+_CONFIG_FIELDS = {
+    "pump_power_w": (SourceConfig, "pump_power", OpticalPower, 1.0),
+    "coupling_efficiency": (SourceConfig, "coupling_efficiency", Efficiency,
+                            1.0),
+    "pump_wavelength_m": (SourceConfig, "pump_wavelength", Wavelength, 1e9),
+    "conversion_efficiency": (SourceConfig, "conversion_efficiency", None,
+                              1.0),
+    "spectral_center_m": (SourceConfig, "spectral_center", Wavelength, 1e9),
+    "spectral_fwhm_m": (SourceConfig, "spectral_fwhm_nm", None, 1e9),
+    "mu1": (DetectionChainConfig, "mu1", Efficiency, 1.0),
+    "mu2": (DetectionChainConfig, "mu2", Efficiency, 1.0),
+    "eta1": (DetectionChainConfig, "eta1", Efficiency, 1.0),
+    "eta2": (DetectionChainConfig, "eta2", Efficiency, 1.0),
+    "dark1_hz": (DetectionChainConfig, "dark1", Rate, 1.0),
+    "dark2_hz": (DetectionChainConfig, "dark2", Rate, 1.0),
+    "dead_time_s": (DetectionChainConfig, "dead_time_ns", None, 1e9),
+    "splitter_present": (DetectionChainConfig, "splitter_present", bool,
+                         None),
+    "jitter_s": (DetectionChainConfig, "jitter_ps", None, 1e12),
+}
+
+
+def config_to_mapping(source: SourceConfig,
+                      chain: DetectionChainConfig) -> dict[str, object]:
     """Flat SI-unit mapping (the config-file representation); exact inverse
-    of source_from_mapping."""
-    return {
-        "pump_power_w": source.pump_power.watts,
-        "coupling_efficiency": source.coupling_efficiency.value,
-        "pump_wavelength_m": _si_out(source.pump_wavelength.nm, 1e9),
-        "conversion_efficiency": source.conversion_efficiency,
-        "spectral_center_m": _si_out(source.spectral_center.nm, 1e9),
-        "spectral_fwhm_m": _si_out(source.spectral_fwhm_nm, 1e9),
-    }
+    of config_from_mapping."""
+    configs = {SourceConfig: source, DetectionChainConfig: chain}
+    mapping: dict[str, object] = {}
+    for key, (cls, field, unit, scale) in _CONFIG_FIELDS.items():
+        value = getattr(configs[cls], field)
+        if unit not in (None, bool):
+            value = astuple(value)[0]
+        mapping[key] = value if unit is bool else _si_out(value, scale)
+    return mapping
 
 
-def chain_to_mapping(chain: DetectionChainConfig) -> dict[str, object]:
-    return {
-        "mu1": chain.mu1.value,
-        "mu2": chain.mu2.value,
-        "eta1": chain.eta1.value,
-        "eta2": chain.eta2.value,
-        "dark1_hz": chain.dark1.hz,
-        "dark2_hz": chain.dark2.hz,
-        "dead_time_s": _si_out(chain.dead_time_ns, 1e9),
-        "splitter_present": chain.splitter_present,
-        "jitter_s": _si_out(chain.jitter_ps, 1e12),
-    }
-
-
-def source_from_mapping(kv: Mapping[str, str],
-                        source: str = "config") -> SourceConfig:
-    return SourceConfig(
-        pump_power=OpticalPower(keyvalue.get_float(kv, "pump_power_w", source)),
-        coupling_efficiency=Efficiency(
-            keyvalue.get_float(kv, "coupling_efficiency", source)),
-        pump_wavelength=Wavelength.from_meters(
-            keyvalue.get_float(kv, "pump_wavelength_m", source)),
-        conversion_efficiency=keyvalue.get_float(
-            kv, "conversion_efficiency", source),
-        spectral_center=Wavelength.from_meters(
-            keyvalue.get_float(kv, "spectral_center_m", source)),
-        spectral_fwhm_nm=keyvalue.get_float(kv, "spectral_fwhm_m", source) * 1e9,
-    )
-
-
-def chain_from_mapping(kv: Mapping[str, str],
-                       source: str = "config") -> DetectionChainConfig:
-    return DetectionChainConfig(
-        mu1=Efficiency(keyvalue.get_float(kv, "mu1", source)),
-        mu2=Efficiency(keyvalue.get_float(kv, "mu2", source)),
-        eta1=Efficiency(keyvalue.get_float(kv, "eta1", source)),
-        eta2=Efficiency(keyvalue.get_float(kv, "eta2", source)),
-        dark1=Rate(keyvalue.get_float(kv, "dark1_hz", source)),
-        dark2=Rate(keyvalue.get_float(kv, "dark2_hz", source)),
-        dead_time_ns=keyvalue.get_float(kv, "dead_time_s", source) * 1e9,
-        splitter_present=keyvalue.get_bool(kv, "splitter_present", source),
-        jitter_ps=keyvalue.get_float(kv, "jitter_s", source) * 1e12,
-    )
+def config_from_mapping(kv: Mapping[str, str], source: str = "config",
+                        ) -> tuple[SourceConfig, DetectionChainConfig]:
+    """Source and chain configs from a flat SI-unit mapping of raw text
+    values; raises DataFormatError for a missing or unparsable key."""
+    fields: dict[type, dict[str, object]] = {SourceConfig: {},
+                                             DetectionChainConfig: {}}
+    for key, (cls, field, unit, scale) in _CONFIG_FIELDS.items():
+        if unit is bool:
+            fields[cls][field] = keyvalue.get_bool(kv, key, source)
+        else:
+            value = keyvalue.get_float(kv, key, source) * scale
+            fields[cls][field] = value if unit is None else unit(value)
+    return (SourceConfig(**fields[SourceConfig]),
+            DetectionChainConfig(**fields[DetectionChainConfig]))
 
 
 def config_digest(source: SourceConfig, chain: DetectionChainConfig) -> str:
     """Stable sha256 over the flat config representation."""
-    mapping = dict(source_to_mapping(source))
-    mapping.update(chain_to_mapping(chain))
-    text = keyvalue.format_keyvalue(mapping)
+    text = keyvalue.format_keyvalue(config_to_mapping(source, chain))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -437,9 +432,11 @@ def sample_pair_spectrum(source: SourceConfig, count: int,
 
 
 @lru_cache(maxsize=1)
-def _reference_mapping() -> dict[str, str]:
+def _reference_config() -> tuple[SourceConfig, DetectionChainConfig]:
     ref = resources.files("pairsim.data").joinpath("reference_run_config.txt")
-    return keyvalue.parse_keyvalue(ref.read_text(encoding="utf-8"), str(ref))
+    return config_from_mapping(
+        keyvalue.parse_keyvalue(ref.read_text(encoding="utf-8"), str(ref)),
+        str(ref))
 
 
 def reference_source() -> SourceConfig:
@@ -450,11 +447,11 @@ def reference_source() -> SourceConfig:
     rate at 7.75 MHz; degenerate emission at 1314 nm, 30 nm FWHM. Loaded
     from the bundled reference_run_config.txt.
     """
-    return source_from_mapping(_reference_mapping(), "reference_run_config.txt")
+    return _reference_config()[0]
 
 
 def reference_chain() -> DetectionChainConfig:
     """Matching detection chain: 20% collection and 10% quantum efficiency
     per arm (0.02 product), 22 kHz dark rate per detector, 50/50 splitter,
     ideal timing. Loaded from the bundled reference_run_config.txt."""
-    return chain_from_mapping(_reference_mapping(), "reference_run_config.txt")
+    return _reference_config()[1]

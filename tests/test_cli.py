@@ -30,10 +30,8 @@ def sha(path):
 def small_config(tmp_path):
     src = make_source(2e5)
     chain = make_chain(dark1=5e3, dark2=5e3)
-    mapping = {**source_mod.source_to_mapping(src),
-               **source_mod.chain_to_mapping(chain)}
     path = tmp_path / "config.txt"
-    keyvalue.write_keyvalue(path, mapping)
+    keyvalue.write_keyvalue(path, source_mod.config_to_mapping(src, chain))
     return path
 
 
@@ -203,6 +201,29 @@ class TestSimulate:
                                "--seed", "1", "--out",
                                str(tmp_path / "x.events"))
         assert code == 1
+
+    def test_duration_outside_picosecond_range_is_usage_error(
+            self, capsys, tmp_path):
+        # no photons or darks, so only the duration can stop the run
+        config = tmp_path / "zero.txt"
+        keyvalue.write_keyvalue(config, source_mod.config_to_mapping(
+            make_source(0.0), make_chain(dark1=0.0, dark2=0.0)))
+        out = tmp_path / "x.events"
+        for duration in ("1e-300", "1e300"):
+            code, _, err = run_cli(capsys, "simulate", "--config",
+                                   str(config), "--duration", duration,
+                                   "--seed", "1", "--out", str(out))
+            assert code == 1 and "duration" in err
+            assert "Traceback" not in err
+            assert not out.exists()
+
+    def test_bad_seed_stops_every_job(self, capsys, tmp_path, small_config):
+        code, _, err = run_cli(capsys, "simulate", "--config",
+                               str(small_config), "--duration", "0.1",
+                               "--seed", str(2**64 - 1), "--jobs", "2",
+                               "--out", str(tmp_path / "x.events"))
+        assert code == 1 and "seed" in err
+        assert list(tmp_path.glob("x.events*")) == []
 
     def test_missing_args_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "simulate")
@@ -491,16 +512,39 @@ _CURVE = "qpm --pump=657e-9 --period=12.4e-6 --curve=100:130:3"
     (_CURVE.replace("=100:", "={v}:"), "100", (1, 1, 1, 1)),
     (_CURVE.replace(":130:", ":{v}:"), "130", (1, 1, 1, 1)),
     (_CURVE.replace(":3", ":{v}"), "3", (1, 1, 1, 1)),
+    # a period or QPM order that is not finite and positive (odd) is a
+    # usage error for every solver
+    ("qpm --pump=657e-9 --period={v}", "12.4e-6", (1, 1, 1, 1)),
+    ("qpm --pump=657e-9 --period={v} --temp=120", "12.4e-6", (1, 1, 1, 1)),
+    ("qpm --pump=657e-9 --period={v} --signal=1314e-9", "12.4e-6",
+     (1, 1, 1, 1)),
+    ("qpm --pump=657e-9 --signal=1314e-9 --temp={v}", "100", (1, 1, 1, 1)),
+    ("qpm --pump=657e-9 --signal={v} --temp=100", "1314e-9", (1, 1, 1, 1)),
+    ("qpm --pump={v} --signal=1314e-9 --temp=100", "657e-9", (1, 1, 1, 1)),
+    ("qpm --pump=657e-9 --period=12.4e-6 --order={v}", "1", (1, 1, 1, 1)),
+    ("simulate --config={config} --duration={v} --seed=1 "
+     "--out={tmp}/sim.events", "1e-3", (1, 1, 1, 1)),
+    ("count {tmp}/tiny.events --window={v}", "1e-9", (1, 1, 1, 1)),
+    ("count {tmp}/tiny.events --delay={v}", "1e-7", (1, 1, 1, 1)),
+    # a zero assumed dark rate is valid
+    ("count {tmp}/tiny.events --dark1={v}", "1e3", (1, 1, 0, 1)),
+    ("count {tmp}/tiny.events --dark2={v}", "1e3", (1, 1, 0, 1)),
 ])
 def test_float_option_edge_values_exit_codes(capsys, tmp_path, template,
                                              valid, codes):
+    from importlib import resources
     summary = tmp_path / "sum.csv"
+    config = resources.files("pairsim.data").joinpath(
+        "reference_run_config.txt")
+    pairsim.write_event_file(pairsim.EventStream(
+        detectors=[1, 2, 1], times_ps=[10, 20, 5000], duration_ps=10**12),
+        tmp_path / "tiny.events")
     got = []
     for v in (valid, "nan", "inf", "0", "-1"):
         summary.write_text("s1_net_hz,s2_net_hz,rc_net_hz,duration_s\n"
                            f"1e5,1e5,1e3,{v}\n", encoding="utf-8")
         got.append(run_cli(capsys, *template.format(
-            v=v, summary=summary).split())[0])
+            v=v, summary=summary, config=config, tmp=tmp_path).split())[0])
     assert tuple(got) == (0, *codes)
 
 

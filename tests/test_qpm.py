@@ -94,6 +94,31 @@ class TestPolingPeriod:
             solve_poling_period(Wavelength(657.0), Wavelength(1314.0), 100.0,
                                 qpm_order=2)
 
+    def test_bad_period_or_order_rejected_by_every_solver(self):
+        pump, deg = Wavelength(657.0), Wavelength(1314.0)
+        calls = {
+            "point": lambda p, m: QpmPoint(p, 100.0, pump, deg, deg, m),
+            "period": lambda p, m: solve_poling_period(pump, deg, 100.0,
+                                                       qpm_order=m),
+            "temperature": lambda p, m: solve_temperature(pump, deg, p,
+                                                          qpm_order=m),
+            "degeneracy": lambda p, m: solve_degeneracy_temperature(
+                pump, p, qpm_order=m),
+            "signal": lambda p, m: solve_signal_wavelength(pump, p, 120.0,
+                                                           qpm_order=m),
+            "curve": lambda p, m: temperature_tuning_curve(
+                pump, p, [120.0], qpm_order=m),
+        }
+        for name, call in calls.items():
+            for order in (0, 2, -1, math.nan):
+                with pytest.raises(ConfigError, match="QPM order"):
+                    call(12.4, order)
+            if name == "period":
+                continue
+            for period in (math.nan, math.inf, 0.0, -1.0):
+                with pytest.raises(ConfigError, match="poling period"):
+                    call(period, 1)
+
     def test_random_round_trips(self):
         rng = np.random.default_rng(23)
         for _ in range(100):

@@ -104,6 +104,12 @@ class TestConfigs:
     def test_run_config_validation(self):
         with pytest.raises(ConfigError, match="duration"):
             RunConfig(0.0, seed=1)
+        # the picosecond count must be at least 1 and fit int64
+        for bad in (math.nan, 0.5e-12, 9.3e6, 1e300):
+            with pytest.raises(ConfigError, match="duration"):
+                RunConfig(bad, seed=1)
+        assert RunConfig(0.6e-12, seed=1).duration_ps == 1
+        assert RunConfig(9.2e6, seed=1).duration_ps == 9_200_000 * 10**12
         with pytest.raises(ConfigError, match="seed"):
             RunConfig(1.0, seed=-1)
         with pytest.raises(ConfigError, match="resolution"):
@@ -117,24 +123,24 @@ class TestConfigs:
     def test_mapping_round_trip(self):
         src, chain = reference_source(), reference_chain()
         text = keyvalue.format_keyvalue(
-            {**source_mod.source_to_mapping(src),
-             **source_mod.chain_to_mapping(chain)})
+            source_mod.config_to_mapping(src, chain))
         kv = keyvalue.parse_keyvalue(text)
-        assert source_mod.source_from_mapping(kv) == src
-        assert source_mod.chain_from_mapping(kv) == chain
+        assert source_mod.config_from_mapping(kv) == (src, chain)
 
     def test_bundled_reference_config_matches_code(self):
         from importlib import resources
         text = resources.files("pairsim.data").joinpath(
             "reference_run_config.txt").read_text(encoding="utf-8")
         kv = keyvalue.parse_keyvalue(text)
-        assert source_mod.source_from_mapping(kv) == reference_source()
-        assert source_mod.chain_from_mapping(kv) == reference_chain()
+        assert source_mod.config_from_mapping(kv) \
+            == (reference_source(), reference_chain())
 
     def test_config_digest_tracks_changes(self):
         src, chain = reference_source(), reference_chain()
         d0 = config_digest(src, chain)
         assert d0 == config_digest(reference_source(), reference_chain())
+        assert d0 == ("4f0480470ca0209d67b36b14db1aba3d"
+                      "9d1d740f78adc5656e3cf7cec3c535b4")
         other = make_chain(dark1=23e3, dark2=22e3)
         assert config_digest(src, other) != d0
 
