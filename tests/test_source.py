@@ -411,6 +411,41 @@ class TestGoldenStream:
                     summary.accidental_count) == counts
 
 
+class TestReferenceGoldenStream:
+    """Per-seed output of the reference source and chain (splitter, darks,
+    no dead time or jitter) at two timestamp resolutions, pinned bit for
+    bit like TestGoldenStream."""
+
+    @pytest.fixture(scope="class")
+    def streams(self):
+        return {res: simulate_run(reference_source(), reference_chain(),
+                                  RunConfig(0.05, seed=20261018,
+                                            timestamp_resolution_ps=res))[0]
+                for res in (1, 100)}
+
+    @pytest.mark.parametrize("res, times_sha256", [
+        (1, "3207c0000c1935dcb7a2d41139163f12"
+            "29cd0531bc0561aa1927f065f4223651"),
+        (100, "0977be0f9eb760f8442feea77df365ef"
+              "cd598e5304b30ab574535c5f2275ed15"),
+    ])
+    def test_stream_digest(self, streams, res, times_sha256):
+        stream = streams[res]
+        assert stream.counts() == (8706, 8781)
+        assert hashlib.sha256(stream.times_ps.astype("<i8").tobytes()) \
+            .hexdigest() == times_sha256
+        assert hashlib.sha256(stream.detectors.tobytes()).hexdigest() \
+            == ("397079fcfffc5a00b1e30d141dc76bba"
+                "bd45ddf67a1ec203f077c857ed529762")
+
+    def test_net_summary_counts(self, streams):
+        for window, counts in ((WindowConfig(1.0, 100.0), (72, 0)),
+                               (WindowConfig(100.0, 2000.0), (207, 146))):
+            summary = net_summary(streams[1], window)
+            assert (summary.coincidence_count,
+                    summary.accidental_count) == counts
+
+
 class TestPairSpectrum:
     def test_fwhm_recovered(self):
         signal, idler = sample_pair_spectrum(reference_source(), 100_000, seed=2)
