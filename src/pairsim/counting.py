@@ -160,10 +160,11 @@ def _match_count(times: np.ndarray, is1: np.ndarray,
     events per detector.
     """
     half_window = min(math.floor(half_window_ps), 2**63 - 1)
-    near = np.diff(times) <= half_window
     keep = np.zeros(times.size, dtype=bool)
-    keep[1:] = near
-    keep[:-1] |= near
+    for lo in range(0, times.size - 1, 1 << 16):    # not one 8 B/event diff
+        near = np.diff(times[lo:lo + (1 << 16) + 1]) <= half_window
+        keep[lo:lo + near.size] |= near
+        keep[lo + 1:lo + 1 + near.size] |= near
     t, m = times[keep], is1[keep]
     if t.size == 0:
         return 0

@@ -51,11 +51,17 @@ def _cluster_bounds(cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _merge_sorted(t1: np.ndarray, t2: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(times, is1) of sorted t1 and t2 merged, t1 first at ties: timsort
-    merges the sorted runs in linear time."""
-    times = np.concatenate((t1, t2))
-    order = np.argsort(times, kind="stable")
-    return times[order], order < t1.size
+    """(times, is1) of sorted int64 t1, t2 >= 0 merged, t1 first at ties:
+    one in-place timsort merge of the uint64 keys 2t (t1) and 2t + 1 (t2)."""
+    keys = np.empty(t1.size + t2.size, dtype=np.uint64)
+    np.left_shift(t1.view(np.uint64), 1, out=keys[:t1.size])
+    np.left_shift(t2.view(np.uint64), 1, out=keys[t1.size:])
+    keys[t1.size:] |= 1
+    keys.sort(kind="stable")
+    is1 = np.bitwise_and(keys, 1, dtype=np.uint8, casting="unsafe").view(bool)
+    np.logical_not(is1, out=is1)
+    keys >>= 1
+    return keys.view(np.int64), is1
 
 
 def _cast_exact(values, dtype: type, name: str, what: str) -> np.ndarray:

@@ -217,6 +217,19 @@ class TestSimulate:
             assert "Traceback" not in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("resolution", [
+        "0", "-1", str(10**9 + 1), str(2**63 - 1), str(2**63)])
+    def test_resolution_outside_duration_is_usage_error(
+            self, capsys, tmp_path, small_config, resolution):
+        out = tmp_path / "x.events"
+        code, _, err = run_cli(capsys, "simulate", "--config",
+                               str(small_config), "--duration", "1e-3",
+                               "--seed", "1", "--out", str(out),
+                               "--resolution-ps", resolution)
+        assert code == 1 and "resolution" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_seed_stops_every_job(self, capsys, tmp_path, small_config):
         code, _, err = run_cli(capsys, "simulate", "--config",
                                str(small_config), "--duration", "0.1",

@@ -338,3 +338,31 @@ def test_write_read_round_trip_property(stream):
         path = os.path.join(tmp, "events.txt")
         write_event_file(stream, path)
         assert read_event_file(path) == stream
+
+
+@st.composite
+def sorted_runs(draw):
+    """Two sorted int64 runs drawn from one small pool, so ties fall within
+    and across the runs; either may be empty, and times reach 2**63 - 1,
+    where the merge key 2t + 1 uses its top bit."""
+    pool = draw(st.lists(st.integers(0, 2**63 - 1)
+                         | st.sampled_from((0, 1, 2**62, 2**63 - 1)),
+                         min_size=1, max_size=8))
+    return tuple(np.sort(np.array(draw(st.lists(st.sampled_from(pool),
+                                                max_size=30)),
+                                  dtype=np.int64)) for _ in range(2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(sorted_runs())
+def test_merge_sorted_matches_stable_argsort_property(runs):
+    t1, t2 = runs
+    copies = (t1.copy(), t2.copy())
+    times = np.concatenate(runs)
+    order = np.argsort(times, kind="stable")
+    merged, is1 = events._merge_sorted(t1, t2)
+    assert merged.dtype == np.int64 and is1.dtype == bool
+    np.testing.assert_array_equal(merged, times[order])
+    np.testing.assert_array_equal(is1, order < t1.size)
+    np.testing.assert_array_equal(t1, copies[0])
+    np.testing.assert_array_equal(t2, copies[1])

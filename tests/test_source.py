@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,8 +113,12 @@ class TestConfigs:
         assert RunConfig(9.2e6, seed=1).duration_ps == 9_200_000 * 10**12
         with pytest.raises(ConfigError, match="seed"):
             RunConfig(1.0, seed=-1)
-        with pytest.raises(ConfigError, match="resolution"):
-            RunConfig(1.0, seed=1, timestamp_resolution_ps=0)
+        # a resolution above the duration would overflow tick * resolution
+        for bad in (0, -1, 10**12 + 1, 2**63 - 1, 2**63):
+            with pytest.raises(ConfigError, match="resolution"):
+                RunConfig(1.0, seed=1, timestamp_resolution_ps=bad)
+        assert RunConfig(1.0, seed=1, timestamp_resolution_ps=10**12) \
+            .timestamp_resolution_ps == 10**12
 
     def test_true_counts_invariant(self):
         with pytest.raises(ConfigError):
@@ -444,6 +449,44 @@ class TestReferenceGoldenStream:
             summary = net_summary(streams[1], window)
             assert (summary.coincidence_count,
                     summary.accidental_count) == counts
+
+
+def traced_peak(call):
+    """(result, peak bytes the call allocated above what it started with);
+    tracemalloc sees numpy's array buffers."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocationBudget:
+    """Peak allocations per byte of the returned stream (9 bytes an event):
+    the simulate -> count path works in place, with no per-arm photon copies
+    and a merge that holds only its output."""
+
+    @pytest.mark.parametrize("point, duration, budget", [
+        ("reference", 1.0, 3.0),
+        # the dead-time filter and the jitter edge cut copy one arm each
+        ("dense", 0.1, 4.5),
+    ])
+    def test_simulate_and_net_summary_peaks(self, point, duration, budget):
+        configs = {"reference": (reference_source(), reference_chain()),
+                   "dense": (make_source(2e6), make_chain(
+                       mu1=0.5, mu2=0.5, eta1=0.9, eta2=0.9, dark1=1e3,
+                       dark2=1e3, dead_time_ns=50.0, splitter=False,
+                       jitter_ps=300.0))}
+        (stream, _), peak = traced_peak(lambda: simulate_run(
+            *configs[point], RunConfig(duration, seed=3)))
+        nbytes = stream.times_ps.nbytes + stream.detectors.nbytes
+        assert stream.n_events > 100_000
+        assert peak <= budget * nbytes
+        _, peak = traced_peak(lambda: net_summary(stream,
+                                                  WindowConfig(1.0, 100.0)))
+        assert peak <= 3.0 * nbytes
 
 
 class TestPairSpectrum:
