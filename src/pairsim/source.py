@@ -312,7 +312,7 @@ def _deadtime_filter(times_s: np.ndarray, dead_s: float) -> np.ndarray:
 
 def _quantize(times_s: np.ndarray, duration_ps: int,
               resolution_ps: int) -> np.ndarray:
-    """int64 picosecond ticks of times_s, which it overwrites as scratch."""
+    """times_s (s) as int64 ps floored to the resolution; overwrites it."""
     np.floor(np.multiply(times_s, 1e12 / resolution_ps, out=times_s),
              out=times_s)
     t_ps = times_s.astype(np.int64)
