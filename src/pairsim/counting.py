@@ -12,7 +12,8 @@ For two independent Poisson streams the expected coincidence rate is
 S1 * S2 * w with w the full window width.
 
 Both counts run on the merged time order, where one pass over the gaps
-between adjacent events picks the few events that can match.
+between adjacent events picks the few events that can match; for the
+delayed count the pass finds the few events the delay can bring together.
 """
 
 from __future__ import annotations
@@ -136,12 +137,14 @@ def _two_pointer_matches(a: list[int], b: list[int], half_window: int) -> int:
     return matches
 
 
-def _delayed(t2: np.ndarray, delay_ps: int, duration_ps: int) -> np.ndarray:
-    """Sorted (t2 + delay) mod duration: sorted t2 rotated at one point, for
-    any delay (it may exceed the duration)."""
-    shift = delay_ps % duration_ps
-    k = int(np.searchsorted(t2, duration_ps - shift))
-    return np.concatenate((t2[k:] - (duration_ps - shift), t2[:k] + shift))
+def _near(times: np.ndarray, limit: int) -> np.ndarray:
+    """Mask of the events of sorted times with a neighbour <= limit away."""
+    keep = np.zeros(times.size, dtype=bool)
+    for lo in range(0, times.size - 1, 1 << 16):    # not one 8 B/event diff
+        near = np.diff(times[lo:lo + (1 << 16) + 1]) <= limit
+        keep[lo:lo + near.size] |= near
+        keep[lo + 1:lo + 1 + near.size] |= near
+    return keep
 
 
 def _match_count(times: np.ndarray, is1: np.ndarray,
@@ -160,11 +163,7 @@ def _match_count(times: np.ndarray, is1: np.ndarray,
     events per detector.
     """
     half_window = min(math.floor(half_window_ps), 2**63 - 1)
-    keep = np.zeros(times.size, dtype=bool)
-    for lo in range(0, times.size - 1, 1 << 16):    # not one 8 B/event diff
-        near = np.diff(times[lo:lo + (1 << 16) + 1]) <= half_window
-        keep[lo:lo + near.size] |= near
-        keep[lo + 1:lo + 1 + near.size] |= near
+    keep = _near(times, half_window)
     t, m = times[keep], is1[keep]
     if t.size == 0:
         return 0
@@ -177,13 +176,33 @@ def _match_count(times: np.ndarray, is1: np.ndarray,
                                    t[ambiguous & ~m].tolist(), half_window))
 
 
-def _accidental_count(stream: EventStream, window: WindowConfig) -> int:
-    """Matches against the _delayed detector-2 times."""
-    is1 = stream.detectors == 1     # compress: 3x faster than a dense mask
-    return _match_count(*_merge_sorted(
-        np.compress(is1, stream.times_ps),
-        _delayed(np.compress(~is1, stream.times_ps), window.delay_ps,
-                 stream.duration_ps)), window.half_window_ps)
+def _accidental_count(stream: EventStream, is1: np.ndarray,
+                      window: WindowConfig) -> int:
+    """Matches against detector 2 delayed by shift = delay mod duration and
+    wrapped: its sorted times rotated at one point, for any delay.
+
+    Only candidates go through the merge. Delaying moves a detector-2 time
+    by at most shift, so an event can match only if an adjacent event lies
+    within reach = shift + half window, or it lies in the head zone
+    t <= reach where wrapped times land, or in the wrap zone
+    t >= duration - shift; any other event is more than a half window from
+    every event of the other detector. The candidates are 8 % of the
+    reference stream and 56 % of the dense one, and net_summary peaks at
+    about 4 bytes per event above the stream. A delay beyond the mean event
+    spacing keeps every event: the gap pass then adds about 10 % and the
+    peak is 19 bytes per event (18 without the pruning).
+    """
+    t, d = stream.times_ps, stream.duration_ps
+    shift = window.delay_ps % d
+    reach = min(shift + math.floor(window.half_window_ps), 2**63 - 1)
+    keep = _near(t, reach)
+    keep[:np.searchsorted(t, reach, "right")] = True    # head zone
+    keep[np.searchsorted(t, d - shift):] = True          # wrap zone
+    t2 = np.compress(keep & ~is1, t)
+    k = int(np.searchsorted(t2, d - shift))
+    t2 = np.concatenate((t2[k:] - (d - shift), t2[:k] + shift))
+    return _match_count(*_merge_sorted(np.compress(keep & is1, t), t2),
+                        window.half_window_ps)
 
 
 def count_coincidences(stream: EventStream,
@@ -203,7 +222,7 @@ def estimate_accidentals(stream: EventStream,
     recounts coincidences.
     """
     d = _require_duration(stream)
-    return Rate(_accidental_count(stream, window) / d)
+    return Rate(_accidental_count(stream, stream.detectors == 1, window) / d)
 
 
 def net_summary(stream: EventStream, window: WindowConfig = WindowConfig(),
@@ -211,36 +230,27 @@ def net_summary(stream: EventStream, window: WindowConfig = WindowConfig(),
                 ) -> CountSummary:
     """Full raw/net summary with dark and accidental subtraction."""
     duration_s = _require_duration(stream)
-    n1, n2 = stream.counts()
-    rc_count = _match_count(stream.times_ps, stream.detectors == 1,
-                            window.half_window_ps)
-    acc_count = _accidental_count(stream, window)
+    is1 = stream.detectors == 1
+    n1 = int(np.count_nonzero(is1))
+    n2 = stream.n_events - n1
+    rc_count = _match_count(stream.times_ps, is1, window.half_window_ps)
+    acc_count = _accidental_count(stream, is1, window)
 
-    floored: list[str] = []
-    s_nets = []
-    for name, raw_count, dark in (("s1_net", n1, dark_rates[0]),
-                                  ("s2_net", n2, dark_rates[1])):
-        value = raw_count / duration_s - dark.hz
-        if value < 0.0:
-            floored.append(name)
-            value = 0.0
-        s_nets.append(Rate(value))
-
-    net_count = rc_count - acc_count
-    if net_count < 0:
-        floored.append("rc_net")
-        net_count = 0
+    nets = {"s1_net": n1 / duration_s - dark_rates[0].hz,
+            "s2_net": n2 / duration_s - dark_rates[1].hz,
+            "rc_net": (rc_count - acc_count) / duration_s}
+    s1_net, s2_net, rc_net = (Rate(max(v, 0.0)) for v in nets.values())
 
     return CountSummary(
         duration_s=duration_s,
         raw_singles=(Rate(n1 / duration_s), Rate(n2 / duration_s)),
         dark_rates_assumed=tuple(dark_rates),
-        net_singles=(s_nets[0], s_nets[1]),
+        net_singles=(s1_net, s2_net),
         raw_coincidences=Rate(rc_count / duration_s),
         accidental_coincidences=Rate(acc_count / duration_s),
-        net_coincidences=Rate(net_count / duration_s),
+        net_coincidences=rc_net,
         singles_counts=(n1, n2),
         coincidence_count=rc_count,
         accidental_count=acc_count,
-        floored=tuple(floored),
+        floored=tuple(name for name, v in nets.items() if v < 0.0),
     )

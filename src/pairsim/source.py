@@ -312,10 +312,10 @@ def _deadtime_filter(times_s: np.ndarray, dead_s: float) -> np.ndarray:
 
 def _quantize(times_s: np.ndarray, duration_ps: int,
               resolution_ps: int) -> np.ndarray:
-    """times_s (s) as int64 ps floored to the resolution; overwrites it."""
-    np.floor(np.multiply(times_s, 1e12 / resolution_ps, out=times_s),
-             out=times_s)
-    t_ps = times_s.astype(np.int64)
+    """times_s (s) >= 0 as int64 ps floored to the resolution (the cast
+    truncates, which floors them); overwrites it."""
+    t_ps = np.multiply(times_s, 1e12 / resolution_ps,
+                       out=times_s).astype(np.int64)
     t_ps *= resolution_ps
     # float rounding at the upper edge may land exactly on duration
     last_tick = (duration_ps - 1) // resolution_ps * resolution_ps
