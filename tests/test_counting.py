@@ -76,6 +76,44 @@ def tied_streams(draw):
     return t1, t2, duration, WindowConfig(window_ns, delay_ps / 1e3)
 
 
+@st.composite
+def sparse_streams(draw):
+    """Runs much longer than the delay shift with a few clusters far apart,
+    so the delayed-window pruning drops most events. Detector-2 events sit
+    one shift before detector-1 clusters, so the delay brings them together
+    (across the wrap when the cluster is near the start); extra clusters sit
+    in the head and wrap zones. The shift is ordinary, at most a half
+    window, within a window of the duration, or of a delay longer than the
+    duration; one detector may be empty."""
+    duration = draw(st.integers(10**6, 10**12))
+    half = draw(st.sampled_from((0.5, 2.5, 20.0, 500.0)))
+    h = int(half)
+    low = int(20.0 * half) + 2
+    kind = draw(st.sampled_from(("plain", "small", "near_duration", "long")))
+    turns = draw(st.integers(1, 3)) * duration
+    delay = {"plain": lambda: draw(st.integers(low, low + duration // 50)),
+             "small": lambda: turns + draw(st.integers(0, h)),
+             "near_duration": lambda: turns - draw(st.integers(1, 2 * h + 1)),
+             "long": lambda: turns + draw(st.integers(0, duration - 1)),
+             }[kind]()
+    shift = delay % duration
+    centers = draw(st.lists(st.integers(0, duration - 1), min_size=1,
+                            max_size=6))
+    centers.append(draw(st.integers(0, min(shift + h, duration - 1))))
+    centers.append(draw(st.integers(duration - shift - 1, duration - 1)))
+    spread = st.integers(-2 * h - 1, 2 * h + 1)
+    t1, t2 = [], []
+    for c in centers:
+        t1 += [c + draw(spread) for _ in range(draw(st.integers(0, 3)))]
+        t2 += [c - shift + draw(spread)
+               for _ in range(draw(st.integers(0, 3)))]
+        t2 += [c + draw(spread) for _ in range(draw(st.integers(0, 1)))]
+    empty = draw(st.sampled_from((None, None, None, 1, 2)))
+    sides = [np.sort(np.array([] if empty == k else t, dtype=np.int64)
+                     % duration) for k, t in ((1, t1), (2, t2))]
+    return (*sides, duration, WindowConfig(2.0 * half / 1e3, delay / 1e3))
+
+
 class TestWindowConfig:
     def test_validation(self):
         with pytest.raises(ConfigError, match="window"):
@@ -244,6 +282,17 @@ class TestAccidentals:
     def test_empty_stream(self):
         s = stream_from_times([], [], 1_000_000)
         assert estimate_accidentals(s, WindowConfig(1.0, 100.0)).hz == 0.0
+
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(sparse_streams())
+    def test_pruned_delayed_count_matches_brute_force_property(self, case):
+        t1, t2, duration, window = case
+        s = stream_from_times(t1, t2, duration)
+        delayed = np.sort((t2 + window.delay_ps) % duration)
+        acc = brute_force_matches(t1, delayed, window.half_window_ps)
+        assert round(estimate_accidentals(s, window).hz * s.duration_s) == acc
+        assert net_summary(s, window).accidental_count == acc
 
 
 class TestNetSummary:

@@ -489,6 +489,16 @@ class TestAllocationBudget:
         assert peak <= 3.0 * nbytes
 
 
+    def test_net_summary_peak_below_stream(self):
+        # the delayed merge holds only the candidates (8 % of the stream)
+        stream, _ = simulate_run(reference_source(), reference_chain(),
+                                 RunConfig(1.0, seed=3))
+        nbytes = stream.times_ps.nbytes + stream.detectors.nbytes
+        _, peak = traced_peak(lambda: net_summary(stream,
+                                                  WindowConfig(1.0, 100.0)))
+        assert peak <= 1.0 * nbytes
+
+
 class TestPairSpectrum:
     def test_fwhm_recovered(self):
         signal, idler = sample_pair_spectrum(reference_source(), 100_000, seed=2)
