@@ -188,9 +188,9 @@ def _accidental_count(stream: EventStream, is1: np.ndarray,
     t >= duration - shift; any other event is more than a half window from
     every event of the other detector. The candidates are 8 % of the
     reference stream and 56 % of the dense one, and net_summary peaks at
-    about 4 bytes per event above the stream. A delay beyond the mean event
-    spacing keeps every event: the gap pass then adds about 10 % and the
-    peak is 19 bytes per event (18 without the pruning).
+    about 4 bytes per event above the stream. A delay far beyond the mean
+    event spacing keeps every event: the gap pass then adds about 20 % and
+    the peak is 19 bytes per event (18 without the pruning).
     """
     t, d = stream.times_ps, stream.duration_ps
     shift = window.delay_ps % d
