@@ -9,6 +9,7 @@ import pytest
 import pairsim
 from pairsim import cli, keyvalue
 from pairsim import source as source_mod
+from test_estimator import TABLE1_CSV_SHA256, TABLE1_TEXT_SHA256, sha256_text
 from test_source import make_chain, make_source
 
 
@@ -431,6 +432,12 @@ class TestTable1:
         _, csv, _ = run_cli(capsys, "table1", "--csv")
         for token in ("7258064.5", "2.1944828e-06", "1.55e+09"):
             assert token in text and token in csv
+
+    def test_reports_match_golden_bytes(self, capsys):
+        _, text, _ = run_cli(capsys, "table1")
+        _, csv, _ = run_cli(capsys, "table1", "--csv")
+        assert sha256_text(text) == TABLE1_TEXT_SHA256
+        assert sha256_text(csv) == TABLE1_CSV_SHA256
 
     def test_out_writes_manifest(self, capsys, tmp_path):
         report = tmp_path / "comparison.csv"

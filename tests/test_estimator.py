@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,17 @@ from pairsim import (ConfigError, EstimateInput, InferenceError, OpticalPower,
                      efficiency_products, estimate, expected_rates,
                      infer_pair_rate, load_source_records, pair_rate,
                      reference_chain, reference_source)
+
+# sha256 of comparison_text / comparison_csv over the bundled source table:
+# any change to a cell's text, a column or the alignment changes them
+TABLE1_TEXT_SHA256 = \
+    "df09f1b55549e8706492f197abd6c7b042f084f5e4e6d40a4f169d7f30986fb3"
+TABLE1_CSV_SHA256 = \
+    "696ffa35f3ea83cffe77cf0cd6dee8b2878744f0614aaed61e5f5dbb7105c1b0"
+
+
+def sha256_text(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def paper_point(**overrides):
@@ -199,3 +211,8 @@ class TestSourceComparison:
         header = csv.splitlines()[0].split(",")
         assert "computed_eta" in header and "flagged" in header
         assert len(csv.splitlines()) == 6
+
+    def test_reports_match_golden_bytes(self):
+        rows = compare_sources()
+        assert sha256_text(comparison_text(rows)) == TABLE1_TEXT_SHA256
+        assert sha256_text(comparison_csv(rows)) == TABLE1_CSV_SHA256

@@ -69,6 +69,29 @@ def test_star_import_and_dir():
     assert set(pairsim.__all__) <= set(dir(pairsim))
 
 
+# submodule-only names that `from pairsim.<module> import *` also gives
+STAR_EXTRAS = {
+    "source": ["config_to_mapping", "config_from_mapping"],
+    "keyvalue": ["read_keyvalue", "parse_keyvalue", "format_keyvalue",
+                 "write_keyvalue", "get_str", "get_float", "get_int",
+                 "get_bool"],
+}
+
+
+@pytest.mark.parametrize("module", sorted({*PUBLIC, *STAR_EXTRAS}))
+def test_submodule_star_import(module):
+    """A star import gives exactly the module's public names: its package
+    exports plus its module-only extras, and no helper such as np or
+    math."""
+    namespace = {}
+    exec(f"from pairsim.{module} import *", namespace)
+    del namespace["__builtins__"]
+    expected = {*PUBLIC.get(module, ()), *STAR_EXTRAS.get(module, ())}
+    assert set(namespace) == expected
+    mod = importlib.import_module(f"pairsim.{module}")
+    assert len(mod.__all__) == len(expected)
+
+
 def test_unknown_name_is_attribute_error():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         pairsim.no_such_name
