@@ -11,7 +11,10 @@ runs.
 
 The public names below are imported from their submodule on first access
 (PEP 562), so ``import pairsim`` loads neither numpy nor any submodule
-until a name or submodule is used.
+until a name or submodule is used. ``_EXPORTS`` is the one list of public
+names: each submodule builds its ``__all__`` from its row plus the names it
+keeps out of the package namespace (``keyvalue``, which exports none here,
+keeps its own list).
 """
 
 import importlib

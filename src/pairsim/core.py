@@ -11,21 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = [
-    "PLANCK_CONSTANT_J_S",
-    "SPEED_OF_LIGHT_M_S",
-    "ConfigError",
-    "DataFormatError",
-    "SolverError",
-    "InferenceError",
-    "MemoryBudgetError",
-    "Wavelength",
-    "OpticalPower",
-    "Rate",
-    "Efficiency",
-    "photon_flux",
-    "idler_wavelength",
-]
+from . import _EXPORTS
+
+__all__ = [*_EXPORTS["core"]]
 
 # CODATA 2018 (h is exact by definition of the SI second/kilogram)
 PLANCK_CONSTANT_J_S = 6.62607015e-34

@@ -25,15 +25,9 @@ import numpy as np
 
 from .core import ConfigError, Rate
 from .events import EventStream, _cluster_bounds, _merge_sorted
+from . import _EXPORTS
 
-__all__ = [
-    "WindowConfig",
-    "CountSummary",
-    "count_singles",
-    "count_coincidences",
-    "estimate_accidentals",
-    "net_summary",
-]
+__all__ = [*_EXPORTS["counting"]]
 
 
 @dataclass(frozen=True)

@@ -22,22 +22,9 @@ from importlib import resources
 
 from .core import (ConfigError, Efficiency, InferenceError, OpticalPower,
                    Rate, Wavelength, _require_finite, photon_flux)
-from . import keyvalue
+from . import _EXPORTS, keyvalue
 
-__all__ = [
-    "EstimateInput",
-    "EstimateResult",
-    "SourceRecord",
-    "SourceComparisonRow",
-    "infer_pair_rate",
-    "conversion_efficiency",
-    "efficiency_products",
-    "estimate",
-    "load_source_records",
-    "compare_sources",
-    "comparison_text",
-    "comparison_csv",
-]
+__all__ = [*_EXPORTS["estimator"]]
 
 
 @dataclass(frozen=True)
@@ -191,6 +178,11 @@ class SourceRecord:
     published_rc_per_watt: float
 
 
+def _deviation_factor(ratio: float) -> float:
+    """How far a computed/published ratio is from 1, in either direction."""
+    return max(ratio, 1.0 / ratio)
+
+
 @dataclass(frozen=True)
 class SourceComparisonRow:
     """Computed vs. published figures for one source."""
@@ -205,13 +197,12 @@ class SourceComparisonRow:
 
     @property
     def eta_deviation_factor(self) -> float:
-        r = self.computed_eta / self.record.published_eta
-        return max(r, 1.0 / r)
+        return _deviation_factor(self.computed_eta / self.record.published_eta)
 
     @property
     def rc_deviation_factor(self) -> float:
-        r = self.computed_rc_per_watt / self.record.published_rc_per_watt
-        return max(r, 1.0 / r)
+        return _deviation_factor(self.computed_rc_per_watt
+                                 / self.record.published_rc_per_watt)
 
 
 def load_source_records(path=None) -> list[SourceRecord]:
@@ -273,8 +264,8 @@ def compare_sources(records: list[SourceRecord] | None = None,
         rc_per_watt = rec.coincidences.hz / rec.pump_power.watts
         eta_ratio = eta / rec.published_eta
         rc_ratio = rc_per_watt / rec.published_rc_per_watt
-        flagged = (max(eta_ratio, 1.0 / eta_ratio) > max_deviation_factor
-                   or max(rc_ratio, 1.0 / rc_ratio) > max_deviation_factor)
+        flagged = (_deviation_factor(eta_ratio) > max_deviation_factor
+                   or _deviation_factor(rc_ratio) > max_deviation_factor)
         rows.append(SourceComparisonRow(
             record=rec, pair_rate=n, computed_eta=eta,
             computed_rc_per_watt=rc_per_watt,
@@ -326,25 +317,22 @@ def comparison_csv(rows: list[SourceComparisonRow]) -> str:
 
 
 def comparison_text(rows: list[SourceComparisonRow]) -> str:
-    """Aligned plain-text comparison table."""
-    headers = ["source", "P_pump[W]", "S_i[Hz]", "Rc[Hz]", "N[Hz]",
-               "eta", "eta(pub)", "Rc/P[1/sW]", "Rc/P(pub)", "flag"]
-    table = [headers]
+    """Aligned plain-text comparison table: a subset of the CSV cells, with
+    the flag spelled FLAGGED/ok."""
+    # header -> the CSV column whose cell it shows
+    columns = {
+        "source": "label", "P_pump[W]": "pump_power_w",
+        "S_i[Hz]": "singles_hz", "Rc[Hz]": "coincidences_hz",
+        "N[Hz]": "pair_rate_hz", "eta": "computed_eta",
+        "eta(pub)": "published_eta", "Rc/P[1/sW]": "computed_rc_per_watt",
+        "Rc/P(pub)": "published_rc_per_watt", "flag": "flagged",
+    }
+    table = [list(columns)]
     for row in rows:
-        rec = row.record
-        table.append([
-            rec.label,
-            f"{rec.pump_power.watts:.8g}",
-            f"{rec.singles.hz:.8g}",
-            f"{rec.coincidences.hz:.8g}",
-            f"{row.pair_rate.hz:.8g}",
-            f"{row.computed_eta:.8g}",
-            f"{rec.published_eta:.8g}",
-            f"{row.computed_rc_per_watt:.8g}",
-            f"{rec.published_rc_per_watt:.8g}",
-            "FLAGGED" if row.flagged else "ok",
-        ])
-    widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
+        cells = dict(zip(_CSV_COLUMNS, _row_values(row)))
+        cells["flagged"] = "FLAGGED" if row.flagged else "ok"
+        table.append([cells[column] for column in columns.values()])
+    widths = [max(len(r[i]) for r in table) for i in range(len(columns))]
     lines = []
     for r in table:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())

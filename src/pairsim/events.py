@@ -29,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, DataFormatError
+from . import _EXPORTS
 
-__all__ = ["EventStream", "write_event_file", "read_event_file"]
+__all__ = [*_EXPORTS["events"]]
 
 FILE_MAGIC = "# pairsim-events v1"
 

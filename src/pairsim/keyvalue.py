@@ -78,20 +78,16 @@ def write_keyvalue(path: str | os.PathLike, mapping: Mapping[str, object],
         fh.write(format_keyvalue(mapping, header))
 
 
-def _require(mapping: Mapping[str, str], key: str, source: str) -> str:
+def get_str(mapping: Mapping[str, str], key: str,
+            source: str = "config") -> str:
     if key not in mapping:
         raise DataFormatError(f"{source}: missing required key {key!r}")
     return mapping[key]
 
 
-def get_str(mapping: Mapping[str, str], key: str,
-            source: str = "config") -> str:
-    return _require(mapping, key, source)
-
-
 def get_float(mapping: Mapping[str, str], key: str,
               source: str = "config") -> float:
-    raw = _require(mapping, key, source)
+    raw = get_str(mapping, key, source)
     try:
         return float(raw)
     except ValueError:
@@ -101,7 +97,7 @@ def get_float(mapping: Mapping[str, str], key: str,
 
 def get_int(mapping: Mapping[str, str], key: str,
             source: str = "config") -> int:
-    raw = _require(mapping, key, source)
+    raw = get_str(mapping, key, source)
     try:
         return int(raw)
     except ValueError:
@@ -111,7 +107,7 @@ def get_int(mapping: Mapping[str, str], key: str,
 
 def get_bool(mapping: Mapping[str, str], key: str,
              source: str = "config") -> bool:
-    raw = _require(mapping, key, source).lower()
+    raw = get_str(mapping, key, source).lower()
     if raw in ("true", "1", "yes"):
         return True
     if raw in ("false", "0", "no"):

@@ -19,21 +19,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import ConfigError, SolverError, Wavelength, idler_wavelength
-from . import keyvalue
+from . import _EXPORTS, keyvalue
 
-__all__ = [
-    "SellmeierModel",
-    "QpmPoint",
-    "load_sellmeier_file",
-    "default_sellmeier_model",
-    "refractive_index",
-    "phase_mismatch",
-    "solve_poling_period",
-    "solve_temperature",
-    "solve_degeneracy_temperature",
-    "solve_signal_wavelength",
-    "temperature_tuning_curve",
-]
+__all__ = [*_EXPORTS["qpm"]]
 
 # energy-conservation tolerance for a QpmPoint (relative, on 1/lambda)
 ENERGY_RTOL = 1e-9
@@ -87,8 +75,7 @@ class SellmeierModel:
         return np.sqrt(n2)
 
 
-def _model_from_text(text: str, source: str) -> SellmeierModel:
-    kv = keyvalue.parse_keyvalue(text, source)
+def _model_from_mapping(kv: dict[str, str], source: str) -> SellmeierModel:
     return SellmeierModel(
         name=keyvalue.get_str(kv, "name", source),
         a=tuple(keyvalue.get_float(kv, f"a{i}", source) for i in range(1, 7)),
@@ -104,15 +91,15 @@ def _model_from_text(text: str, source: str) -> SellmeierModel:
 
 def load_sellmeier_file(path) -> SellmeierModel:
     """Load a Sellmeier coefficient file (key-value format, see data/)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _model_from_text(fh.read(), str(path))
+    return _model_from_mapping(keyvalue.read_keyvalue(path), str(path))
 
 
 @lru_cache(maxsize=1)
 def default_sellmeier_model() -> SellmeierModel:
     """The bundled congruent lithium niobate extraordinary-index model."""
     ref = resources.files("pairsim.data").joinpath("cln_ne_sellmeier.txt")
-    return _model_from_text(ref.read_text(encoding="utf-8"), str(ref))
+    kv = keyvalue.parse_keyvalue(ref.read_text(encoding="utf-8"), str(ref))
+    return _model_from_mapping(kv, str(ref))
 
 
 def _check_grating(poling_period_um: float | None, qpm_order: int) -> None:

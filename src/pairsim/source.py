@@ -42,23 +42,9 @@ import numpy as np
 from .core import (ConfigError, Efficiency, MemoryBudgetError, OpticalPower,
                    Rate, Wavelength, photon_flux)
 from .events import EventStream, _cluster_bounds, _merge_sorted
-from . import keyvalue
+from . import _EXPORTS, keyvalue
 
-__all__ = [
-    "SourceConfig",
-    "DetectionChainConfig",
-    "RunConfig",
-    "TrueCounts",
-    "pair_rate",
-    "expected_rates",
-    "simulate_run",
-    "sample_pair_spectrum",
-    "config_digest",
-    "config_to_mapping",
-    "config_from_mapping",
-    "reference_source",
-    "reference_chain",
-]
+__all__ = [*_EXPORTS["source"], "config_to_mapping", "config_from_mapping"]
 
 # Gaussian FWHM = _FWHM_SIGMA * sigma
 _FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -207,9 +193,9 @@ def expected_rates(source: SourceConfig,
 
 
 def _si_out(internal: float, scale: float) -> float:
-    """SI value y for an internal value x so that parsing it back with
-    y * scale reproduces x bit-exactly (nudged by one ulp when plain division
-    lands on the wrong neighbour)."""
+    """SI value y for an internal value x so that y * scale is x bit-exactly
+    if such a y exists (nudged by one ulp when plain division lands on the
+    wrong neighbour); otherwise the plain quotient."""
     y = internal / scale
     if y * scale == internal:
         return y
@@ -246,8 +232,9 @@ _CONFIG_FIELDS = {
 
 def config_to_mapping(source: SourceConfig,
                       chain: DetectionChainConfig) -> dict[str, object]:
-    """Flat SI-unit mapping (the config-file representation); exact inverse
-    of config_from_mapping."""
+    """Flat SI-unit mapping (the config-file representation). For a config
+    read from SI text, config_from_mapping gives the same config back; one
+    built in internal units can come back one ulp off (see _si_out)."""
     configs = {SourceConfig: source, DetectionChainConfig: chain}
     mapping: dict[str, object] = {}
     for key, (cls, field, unit, scale) in _CONFIG_FIELDS.items():

@@ -84,6 +84,38 @@ def dead_time_chains(draw):
     return np.array(times, dtype=np.float64), dead
 
 
+# config key -> (lab-scale SI range, largest valid value): the largest keeps
+# every internal value (nm, ns, ps) finite and every efficiency <= 1
+_SI_CONFIG_RANGES = {
+    "pump_power_w": ((1e-9, 1.0), 1e300),
+    "coupling_efficiency": ((1e-3, 1.0), 1.0),
+    "pump_wavelength_m": ((3e-7, 2e-6), 1e290),
+    "conversion_efficiency": ((1e-14, 1e-4), 1.0),
+    "spectral_fwhm_m": ((1e-10, 1e-7), 1e290),
+    "mu1": ((1e-3, 1.0), 1.0),
+    "mu2": ((1e-3, 1.0), 1.0),
+    "eta1": ((1e-3, 1.0), 1.0),
+    "eta2": ((1e-3, 1.0), 1.0),
+    "dark1_hz": ((1.0, 1e6), 1e300),
+    "dark2_hz": ((1.0, 1e6), 1e300),
+    "dead_time_s": ((1e-10, 1e-6), 1e290),
+    "jitter_s": ((1e-13, 1e-9), 1e290),
+}
+
+
+@st.composite
+def si_config_texts(draw):
+    """Config-file text as a user writes it: a positive SI value per key,
+    mostly at lab scale, with the spectral center at twice the pump."""
+    values = {}
+    for key, ((lo, hi), top) in _SI_CONFIG_RANGES.items():
+        values[key] = draw(st.one_of(
+            st.floats(lo, hi), st.floats(0.0, top, exclude_min=True)))
+    values["spectral_center_m"] = 2.0 * values["pump_wavelength_m"]
+    values["splitter_present"] = draw(st.booleans())
+    return keyvalue.format_keyvalue(values)
+
+
 class TestConfigs:
     def test_reference_source_pins_rate(self):
         assert pair_rate(reference_source()).hz == pytest.approx(7.75e6, rel=1e-12)
@@ -131,6 +163,22 @@ class TestConfigs:
             source_mod.config_to_mapping(src, chain))
         kv = keyvalue.parse_keyvalue(text)
         assert source_mod.config_from_mapping(kv) == (src, chain)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(si_config_texts())
+    def test_si_text_round_trip_property(self, text):
+        """A config read from SI text and written back (the manifest path
+        that --from-manifest reloads) reloads to the same config, digest
+        and text."""
+        configs = source_mod.config_from_mapping(keyvalue.parse_keyvalue(text))
+        written = keyvalue.format_keyvalue(
+            source_mod.config_to_mapping(*configs))
+        reloaded = source_mod.config_from_mapping(
+            keyvalue.parse_keyvalue(written))
+        assert reloaded == configs
+        assert config_digest(*reloaded) == config_digest(*configs)
+        assert keyvalue.format_keyvalue(
+            source_mod.config_to_mapping(*reloaded)) == written
 
     def test_bundled_reference_config_matches_code(self):
         from importlib import resources
