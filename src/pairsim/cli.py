@@ -6,7 +6,9 @@ SI base units (meters, watts, hertz, seconds); temperatures are degrees
 Celsius. Whenever a command writes an output file it also writes a
 ``<output>.manifest`` key-value file carrying the fully resolved
 configuration, the seed, and the output digest; ``simulate --from-manifest``
-re-runs a manifest and reproduces the event file bit-exactly.
+re-runs a manifest and reproduces the event file bit-exactly. ``simulate``
+writes binary (v2) event files, or v1 text with ``--text``; ``count`` reads
+both.
 
 Exit codes: 0 success, 1 usage/config error, 2 data/parse error,
 3 inference/solver error.
@@ -89,10 +91,10 @@ def read_event_file(path):
     return read_event_file(path)
 
 
-def write_event_file(stream, path) -> None:
+def write_event_file(stream, path, *, binary: bool = False) -> None:
     """events.write_event_file, imported on first call."""
     from .events import write_event_file
-    write_event_file(stream, path)
+    write_event_file(stream, path, binary=binary)
 
 
 def _mapping_report(mapping: dict[str, object], csv: bool) -> str:
@@ -190,12 +192,12 @@ def _cmd_qpm(args) -> int:
 
 # ----------------------------------------------------------- simulate ----
 
-def _simulate_one(src_cfg, chain_cfg, run_cfg, out_path: Path,
+def _simulate_one(src_cfg, chain_cfg, run_cfg, out_path: Path, fmt: str,
                   manifest_extra: dict[str, object]) -> dict[str, object]:
     from . import source
     stream, truth = source.simulate_run(src_cfg, chain_cfg, run_cfg)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_event_file(stream, out_path)
+    write_event_file(stream, out_path, binary=fmt == "binary")
 
     fields: dict[str, object] = {
         f"config.{k}": v
@@ -204,6 +206,7 @@ def _simulate_one(src_cfg, chain_cfg, run_cfg, out_path: Path,
     fields["seed"] = run_cfg.seed
     fields["resolution_ps"] = run_cfg.timestamp_resolution_ps
     fields["rng_scheme"] = source.RNG_SCHEME
+    fields["format"] = fmt
     fields.update(manifest_extra)
     fields["output"] = str(out_path)
     _write_manifest(out_path, "simulate", fields)
@@ -248,6 +251,11 @@ def _cmd_simulate(args) -> int:
         resolution = keyvalue.get_int(kv, "resolution_ps", src_txt)
         out = args.out or keyvalue.get_str(kv, "output", src_txt)
         config_path = kv.get("config_file", "")
+        # manifests written before the binary format describe text files
+        fmt = "text" if args.text else kv.get("format", "text")
+        if fmt not in ("binary", "text"):
+            raise DataFormatError(f"{src_txt}: key 'format' is not 'binary' "
+                                  f"or 'text': {fmt!r}")
     else:
         if args.config is None or args.duration is None or args.seed is None:
             raise _UsageError("simulate needs --config, --duration, and "
@@ -259,6 +267,7 @@ def _cmd_simulate(args) -> int:
         duration, seed, resolution = args.duration, args.seed, args.resolution_ps
         out = args.out
         config_path = args.config
+        fmt = "text" if args.text else "binary"
 
     # every run is validated before the first one writes a file
     runs = [source.RunConfig(duration, seed + k, resolution)
@@ -269,13 +278,13 @@ def _cmd_simulate(args) -> int:
 
     if args.jobs == 1:
         summaries = [_simulate_one(src_cfg, chain_cfg, runs[0], outputs[0],
-                                   extra)]
+                                   fmt, extra)]
     else:
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=_worker_count(args.jobs)) as pool:
             futures = [pool.submit(_simulate_one, src_cfg, chain_cfg, run,
-                                   path, extra)
+                                   path, fmt, extra)
                        for run, path in zip(runs, outputs)]
             summaries = [f.result() for f in futures]
 
@@ -410,6 +419,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--jobs", type=int, default=1,
                    help="run N consecutive seeds in parallel, one file each")
     p.add_argument("--from-manifest", help="re-run a previous manifest")
+    p.add_argument("--text", action="store_true",
+                   help="write a v1 text event file instead of v2 binary")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("count", help="count singles/coincidences in a stream")

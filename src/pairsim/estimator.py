@@ -20,8 +20,9 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .core import (ConfigError, Efficiency, InferenceError, OpticalPower,
-                   Rate, Wavelength, _require_finite, photon_flux)
+from .core import (ConfigError, DataFormatError, Efficiency, InferenceError,
+                   OpticalPower, Rate, Wavelength, _require_finite,
+                   photon_flux)
 from . import _EXPORTS, keyvalue
 
 __all__ = [*_EXPORTS["estimator"]]
@@ -206,7 +207,9 @@ class SourceComparisonRow:
 
 
 def load_source_records(path=None) -> list[SourceRecord]:
-    """Read a source-comparison data file; default is the bundled table."""
+    """Read a source-comparison data file; default is the bundled table.
+    A power, wavelength, rate or published figure that is not finite and
+    > 0, or a signal no longer than its pump, is a DataFormatError."""
     if path is None:
         ref = resources.files("pairsim.data").joinpath("source_comparison.txt")
         kv = keyvalue.parse_keyvalue(ref.read_text(encoding="utf-8"), str(ref))
@@ -214,26 +217,35 @@ def load_source_records(path=None) -> list[SourceRecord]:
     else:
         kv = keyvalue.read_keyvalue(path)
         src = str(path)
+
+    def figure(key: str) -> float:
+        value = keyvalue.get_float(kv, key, src)
+        if not 0.0 < value < math.inf:
+            raise DataFormatError(
+                f"{src}: key {key!r} must be finite and > 0, got {value!r}")
+        return value
+
     records = []
     for key in keyvalue.get_str(kv, "sources", src).split():
+        pump = figure(f"{key}.pump_wavelength_m")
+        signal = figure(f"{key}.signal_wavelength_m")
+        if signal <= pump:
+            raise DataFormatError(
+                f"{src}: key '{key}.signal_wavelength_m' ({signal!r} m) must "
+                f"be longer than the pump wavelength ({pump!r} m)")
         records.append(SourceRecord(
             key=key,
             label=keyvalue.get_str(kv, f"{key}.label", src),
             detector=keyvalue.get_str(kv, f"{key}.detector", src),
-            pump_power=OpticalPower(
-                keyvalue.get_float(kv, f"{key}.pump_power_w", src)),
-            pump=Wavelength.from_meters(
-                keyvalue.get_float(kv, f"{key}.pump_wavelength_m", src)),
-            signal=Wavelength.from_meters(
-                keyvalue.get_float(kv, f"{key}.signal_wavelength_m", src)),
-            singles=Rate(keyvalue.get_float(kv, f"{key}.singles_hz", src)),
-            coincidences=Rate(
-                keyvalue.get_float(kv, f"{key}.coincidences_hz", src)),
+            pump_power=OpticalPower(figure(f"{key}.pump_power_w")),
+            pump=Wavelength.from_meters(pump),
+            signal=Wavelength.from_meters(signal),
+            singles=Rate(figure(f"{key}.singles_hz")),
+            coincidences=Rate(figure(f"{key}.coincidences_hz")),
             splitter_correction=keyvalue.get_bool(
                 kv, f"{key}.splitter_correction", src),
-            published_eta=keyvalue.get_float(kv, f"{key}.published_eta", src),
-            published_rc_per_watt=keyvalue.get_float(
-                kv, f"{key}.published_rc_per_watt", src),
+            published_eta=figure(f"{key}.published_eta"),
+            published_rc_per_watt=figure(f"{key}.published_rc_per_watt"),
         ))
     return records
 

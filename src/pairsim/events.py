@@ -4,7 +4,8 @@ An EventStream is the interchange between the source simulator and the
 coincidence counter: time-ordered detection timestamps in integer picoseconds
 tagged with a detector index (1 or 2), plus run metadata.
 
-File format (UTF-8 text, tab separated)::
+Two file versions share one header of ``# key = value`` lines and differ in
+the body. Version 1 is UTF-8 text, one tab-separated event per line::
 
     # pairsim-events v1
     # duration_ps = 10000000000000
@@ -15,8 +16,13 @@ File format (UTF-8 text, tab separated)::
     2\t1250
     ...
 
+Version 2 (``# pairsim-events v2``) ends its header with ``# events = <n>``
+and then holds two packed columns: n little-endian int64 timestamps, then
+n uint8 detector indices. read_event_file dispatches on the magic line;
+write_event_file writes v1 unless binary=True.
+
 README "File formats" gives the exact lines the reader accepts. Timestamps
-must ascend; the writer/reader round trip is bit exact.
+must ascend; the writer/reader round trip is bit exact in both versions.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import os
 import re
 import warnings
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -34,6 +41,7 @@ from . import _EXPORTS
 __all__ = [*_EXPORTS["events"]]
 
 FILE_MAGIC = "# pairsim-events v1"
+FILE_MAGIC_V2 = "# pairsim-events v2"
 
 
 def _cluster_bounds(cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,16 +158,26 @@ class EventStream:
                 and np.array_equal(self.times_ps, other.times_ps))
 
 
-def write_event_file(stream: EventStream, path: str | os.PathLike) -> None:
-    """Write a stream in the documented text format (bit-exact round trip)."""
+def write_event_file(stream: EventStream, path: str | os.PathLike, *,
+                     binary: bool = False) -> None:
+    """Write a stream as a v1 text file, or as a v2 file with packed binary
+    columns when binary is true (both round trips are bit exact)."""
+    header = [f"# duration_ps = {stream.duration_ps}",
+              f"# resolution_ps = {stream.resolution_ps}"]
+    if stream.seed is not None:
+        header.append(f"# seed = {stream.seed}")
+    if stream.config_digest:
+        header.append(f"# config_digest = {stream.config_digest}")
+    if binary:
+        with open(path, "wb") as fh:
+            fh.write("\n".join([FILE_MAGIC_V2, *header,
+                                f"# events = {stream.n_events}", ""])
+                     .encode("utf-8"))
+            stream.times_ps.astype("<i8", copy=False).tofile(fh)
+            stream.detectors.tofile(fh)
+        return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(FILE_MAGIC + "\n")
-        fh.write(f"# duration_ps = {stream.duration_ps}\n")
-        fh.write(f"# resolution_ps = {stream.resolution_ps}\n")
-        if stream.seed is not None:
-            fh.write(f"# seed = {stream.seed}\n")
-        if stream.config_digest:
-            fh.write(f"# config_digest = {stream.config_digest}\n")
+        fh.write("\n".join([FILE_MAGIC, *header, ""]))
         rows = np.column_stack((stream.detectors, stream.times_ps))
         for block in np.split(rows, range(1 << 14, len(rows), 1 << 14)):
             fh.write("%d\t%d\n" * len(block) % tuple(block.ravel().tolist()))
@@ -189,8 +207,67 @@ def _first_bad_line(path: str | os.PathLike, fallback: str) -> str:
 
 
 def read_event_file(path: str | os.PathLike) -> EventStream:
-    """Parse an event file with one bulk parse of its event lines; a
-    malformed line raises DataFormatError naming its 1-based line number."""
+    """Read a v1 or v2 event file, whichever its magic line names; a
+    malformed file raises DataFormatError naming where it is bad."""
+    with open(path, "rb") as fh:
+        if fh.readline(64) == (FILE_MAGIC_V2 + "\n").encode():
+            return _read_binary(path, fh)
+    return _read_text(path)
+
+
+def _read_binary(path: str | os.PathLike, fh) -> EventStream:
+    """The rest of a v2 file after its magic line: header lines up to
+    '# events = <n>', then one np.fromfile per column. EventStream checks
+    every value; errors name the byte offset where the file is bad."""
+    src, header, at = str(path), {}, {}
+
+    def fail(pos: int, message: str) -> NoReturn:
+        raise DataFormatError(f"{src}: byte {pos}: {message}")
+
+    while "events" not in header:
+        pos, line = fh.tell(), fh.readline(1 << 12)
+        key, eq, value = line[1:].decode("utf-8", "replace").partition("=")
+        if line[:1] != b"#" or not eq or line[-1:] != b"\n":
+            fail(pos, "expected a '# key = value' header line (the header "
+                      "ends with '# events = <n>')")
+        header[key.strip()], at[key.strip()] = value.strip(), pos
+    body, meta = fh.tell(), {"resolution_ps": 1, "seed": None}
+    for key in ("events", "duration_ps", "resolution_ps", "seed"):
+        try:
+            meta.update({key: int(header[key])} if key in header else {})
+        except ValueError:
+            fail(at[key], f"{key} is not an integer: {header[key]!r}")
+    n = meta.pop("events")
+    if n < 0:
+        fail(at["events"], f"events must be >= 0, got {n}")
+    if "duration_ps" not in meta:
+        fail(body, "header is missing duration_ps")
+    for key in ("duration_ps", "resolution_ps"):    # the header values alone
+        try:
+            EventStream((), (), **{"duration_ps": 0, key: meta[key]})
+        except ConfigError as exc:
+            fail(at[key], str(exc))
+    size = os.fstat(fh.fileno()).st_size
+    if size != body + 9 * n:
+        fail(min(size, body + 9 * n), f"'# events = {n}' needs {9 * n} body "
+             f"bytes after the header, the file has {size - body}")
+    times = np.fromfile(path, "<i8", count=n, offset=body)
+    dets = np.fromfile(path, np.uint8, count=n, offset=body + 8 * n)
+    try:
+        return EventStream(dets, times, **meta,
+                           config_digest=header.get("config_digest", ""))
+    except ConfigError as exc:      # locate the event it rejects
+        bad = np.flatnonzero((dets - 1) > 1)    # uint8: 0 wraps to 255
+        if bad.size:
+            fail(body + 8 * n + int(bad[0]), str(exc))
+        bad = np.flatnonzero((times < 0) | (times >= meta["duration_ps"])
+                             | np.append(False, times[1:] < times[:-1]))
+        fail(body + 8 * int(bad[0]), str(exc))
+
+
+def _read_text(path: str | os.PathLike) -> EventStream:
+    """Parse a v1 file with one bulk parse of its event lines; a malformed
+    line raises DataFormatError naming its 1-based line number."""
     src, header, stray = str(path), {}, False
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         if fh.readline().rstrip("\n") != FILE_MAGIC:

@@ -4,10 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pairsim
-from pairsim import cli, keyvalue
+from pairsim import cli, events, keyvalue
 from pairsim import source as source_mod
 from test_estimator import TABLE1_CSV_SHA256, TABLE1_TEXT_SHA256, sha256_text
 from test_source import make_chain, make_source
@@ -243,6 +244,70 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate")
         assert code == 1 and "--config" in err
 
+    def test_manifest_records_format(self, capsys, tmp_path, small_config):
+        for flags, fmt, magic in (([], "binary", b"# pairsim-events v2\n"),
+                                  (["--text"], "text",
+                                   b"# pairsim-events v1\n")):
+            out = tmp_path / f"{fmt}.events"
+            code, _, _ = run_cli(capsys, "simulate", "--config",
+                                 str(small_config), "--duration", "0.1",
+                                 "--seed", "5", "--out", str(out), *flags)
+            assert code == 0
+            assert out.read_bytes().startswith(magic)
+            manifest = keyvalue.read_keyvalue(str(out) + ".manifest")
+            assert manifest["format"] == fmt
+        assert (pairsim.read_event_file(tmp_path / "binary.events")
+                == pairsim.read_event_file(tmp_path / "text.events"))
+
+    def test_manifest_without_format_reproduces_text_file(
+            self, capsys, tmp_path, small_config):
+        # manifests written before the binary format describe text files
+        first = tmp_path / "first.events"
+        run_cli(capsys, "simulate", "--config", str(small_config),
+                "--duration", "0.2", "--seed", "11", "--out", str(first),
+                "--text")
+        manifest = keyvalue.read_keyvalue(str(first) + ".manifest")
+        del manifest["format"]
+        old = tmp_path / "old.manifest"
+        keyvalue.write_keyvalue(old, manifest)
+        second = tmp_path / "second.events"
+        code, _, _ = run_cli(capsys, "simulate", "--from-manifest", str(old),
+                             "--out", str(second))
+        assert code == 0
+        assert second.read_bytes().startswith(b"# pairsim-events v1\n")
+        assert sha(first) == sha(second)
+
+    def test_manifest_with_unknown_format_is_data_error(
+            self, capsys, tmp_path, small_config):
+        first = tmp_path / "first.events"
+        run_cli(capsys, "simulate", "--config", str(small_config),
+                "--duration", "0.1", "--seed", "11", "--out", str(first))
+        manifest = keyvalue.read_keyvalue(str(first) + ".manifest")
+        manifest["format"] = "csv"
+        edited = tmp_path / "edited.manifest"
+        keyvalue.write_keyvalue(edited, manifest)
+        code, _, err = run_cli(capsys, "simulate", "--from-manifest",
+                               str(edited), "--out",
+                               str(tmp_path / "second.events"))
+        assert code == 2 and "'csv'" in err
+        assert not (tmp_path / "second.events").exists()
+
+    def test_jobs_write_binary_files_that_count_reads(self, capsys, tmp_path,
+                                                      small_config):
+        out = tmp_path / "multi.events"
+        code, _, _ = run_cli(capsys, "simulate", "--config",
+                             str(small_config), "--duration", "0.1",
+                             "--seed", "20", "--out", str(out), "--jobs", "2")
+        assert code == 0
+        for seed in (20, 21):
+            path = tmp_path / f"multi.events.seed{seed}"
+            assert path.read_bytes().startswith(b"# pairsim-events v2\n")
+            manifest = keyvalue.read_keyvalue(str(path) + ".manifest")
+            assert manifest["format"] == "binary"
+            code, out_text, _ = run_cli(capsys, "count", str(path))
+            assert code == 0
+            assert keyvalue.get_int(parse_out(out_text), "s1_count") > 0
+
 
 class TestCount:
     @pytest.fixture()
@@ -343,6 +408,92 @@ class TestCount:
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "count", str(tmp_path / "nope.events"))
         assert code == 2
+
+
+def v2_file(times, detectors, events=None,
+            head=b"# pairsim-events v2\n# duration_ps = 1000\n"):
+    """Bytes of a v2 event file; events overrides the '# events' count."""
+    n = len(times) if events is None else events
+    return (head + b"# events = %d\n" % n
+            + np.array(times, dtype="<i8").tobytes() + bytes(detectors))
+
+
+# (file bytes, byte offset the error names, message fragment); the header
+# of v2_file ends at byte 41 and, with '# events = 2', its body starts at 54
+MALFORMED_V2 = {
+    "truncated body": (v2_file([10, 20], [1, 2])[:-1], 71, "needs 18"),
+    "events above body": (v2_file([10, 20], [1, 2], events=3), 72,
+                          "needs 27"),
+    "events below body": (v2_file([10, 20], [1, 2], events=1), 63,
+                          "needs 9"),
+    "trailing bytes": (v2_file([10, 20], [1, 2]) + b"\0", 72, "needs 18"),
+    "detector 0": (v2_file([10, 20], [1, 0]), 71, "detector index"),
+    "detector 3": (v2_file([10, 20], [3, 2]), 70, "detector index"),
+    "unsorted times": (v2_file([20, 10], [1, 2]), 62, "non-decreasing"),
+    "time at duration": (v2_file([10, 1000], [1, 2]), 62, "lie in"),
+    "negative time": (v2_file([-5, 10], [1, 2]), 54, "lie in"),
+    "events line missing": (
+        v2_file([10, 20], [1, 2]).replace(b"# events = 2\n", b""), 41,
+        "# events = <n>"),
+    "events negative": (v2_file([10, 20], [1, 2], events=-1), 41,
+                        "events must be >= 0"),
+    "events not an integer": (
+        v2_file([10, 20], [1, 2]).replace(b"= 2\n", b"= 2.0\n"), 41,
+        "events is not an integer"),
+    "duration_ps missing": (
+        v2_file([10], [1], head=b"# pairsim-events v2\n"), 33,
+        "missing duration_ps"),
+    "duration beyond int64": (
+        v2_file([10], [1], head=b"# pairsim-events v2\n"
+                b"# duration_ps = 99999999999999999999\n"), 20,
+        "duration must be"),
+    "resolution 0": (
+        v2_file([10], [1], head=b"# pairsim-events v2\n"
+                b"# duration_ps = 1000\n# resolution_ps = 0\n"), 41,
+        "resolution must be"),
+    "header without body": (b"# pairsim-events v2\n# duration_ps = 1000\n",
+                            41, "# events = <n>"),
+}
+
+
+class TestCountBinary:
+    @pytest.mark.parametrize("data, offset, fragment", MALFORMED_V2.values(),
+                             ids=MALFORMED_V2.keys())
+    def test_malformed_file_names_byte_offset(self, capsys, tmp_path,
+                                              monkeypatch, data, offset,
+                                              fragment):
+        def unreachable(*args):
+            raise AssertionError("the v2 reader called _first_bad_line")
+
+        monkeypatch.setattr(events, "_first_bad_line", unreachable)
+        path = tmp_path / "bad.events"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "count", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: byte {offset}: ")
+        assert fragment in err
+
+    def test_empty_file_gives_zero_summary(self, capsys, tmp_path):
+        path = tmp_path / "empty.events"
+        path.write_bytes(v2_file([], [], head=b"# pairsim-events v2\n"
+                                 b"# duration_ps = 1000000000\n"))
+        code, out, _ = run_cli(capsys, "count", str(path))
+        assert code == 0
+        kv = parse_out(out)
+        assert keyvalue.get_int(kv, "s1_count") == 0
+        assert keyvalue.get_float(kv, "rc_raw_hz") == 0.0
+
+    def test_same_report_as_text_file(self, capsys, tmp_path, small_config):
+        reports = []
+        for flags in ([], ["--text"]):
+            path = tmp_path / f"run{len(reports)}.events"
+            run_cli(capsys, "simulate", "--config", str(small_config),
+                    "--duration", "0.2", "--seed", "7", "--out", str(path),
+                    *flags)
+            code, out, _ = run_cli(capsys, "count", str(path), "--csv")
+            assert code == 0
+            reports.append(out)
+        assert reports[0] == reports[1]
 
 
 class TestEstimate:
@@ -450,6 +601,38 @@ class TestTable1:
                                str(tmp_path / "absent.txt"))
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "text"])
+    @pytest.mark.parametrize("key", [
+        "pump_power_w", "pump_wavelength_m", "signal_wavelength_m",
+        "singles_hz", "coincidences_hz", "published_eta",
+        "published_rc_per_watt"])
+    def test_bad_figure_is_data_error(self, capsys, tmp_path, key, value):
+        from importlib import resources
+        text = resources.files("pairsim.data").joinpath(
+            "source_comparison.txt").read_text(encoding="utf-8")
+        line = next(ln for ln in text.splitlines()
+                    if ln.startswith(f"knbo3_bulk.{key} = "))
+        data = tmp_path / "table.txt"
+        data.write_text(text.replace(line, f"knbo3_bulk.{key} = {value}"),
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "table1", "--data", str(data))
+        assert code == 2 and out == ""
+        assert f"knbo3_bulk.{key}" in err
+
+    @pytest.mark.parametrize("signal", ["655e-9", "600e-9"])
+    def test_signal_not_beyond_pump_is_data_error(self, capsys, tmp_path,
+                                                  signal):
+        from importlib import resources
+        text = resources.files("pairsim.data").joinpath(
+            "source_comparison.txt").read_text(encoding="utf-8")
+        data = tmp_path / "table.txt"
+        data.write_text(text.replace("knbo3_bulk.signal_wavelength_m = 1310e-9",
+                                     f"knbo3_bulk.signal_wavelength_m = "
+                                     f"{signal}"), encoding="utf-8")
+        code, out, err = run_cli(capsys, "table1", "--data", str(data))
+        assert code == 2 and out == ""
+        assert "knbo3_bulk.signal_wavelength_m" in err and "pump" in err
+
 
 def test_cli_import_leaves_scipy_unloaded():
     src_dir = Path(pairsim.__file__).resolve().parents[1]
@@ -507,6 +690,28 @@ def test_command_loads_only_its_layers(tmp_path, small_config, argv, loaded,
     if argv is not None and "--jobs" in argv:
         assert {p.name for p in tmp_path.glob("sim.events.seed?")} \
             == {"sim.events.seed1", "sim.events.seed2"}
+
+
+def test_count_of_binary_file_loads_only_its_layers(tmp_path):
+    """count of a v2 file, in a fresh interpreter, imports the events and
+    counting layers and no other."""
+    pairsim.write_event_file(pairsim.EventStream(
+        detectors=[1, 2, 1], times_ps=[10, 20, 5000], duration_ps=10**12),
+        tmp_path / "tiny.events", binary=True)
+    argv = ["count", str(tmp_path / "tiny.events")]
+    src_dir = Path(pairsim.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pairsim.cli\n"
+         f"code = pairsim.cli.main({argv!r})\n"
+         "print(*sys.modules)\n"
+         "sys.exit(code)"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src_dir)))
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stdout.splitlines()[-1].split())
+    assert {"pairsim.events", "pairsim.counting"} <= modules
+    assert not {"pairsim.source", "pairsim.qpm", "pairsim.estimator"} & modules
 
 
 _ESTIMATE = ("estimate --s1=1e5 --s2=1e5 --rc=1e3 --power=1e-3 "

@@ -157,6 +157,33 @@ class TestEventFile:
             read_event_file(path)
 
 
+class TestBinaryEventFile:
+    def test_layout(self, tmp_path):
+        path = tmp_path / "v2.events"
+        write_event_file(small_stream(), path, binary=True)
+        assert path.read_bytes() == (
+            b"# pairsim-events v2\n# duration_ps = 10000\n"
+            b"# resolution_ps = 1\n# seed = 42\n# config_digest = abc123\n"
+            b"# events = 4\n"
+            + np.array([100, 100, 2500, 7000], dtype="<i8").tobytes()
+            + bytes([1, 2, 1, 2]))
+        assert read_event_file(path) == small_stream()
+
+    def test_empty_stream_round_trip(self, tmp_path):
+        path = tmp_path / "v2.events"
+        empty = small_stream(detectors=[], times_ps=[], seed=None,
+                             config_digest="")
+        write_event_file(empty, path, binary=True)
+        assert path.read_bytes().endswith(b"# events = 0\n")
+        assert read_event_file(path) == empty
+
+    def test_v1_default_unchanged(self, tmp_path):
+        path = tmp_path / "v1.events"
+        write_event_file(small_stream(), path)
+        assert path.read_text(encoding="utf-8").startswith(
+            "# pairsim-events v1\n")
+
+
 HEAD = "# pairsim-events v1\n# duration_ps = 1000\n"
 
 # One row per line form: (file text, result). The result is the list of
@@ -338,6 +365,18 @@ def test_write_read_round_trip_property(stream):
         path = os.path.join(tmp, "events.txt")
         write_event_file(stream, path)
         assert read_event_file(path) == stream
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(event_streams())
+def test_text_to_binary_round_trip_property(stream):
+    """v1 file -> stream -> v2 file -> stream gives the same stream."""
+    with tempfile.TemporaryDirectory() as tmp:
+        text = os.path.join(tmp, "v1.events")
+        binary = os.path.join(tmp, "v2.events")
+        write_event_file(stream, text)
+        write_event_file(read_event_file(text), binary, binary=True)
+        assert read_event_file(binary) == stream
 
 
 @st.composite

@@ -455,6 +455,15 @@ class TestGoldenStream:
             "ebd243e605589c5c133a997f5e63f8d5f4c6069911c7527fc6b97ba8c656b975")
         assert read_event_file(path) == stream
 
+    def test_binary_event_file_digest(self, stream, tmp_path):
+        # the v2 bytes simulate writes by default: header, then packed columns
+        path = tmp_path / "golden.events"
+        write_event_file(stream, path, binary=True)
+        assert path.stat().st_size == 186 + 9 * stream.n_events
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "0a58c436f7d31b094d769d94fc25f3cd1723c6f8cea023ec0f8db21c11b538f4")
+        assert read_event_file(path) == stream
+
     def test_net_summary_counts(self, stream):
         for window, counts in ((WindowConfig(2.0, 100.0), (18937, 66)),
                                (WindowConfig(100.0, 2000.0), (21295, 3681))):
@@ -536,6 +545,18 @@ class TestAllocationBudget:
                                                   WindowConfig(1.0, 100.0)))
         assert peak <= 3.0 * nbytes
 
+
+    def test_binary_read_peak(self, tmp_path):
+        # the two columns are read into their final arrays; EventStream's
+        # checks allocate the rest (v1 text reads peak near 3x)
+        stream, _ = simulate_run(reference_source(), reference_chain(),
+                                 RunConfig(1.0, seed=3))
+        path = tmp_path / "reference.events"
+        write_event_file(stream, path, binary=True)
+        nbytes = stream.times_ps.nbytes + stream.detectors.nbytes
+        read, peak = traced_peak(lambda: read_event_file(path))
+        assert read == stream
+        assert peak <= 1.5 * nbytes
 
     def test_net_summary_peak_below_stream(self):
         # the delayed merge holds only the candidates (8 % of the stream)
