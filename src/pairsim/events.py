@@ -233,10 +233,11 @@ def _read_binary(path: str | os.PathLike, fh) -> EventStream:
         header[key.strip()], at[key.strip()] = value.strip(), pos
     body, meta = fh.tell(), {"resolution_ps": 1, "seed": None}
     for key in ("events", "duration_ps", "resolution_ps", "seed"):
-        try:
-            meta.update({key: int(header[key])} if key in header else {})
-        except ValueError:
-            fail(at[key], f"{key} is not an integer: {header[key]!r}")
+        if key in header:
+            try:
+                meta[key] = int(header[key])
+            except ValueError:
+                fail(at[key], f"{key} is not an integer: {header[key]!r}")
     n = meta.pop("events")
     if n < 0:
         fail(at["events"], f"events must be >= 0, got {n}")

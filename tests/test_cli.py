@@ -483,18 +483,6 @@ class TestCountBinary:
         assert keyvalue.get_int(kv, "s1_count") == 0
         assert keyvalue.get_float(kv, "rc_raw_hz") == 0.0
 
-    def test_same_report_as_text_file(self, capsys, tmp_path, small_config):
-        reports = []
-        for flags in ([], ["--text"]):
-            path = tmp_path / f"run{len(reports)}.events"
-            run_cli(capsys, "simulate", "--config", str(small_config),
-                    "--duration", "0.2", "--seed", "7", "--out", str(path),
-                    *flags)
-            code, out, _ = run_cli(capsys, "count", str(path), "--csv")
-            assert code == 0
-            reports.append(out)
-        assert reports[0] == reports[1]
-
 
 class TestEstimate:
     def test_headline_flags(self, capsys):

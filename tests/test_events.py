@@ -177,12 +177,6 @@ class TestBinaryEventFile:
         assert path.read_bytes().endswith(b"# events = 0\n")
         assert read_event_file(path) == empty
 
-    def test_v1_default_unchanged(self, tmp_path):
-        path = tmp_path / "v1.events"
-        write_event_file(small_stream(), path)
-        assert path.read_text(encoding="utf-8").startswith(
-            "# pairsim-events v1\n")
-
 
 HEAD = "# pairsim-events v1\n# duration_ps = 1000\n"
 
