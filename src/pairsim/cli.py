@@ -7,8 +7,8 @@ Celsius. Whenever a command writes an output file it also writes a
 ``<output>.manifest`` key-value file carrying the fully resolved
 configuration, the seed, and the output digest; ``simulate --from-manifest``
 re-runs a manifest and reproduces the event file bit-exactly. ``simulate``
-writes binary (v2) event files, or v1 text with ``--text``; ``count`` reads
-both.
+writes binary (v2) event files (a manifest without ``format`` re-runs as v1
+text); ``count`` reads both.
 
 Exit codes: 0 success, 1 usage/config error, 2 data/parse error,
 3 inference/solver error.
@@ -252,7 +252,7 @@ def _cmd_simulate(args) -> int:
         out = args.out or keyvalue.get_str(kv, "output", src_txt)
         config_path = kv.get("config_file", "")
         # manifests written before the binary format describe text files
-        fmt = "text" if args.text else kv.get("format", "text")
+        fmt = kv.get("format", "text")
         if fmt not in ("binary", "text"):
             raise DataFormatError(f"{src_txt}: key 'format' is not 'binary' "
                                   f"or 'text': {fmt!r}")
@@ -267,7 +267,7 @@ def _cmd_simulate(args) -> int:
         duration, seed, resolution = args.duration, args.seed, args.resolution_ps
         out = args.out
         config_path = args.config
-        fmt = "text" if args.text else "binary"
+        fmt = "binary"
 
     # every run is validated before the first one writes a file
     runs = [source.RunConfig(duration, seed + k, resolution)
@@ -419,8 +419,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--jobs", type=int, default=1,
                    help="run N consecutive seeds in parallel, one file each")
     p.add_argument("--from-manifest", help="re-run a previous manifest")
-    p.add_argument("--text", action="store_true",
-                   help="write a v1 text event file instead of v2 binary")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("count", help="count singles/coincidences in a stream")

@@ -219,7 +219,7 @@ def _read_binary(path: str | os.PathLike, fh) -> EventStream:
     """The rest of a v2 file after its magic line: header lines up to
     '# events = <n>', then one np.fromfile per column. EventStream checks
     every value; errors name the byte offset where the file is bad."""
-    src, header, at = str(path), {}, {}
+    src, header = str(path), {}
 
     def fail(pos: int, message: str) -> NoReturn:
         raise DataFormatError(f"{src}: byte {pos}: {message}")
@@ -230,24 +230,19 @@ def _read_binary(path: str | os.PathLike, fh) -> EventStream:
         if line[:1] != b"#" or not eq or line[-1:] != b"\n":
             fail(pos, "expected a '# key = value' header line (the header "
                       "ends with '# events = <n>')")
-        header[key.strip()], at[key.strip()] = value.strip(), pos
+        header[key.strip()] = value.strip()
     body, meta = fh.tell(), {"resolution_ps": 1, "seed": None}
+    if "duration_ps" not in header:
+        fail(body, "header is missing duration_ps")
     for key in ("events", "duration_ps", "resolution_ps", "seed"):
         if key in header:
             try:
                 meta[key] = int(header[key])
             except ValueError:
-                fail(at[key], f"{key} is not an integer: {header[key]!r}")
+                fail(body, f"{key} is not an integer: {header[key]!r}")
     n = meta.pop("events")
     if n < 0:
-        fail(at["events"], f"events must be >= 0, got {n}")
-    if "duration_ps" not in meta:
-        fail(body, "header is missing duration_ps")
-    for key in ("duration_ps", "resolution_ps"):    # the header values alone
-        try:
-            EventStream((), (), **{"duration_ps": 0, key: meta[key]})
-        except ConfigError as exc:
-            fail(at[key], str(exc))
+        fail(body, f"events must be >= 0, got {n}")
     size = os.fstat(fh.fileno()).st_size
     if size != body + 9 * n:
         fail(min(size, body + 9 * n), f"'# events = {n}' needs {9 * n} body "
@@ -257,13 +252,13 @@ def _read_binary(path: str | os.PathLike, fh) -> EventStream:
     try:
         return EventStream(dets, times, **meta,
                            config_digest=header.get("config_digest", ""))
-    except ConfigError as exc:      # locate the event it rejects
-        bad = np.flatnonzero((dets - 1) > 1)    # uint8: 0 wraps to 255
-        if bad.size:
-            fail(body + 8 * n + int(bad[0]), str(exc))
-        bad = np.flatnonzero((times < 0) | (times >= meta["duration_ps"])
-                             | np.append(False, times[1:] < times[:-1]))
-        fail(body + 8 * int(bad[0]), str(exc))
+    except ConfigError as exc:      # name the first event it rejects, if any
+        bad_t = ((times < 0) | (times >= meta["duration_ps"])
+                 | np.append(False, times[1:] < times[:-1]))
+        at = np.concatenate((       # uint8: detector 0 wraps to 255
+            body + 8 * n + np.flatnonzero((dets - 1) > 1),
+            body + 8 * np.flatnonzero(bad_t), [body]))
+        fail(int(at[0]), str(exc))
 
 
 def _read_text(path: str | os.PathLike) -> EventStream:
