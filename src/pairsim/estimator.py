@@ -209,7 +209,8 @@ class SourceComparisonRow:
 def load_source_records(path=None) -> list[SourceRecord]:
     """Read a source-comparison data file; default is the bundled table.
     A power, wavelength, rate or published figure that is not finite and
-    > 0, or a signal no longer than its pump, is a DataFormatError."""
+    > 0, a signal no longer than its pump, or a coincidence rate above the
+    singles rate, is a DataFormatError."""
     if path is None:
         ref = resources.files("pairsim.data").joinpath("source_comparison.txt")
         kv = keyvalue.parse_keyvalue(ref.read_text(encoding="utf-8"), str(ref))
@@ -233,6 +234,12 @@ def load_source_records(path=None) -> list[SourceRecord]:
             raise DataFormatError(
                 f"{src}: key '{key}.signal_wavelength_m' ({signal!r} m) must "
                 f"be longer than the pump wavelength ({pump!r} m)")
+        singles = figure(f"{key}.singles_hz")
+        coincidences = figure(f"{key}.coincidences_hz")
+        if coincidences > singles:
+            raise DataFormatError(
+                f"{src}: key '{key}.coincidences_hz' ({coincidences!r} Hz) "
+                f"must not exceed the singles rate ({singles!r} Hz)")
         records.append(SourceRecord(
             key=key,
             label=keyvalue.get_str(kv, f"{key}.label", src),
@@ -240,8 +247,8 @@ def load_source_records(path=None) -> list[SourceRecord]:
             pump_power=OpticalPower(figure(f"{key}.pump_power_w")),
             pump=Wavelength.from_meters(pump),
             signal=Wavelength.from_meters(signal),
-            singles=Rate(figure(f"{key}.singles_hz")),
-            coincidences=Rate(figure(f"{key}.coincidences_hz")),
+            singles=Rate(singles),
+            coincidences=Rate(coincidences),
             splitter_correction=keyvalue.get_bool(
                 kv, f"{key}.splitter_correction", src),
             published_eta=figure(f"{key}.published_eta"),

@@ -20,19 +20,22 @@ photon b) fate classes over {arm 1, arm 2, lost}. By the marking theorem
 process, so a run draws the pair count, one multinomial over the classes,
 and emission times only for pairs with a detected photon: runtime and
 memory scale with the detected events, which are checked against a budget
-before generation. Detection times pick up optional Gaussian jitter; each
-detector adds an independent Poisson dark-count process; per detector one
-buffer is sorted, dead-time filtered and quantized in place (peak about 17
-to 26 bytes per detected event). Fixed seed gives a bit-identical stream;
-each physical process draws from its own named substream, so changing e.g.
-a dark rate does not shift the photon draws. RNG_SCHEME versions the draws.
+before generation. Each detector adds an independent Poisson dark-count
+process. Times are whole picoseconds: photons pick up optional Gaussian
+jitter rounded to whole ps, and the dead time acts as its exact ceiling in
+whole ps. Both detectors fill one uint64 key buffer, sorted once. Fixed seed
+gives a bit-identical stream; each physical process draws from its own
+named substream, so changing e.g. a dark rate does not shift the photon
+draws. RNG_SCHEME versions the draws.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 from dataclasses import astuple, dataclass
+from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from typing import Mapping
@@ -41,7 +44,7 @@ import numpy as np
 
 from .core import (ConfigError, Efficiency, MemoryBudgetError, OpticalPower,
                    Rate, Wavelength, photon_flux)
-from .events import EventStream, _cluster_bounds, _merge_sorted
+from .events import EventStream, _cluster_bounds
 from . import _EXPORTS, keyvalue
 
 __all__ = [*_EXPORTS["source"], "config_to_mapping", "config_from_mapping"]
@@ -50,11 +53,11 @@ __all__ = [*_EXPORTS["source"], "config_to_mapping", "config_from_mapping"]
 _FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 # version of the random-draw scheme of simulate_run; manifests record it
-RNG_SCHEME = "marked-1"
+RNG_SCHEME = "marked-2"
 
 # named substreams; toggling one physical process must not shift the others.
 # Indices 1 and 2 are retired rather than reused, so dark and jitter draws
-# stay stable across RNG_SCHEME versions.
+# keep their substreams across RNG_SCHEME versions.
 _SUB_PAIRS, _SUB_DARK1, _SUB_DARK2, _SUB_JITTER = 0, 3, 4, 5
 
 # largest mean numpy's Generator.poisson accepts
@@ -273,40 +276,29 @@ def _substream(seed: int, index: int) -> np.random.Generator:
                                                spawn_key=(index,))))
 
 
-def _deadtime_filter(times_s: np.ndarray, dead_s: float) -> np.ndarray:
-    """Non-paralyzable dead time: drop events closer than dead_s to the last
-    accepted one; dropped events do not extend the dead window.
+def _deadtime_filter(times_ps: np.ndarray, dead_ps: int) -> np.ndarray:
+    """Non-paralyzable dead time on sorted int64 ps: drop events less than
+    dead_ps after the last accepted one; dropped events do not extend the
+    dead window.
 
-    An event at least dead_s after its predecessor (the same float key
-    t[i - 1] + dead_s the sequential rule searches for) is accepted whatever
-    came before, so it starts a cluster. A cluster shorter than dead_s keeps
-    only its start; the sequential rule runs only on the longer ones.
+    An event at least dead_ps after its predecessor is accepted whatever
+    came before, so it starts a cluster. A cluster shorter than dead_ps keeps
+    only its start; the sequential rule runs only on the longer ones, on
+    Python ints so that t + dead_ps cannot overflow.
     """
-    if dead_s <= 0.0 or times_s.size == 0:
-        return times_s
-    starts, ends = _cluster_bounds(times_s[1:] >= times_s[:-1] + dead_s)
-    keep = np.zeros(times_s.size, dtype=bool)
+    if dead_ps <= 0 or times_ps.size == 0:
+        return times_ps
+    starts, ends = _cluster_bounds(np.diff(times_ps) >= dead_ps)
+    keep = np.zeros(times_ps.size, dtype=bool)
     keep[starts] = True
-    long = np.flatnonzero(times_s[ends - 1] >= times_s[starts] + dead_s)
+    long = np.flatnonzero(times_ps[ends - 1] - times_ps[starts] >= dead_ps)
     for start, end in zip(starts[long].tolist(), ends[long].tolist()):
-        cluster = times_s[start:end]
+        cluster = times_ps[start:end].tolist()
         i = 0
-        while i < cluster.size:
+        while i < len(cluster):
             keep[start + i] = True
-            i = int(np.searchsorted(cluster, cluster[i] + dead_s, side="left"))
-    return times_s[keep]
-
-
-def _quantize(times_s: np.ndarray, duration_ps: int,
-              resolution_ps: int) -> np.ndarray:
-    """times_s (s) >= 0 as int64 ps floored to the resolution (the cast
-    truncates, which floors them); overwrites it."""
-    t_ps = np.multiply(times_s, 1e12 / resolution_ps,
-                       out=times_s).astype(np.int64)
-    t_ps *= resolution_ps
-    # float rounding at the upper edge may land exactly on duration
-    last_tick = (duration_ps - 1) // resolution_ps * resolution_ps
-    return np.minimum(t_ps, last_tick, out=t_ps)
+            i = bisect.bisect_left(cluster, cluster[i] + dead_ps, i + 1)
+    return times_ps[keep]
 
 
 def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
@@ -315,14 +307,16 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
     """Monte Carlo run of the full source + detection chain.
 
     Returns the sorted event stream and the generation ground truth.
-    Deterministic for a fixed (config, seed). The traced peak is about 17
-    bytes per detected event at the reference point over 10 s and 26 with
-    dead time and jitter (the stream holds 9). Raises MemoryBudgetError
-    before generating anything when the expected detected-event count
-    exceeds max_events or the expected pair count exceeds the largest Poisson mean
-    numpy can sample (about 9.2e18). Raises ConfigError for a positive dead
-    time below the float spacing of the run's event times, which the
-    dead-time rule cannot resolve.
+    Deterministic for a fixed (config, seed). Pair and dark times are
+    uniform integer ps, jitter is rounded to whole ps, and an event less
+    than ceil(dead time in ps) after the last kept one on its detector is
+    dropped. Both detectors write into one uint64 key buffer (2t for
+    detector 1, 2t + 1 for detector 2) that is sorted once. The traced peak
+    is about 12 bytes per detected event at the reference point over 10 s
+    and 25 with dead time and jitter (the stream holds 9). Raises
+    MemoryBudgetError before generating anything when the expected
+    detected-event count exceeds max_events or the expected pair count
+    exceeds the largest Poisson mean numpy can sample (about 9.2e18).
     """
     n_rate = pair_rate(source).hz
     e1, e2 = chain.arm_efficiencies
@@ -338,12 +332,6 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
             f"expected {n_rate * d:.3e} emitted pairs exceeds the largest "
             f"Poisson mean the sampler accepts ({_POISSON_LAM_MAX:.3e}); "
             "shorten the run or lower the pair rate")
-    dead_s = chain.dead_time_ns * 1e-9
-    if 0.0 < dead_s < math.ulp(d):
-        raise ConfigError(
-            f"dead time {dead_s:.3e} s is below the float spacing "
-            f"{math.ulp(d):.3e} s of event times in a {d:g} s run; "
-            "use 0 for no dead time")
 
     rng_pairs = _substream(run.seed, _SUB_PAIRS)
     n_pairs = int(rng_pairs.poisson(n_rate * d))
@@ -358,49 +346,70 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
     # class (i, j) = (fate of a, fate of b) at flat index 3 i + j; the
     # undetected class (lost, lost) comes last and gets no emission time
     counts = rng_pairs.multinomial(n_pairs, np.outer(fate_a, fate_b).ravel())
-    ends = np.cumsum(counts[:-1])
-    pair_t = np.split(rng_pairs.uniform(0.0, d, int(ends[-1])), ends[:-1])
-    # arm k sees class (k, j) through photon a and (i, k) through photon b,
-    # so the (k, k) class goes in twice; its darks follow its photons
+    grid = counts.reshape(3, 3)
+    n_photons = [int(grid[k].sum() + grid[:, k].sum()) for k in (0, 1)]
     rng_darks = [_substream(run.seed, s) for s in (_SUB_DARK1, _SUB_DARK2)]
     n_darks = [int(rng.poisson(rate.hz * d))
                for rng, rate in zip(rng_darks, (chain.dark1, chain.dark2))]
-    arms = [np.concatenate([pair_t[3 * k + j] for j in range(3)]
-                           + [pair_t[3 * i + k] for i in range(3)]
-                           + [rng_darks[k].uniform(0.0, d, n_darks[k])])
-            for k in (0, 1)]
-    coincident = int(counts[1] + counts[3])
+    keys = np.empty(sum(n_photons) + sum(n_darks), dtype=np.uint64)
+    halves = np.split(keys, [n_photons[0] + n_darks[0]])
+    # arm k sees class (k, j) through photon a and (i, k) through photon b,
+    # so the (k, k) class goes in twice; its darks follow its photons
+    filled = [0, 0]
+    duration_ps = run.duration_ps
+    for c, count in enumerate(counts[:-1].tolist()):
+        pair_t = rng_pairs.integers(0, duration_ps, count)
+        for k in (c // 3, c % 3):
+            if k < 2:
+                halves[k][filled[k]:filled[k] + count] = pair_t
+                filled[k] += count
     del pair_t
+    for half, n, rng, n_dark in zip(halves, n_photons, rng_darks, n_darks):
+        half[n:] = rng.integers(0, duration_ps, n_dark)
 
     rng_jitter = _substream(run.seed, _SUB_JITTER)
-    duration_ps = run.duration_ps
-    per_detector: list[np.ndarray] = []
-    for n_dark in n_darks:
-        arm = arms.pop(0)       # the list must not keep its buffer alive
-        n = arm.size - n_dark
-        if chain.jitter_ps > 0.0 and n:
-            arm[:n] += rng_jitter.normal(0.0, chain.jitter_ps * 1e-12, n)
-            # photons only: a dark drawn at exactly d reaches the clamp
-            keep = np.ones(arm.size, dtype=bool)
-            keep[:n] = (arm[:n] >= 0.0) & (arm[:n] < d)
-            arm = arm[keep]
-        arm.sort()
-        per_detector.append(_quantize(_deadtime_filter(arm, dead_s),
-                                      duration_ps, run.timestamp_resolution_ps))
-        del arm
+    dead_ps = math.ceil(Fraction(chain.dead_time_ns) * 1000)
+    for k, (half, n) in enumerate(zip(halves, n_photons)):
+        t = half.view(np.int64)
+        if chain.jitter_ps > 0.0:
+            # photons only, clipped so that the cast is defined; the sum is
+            # exact mod 2**64, so as uint64 a photon stays in the run exactly
+            # when it lies below duration_ps
+            t[:n] += np.clip(np.rint(rng_jitter.normal(0.0, chain.jitter_ps,
+                                                       n)),
+                             -2.0**62, 2.0**62).astype(np.int64)
+        if dead_ps:
+            half.sort()     # as uint64, photons jittered out of the run last
+            kept = _deadtime_filter(
+                t[:np.searchsorted(half, np.uint64(duration_ps))], dead_ps)
+            t[:kept.size] = kept
+            cut = slice(kept.size, None)
+            del kept
+        else:
+            cut = half >= duration_ps if chain.jitter_ps > 0.0 else slice(0)
+        if run.timestamp_resolution_ps > 1:
+            t //= run.timestamp_resolution_ps
+            t *= run.timestamp_resolution_ps
+        half <<= 1
+        half |= k
+        half[cut] = np.iinfo(np.uint64).max     # above every 2t + k, cut below
 
-    times, is1 = _merge_sorted(*per_detector)
-    del per_detector
+    # the stable sort merges the two sorted halves of a dead-time run
+    keys.sort(kind="stable" if dead_ps else "quicksort")
+    keys = keys[:np.searchsorted(keys, np.uint64(2 * duration_ps))]
+    detectors = np.bitwise_and(keys, 1, dtype=np.uint8, casting="unsafe")
+    detectors += 1
+    keys >>= 1
     stream = EventStream(
-        detectors=np.subtract(2, is1, dtype=np.uint8),
-        times_ps=times,
+        detectors=detectors,
+        times_ps=keys.view(np.int64),
         duration_ps=duration_ps,
         resolution_ps=run.timestamp_resolution_ps,
         seed=int(run.seed),
         config_digest=config_digest(source, chain),
     )
     truth = TrueCounts(pairs_emitted=n_pairs,
-                       pairs_detected_coincident=coincident,
+                       pairs_detected_coincident=int(counts[1] + counts[3]),
                        darks_emitted=tuple(n_darks))
     return stream, truth
 

@@ -169,6 +169,22 @@ class TestSimulate:
             assert (scheme or "<missing>") in err
         assert not (tmp_path / "second.events").exists()
 
+    def test_from_manifest_refuses_marked_1(self, capsys, tmp_path,
+                                            small_config):
+        # manifests written before integer-ps simulation name marked-1
+        first = tmp_path / "first.events"
+        run_cli(capsys, "simulate", "--config", str(small_config),
+                "--duration", "0.2", "--seed", "11", "--out", str(first))
+        manifest = keyvalue.read_keyvalue(str(first) + ".manifest")
+        path = tmp_path / "old.manifest"
+        keyvalue.write_keyvalue(path, {**manifest, "rng_scheme": "marked-1"})
+        code, _, err = run_cli(capsys, "simulate", "--from-manifest",
+                               str(path), "--out",
+                               str(tmp_path / "second.events"))
+        assert code == 1
+        assert "'marked-1'" in err and "'marked-2'" in err
+        assert not (tmp_path / "second.events").exists()
+
     def test_jobs_below_one_is_usage_error(self, capsys, tmp_path,
                                            small_config):
         for jobs in ("0", "-2"):
@@ -617,6 +633,22 @@ class TestTable1:
         code, out, err = run_cli(capsys, "table1", "--data", str(data))
         assert code == 2 and out == ""
         assert "knbo3_bulk.signal_wavelength_m" in err and "pump" in err
+
+
+    def test_coincidences_above_singles_is_data_error(self, capsys,
+                                                      tmp_path):
+        from importlib import resources
+        text = resources.files("pairsim.data").joinpath(
+            "source_comparison.txt").read_text(encoding="utf-8")
+        line = next(ln for ln in text.splitlines()
+                    if ln.startswith("knbo3_bulk.coincidences_hz = "))
+        data = tmp_path / "table.txt"
+        data.write_text(text.replace(line,
+                                     "knbo3_bulk.coincidences_hz = 300e3"),
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "table1", "--data", str(data))
+        assert code == 2 and out == ""
+        assert "knbo3_bulk.coincidences_hz" in err and "singles" in err
 
 
 def test_cli_import_leaves_scipy_unloaded():

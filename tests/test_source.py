@@ -39,32 +39,30 @@ def make_chain(mu1=0.2, mu2=0.2, eta1=0.1, eta2=0.1, dark1=0.0, dark2=0.0,
         jitter_ps=jitter_ps)
 
 
-def deadtime_sequential(times_s: np.ndarray, dead_s: float) -> np.ndarray:
-    """Oracle: the sequential rule, one searchsorted call per accepted
-    event. It searches for the float key t + dead_s, which can differ by one
-    ulp from the t - last >= dead_s test of the loop in
-    test_dead_time_filter_matches_reference_loop."""
-    if dead_s <= 0.0 or times_s.size == 0:
-        return times_s
-    keep = np.zeros(times_s.size, dtype=bool)
+def deadtime_sequential(times_ps: np.ndarray, dead_ps: int) -> np.ndarray:
+    """Oracle: the sequential rule on sorted int64 ps, one searchsorted call
+    per accepted event for the key t + dead_ps."""
+    if dead_ps <= 0 or times_ps.size == 0:
+        return times_ps
+    keep = np.zeros(times_ps.size, dtype=bool)
     i = 0
-    n = times_s.size
+    n = times_ps.size
     while i < n:
         keep[i] = True
-        i = int(np.searchsorted(times_s, times_s[i] + dead_s, side="left"))
-    return times_s[keep]
+        i = int(np.searchsorted(times_ps, times_ps[i] + dead_ps, side="left"))
+    return times_ps[keep]
 
 
 # each step places the next event relative to one of the last three events
-# and the dead time: a tie, exactly on that event's float key t + dead, one
-# ulp under it, inside its dead window, or clear of it
+# and the dead time: a tie, exactly on that event's key t + dead, one ps
+# under it, inside its dead window, or clear of it
 _DEAD_STEPS = ("tie", "at_key", "under_key", "inside", "clear")
 
 
 @st.composite
 def dead_time_chains(draw):
-    dead = draw(st.sampled_from((1e-9, 5e-8, 3e-7, 1e-6, 1e-5)))
-    times = [draw(st.floats(0.0, 1.0))]
+    dead = draw(st.sampled_from((1, 1000, 50_000, 300_000, 10**6, 10**7)))
+    times = [draw(st.integers(0, 10**12))]
     for step, back, frac in draw(st.lists(
             st.tuples(st.sampled_from(_DEAD_STEPS), st.integers(1, 3),
                       st.floats(0.0, 1.0)),
@@ -75,13 +73,13 @@ def dead_time_chains(draw):
         elif step == "at_key":
             t = ref + dead
         elif step == "under_key":
-            t = math.nextafter(ref + dead, -math.inf)
+            t = ref + dead - 1
         elif step == "inside":
-            t = ref + frac * dead
+            t = ref + int(frac * dead)
         else:
-            t = ref + (1.0 + 3.0 * frac) * dead
+            t = ref + dead + int(3.0 * frac * dead)
         times.append(max(t, times[-1]))
-    return np.array(times, dtype=np.float64), dead
+    return np.array(times, dtype=np.int64), dead
 
 
 # config key -> (lab-scale SI range, largest valid value): the largest keeps
@@ -342,8 +340,8 @@ class TestSimulateRun:
 
         rng = np.random.default_rng(66)
         for _ in range(50):
-            times = np.sort(rng.uniform(0.0, 1e-3, rng.integers(0, 400)))
-            dead = float(rng.uniform(0.0, 5e-5))
+            times = np.sort(rng.integers(0, 10**9, rng.integers(0, 400)))
+            dead = int(rng.integers(0, 5 * 10**7))
             got = _deadtime_filter(times, dead)
             assert got.tolist() == reference(times.tolist(), dead)
 
@@ -356,16 +354,21 @@ class TestSimulateRun:
         assert got.dtype == times.dtype
         assert got.tolist() == deadtime_sequential(times, dead).tolist()
 
-    def test_dead_time_below_float_spacing_rejected(self):
-        # 1e-17 s vanishes next to event times near 1 s: t + dead == t, so
-        # the sequential rule could never move past an event
-        with pytest.raises(ConfigError, match="float spacing"):
-            simulate_run(make_source(1e4), make_chain(dead_time_ns=1e-8),
-                         RunConfig(1.0, seed=1))
-        stream, _ = simulate_run(make_source(1e4),
-                                 make_chain(dead_time_ns=1e-5),
-                                 RunConfig(1.0, seed=1))
-        assert stream.n_events > 0
+    def test_dead_time_acts_in_whole_ps(self):
+        # at unit efficiency with the splitter, half the pairs put both
+        # photons on one detector at the same ps; a dead time of 1e-8 ns
+        # acts as 1 ps and removes exactly those repeats
+        src = make_source(1e5)
+        run = RunConfig(0.2, seed=1)
+        unit = dict(mu1=1, mu2=1, eta1=1, eta2=1, dark1=1e3, dark2=1e3)
+        free, _ = simulate_run(src, make_chain(**unit), run)
+        for dead_ns in (1e-8, 5e-4):
+            dead, _ = simulate_run(
+                src, make_chain(**unit, dead_time_ns=dead_ns), run)
+            for k in (1, 2):
+                assert dead.times_for(k).tolist() \
+                    == np.unique(free.times_for(k)).tolist()
+        assert dead.n_events < free.n_events - 1000
 
     def test_dead_time_monotone(self):
         src = make_source(2e6)
@@ -404,6 +407,26 @@ class TestSimulateRun:
         assert np.all(stream.times_ps % 100 == 0)
         assert stream.resolution_ps == 100
 
+    @pytest.mark.parametrize("resolution", [1, 100])
+    @pytest.mark.parametrize("point", ["reference", "dense"])
+    def test_stream_order_resolution_and_dead_time(self, point, resolution):
+        src, chain = {
+            "reference": (reference_source(), reference_chain()),
+            "dense": (make_source(2e6), make_chain(
+                mu1=0.5, mu2=0.5, eta1=0.9, eta2=0.9, dark1=1e3, dark2=1e3,
+                dead_time_ns=50.0, splitter=False, jitter_ps=300.0))}[point]
+        stream, _ = simulate_run(src, chain, RunConfig(
+            0.05, seed=4, timestamp_resolution_ps=resolution))
+        t, det = stream.times_ps, stream.detectors
+        tie = np.diff(t) == 0
+        assert np.all(np.diff(t) >= 0) and np.any(tie)
+        # detector 1 first at equal times
+        assert not np.any(tie & (det[:-1] == 2) & (det[1:] == 1))
+        assert np.all(t % resolution == 0)
+        dead_ps = math.ceil(chain.dead_time_ns * 1000)
+        for k in (1, 2):
+            assert np.all(np.diff(stream.times_for(k)) >= dead_ps)
+
     def test_memory_budget_checked_before_generation(self):
         with pytest.raises(MemoryBudgetError, match="budget"):
             simulate_run(reference_source(), reference_chain(),
@@ -437,14 +460,14 @@ class TestGoldenStream:
         return stream
 
     def test_stream_digest(self, stream):
-        assert source_mod.RNG_SCHEME == "marked-1"
+        assert source_mod.RNG_SCHEME == "marked-2"
         assert stream.counts() == (43578, 43391)
         assert hashlib.sha256(stream.times_ps.astype("<i8").tobytes()) \
-            .hexdigest() == ("c2134d3d501f62ac53d3e7118c94f6ab"
-                             "46ed890e4c939f3afd7cc0ec2ed5efda")
+            .hexdigest() == ("a432968c61c58f7ddddc2cac56b63fef"
+                             "364e922f7d9c703772f734cb9d1fa879")
         assert hashlib.sha256(stream.detectors.tobytes()).hexdigest() \
-            == ("dc6076e23897ae1e89201100a2c15a0e"
-                "38acb200fd1b35f2ab0f428d663fa3c2")
+            == ("447009b54b72ff2c1157fab6294df742"
+                "755c1de353cab7af9f02b3a7c9a3c9b6")
 
     def test_event_file_digest(self, stream, tmp_path):
         # computed with the previous per-line writer: the output_sha256 of
@@ -452,7 +475,7 @@ class TestGoldenStream:
         path = tmp_path / "golden.events"
         write_event_file(stream, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "ebd243e605589c5c133a997f5e63f8d5f4c6069911c7527fc6b97ba8c656b975")
+            "9c9cc4f02b900e32f1601d1d6d2327cd460dce4a2c71ed237ada7dbb5d76c10c")
         assert read_event_file(path) == stream
 
     def test_binary_event_file_digest(self, stream, tmp_path):
@@ -461,11 +484,11 @@ class TestGoldenStream:
         write_event_file(stream, path, binary=True)
         assert path.stat().st_size == 186 + 9 * stream.n_events
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "0a58c436f7d31b094d769d94fc25f3cd1723c6f8cea023ec0f8db21c11b538f4")
+            "1d8f6196e7607b7f7a79d15b3af086b854aab1c7c86edfdba75bcd422d50516a")
         assert read_event_file(path) == stream
 
     def test_net_summary_counts(self, stream):
-        for window, counts in ((WindowConfig(2.0, 100.0), (18937, 66)),
+        for window, counts in ((WindowConfig(2.0, 100.0), (18938, 66)),
                                (WindowConfig(100.0, 2000.0), (21295, 3681))):
             summary = net_summary(stream, window)
             assert summary.singles_counts == (43578, 43391)
@@ -486,8 +509,8 @@ class TestReferenceGoldenStream:
                 for res in (1, 100)}
 
     @pytest.mark.parametrize("res, times_sha256", [
-        (1, "3207c0000c1935dcb7a2d41139163f12"
-            "29cd0531bc0561aa1927f065f4223651"),
+        (1, "da5c31ed669afbbc60f381b73db2c28a"
+            "7740d8406b947c643c4707b6ec114ad3"),
         (100, "0977be0f9eb760f8442feea77df365ef"
               "cd598e5304b30ab574535c5f2275ed15"),
     ])
