@@ -634,16 +634,14 @@ class TestTable1:
         assert code == 2 and out == ""
         assert "knbo3_bulk.signal_wavelength_m" in err and "pump" in err
 
-
     def test_coincidences_above_singles_is_data_error(self, capsys,
                                                       tmp_path):
+        # singles_hz is 250e3 in the bundled row
         from importlib import resources
         text = resources.files("pairsim.data").joinpath(
             "source_comparison.txt").read_text(encoding="utf-8")
-        line = next(ln for ln in text.splitlines()
-                    if ln.startswith("knbo3_bulk.coincidences_hz = "))
         data = tmp_path / "table.txt"
-        data.write_text(text.replace(line,
+        data.write_text(text.replace("knbo3_bulk.coincidences_hz = 5000",
                                      "knbo3_bulk.coincidences_hz = 300e3"),
                         encoding="utf-8")
         code, out, err = run_cli(capsys, "table1", "--data", str(data))
