@@ -7,8 +7,8 @@ Celsius. Whenever a command writes an output file it also writes a
 ``<output>.manifest`` key-value file carrying the fully resolved
 configuration, the seed, and the output digest; ``simulate --from-manifest``
 re-runs a manifest and reproduces the event file bit-exactly. ``simulate``
-writes binary (v2) event files (a manifest without ``format`` re-runs as v1
-text); ``count`` reads both.
+writes binary (v2) event files; ``count`` also reads the v1 text files of
+earlier versions.
 
 Exit codes: 0 success, 1 usage/config error, 2 data/parse error,
 3 inference/solver error.
@@ -91,10 +91,10 @@ def read_event_file(path):
     return read_event_file(path)
 
 
-def write_event_file(stream, path, *, binary: bool = False) -> None:
+def write_event_file(stream, path) -> None:
     """events.write_event_file, imported on first call."""
     from .events import write_event_file
-    write_event_file(stream, path, binary=binary)
+    write_event_file(stream, path)
 
 
 def _mapping_report(mapping: dict[str, object], csv: bool) -> str:
@@ -192,12 +192,12 @@ def _cmd_qpm(args) -> int:
 
 # ----------------------------------------------------------- simulate ----
 
-def _simulate_one(src_cfg, chain_cfg, run_cfg, out_path: Path, fmt: str,
+def _simulate_one(src_cfg, chain_cfg, run_cfg, out_path: Path,
                   manifest_extra: dict[str, object]) -> dict[str, object]:
     from . import source
     stream, truth = source.simulate_run(src_cfg, chain_cfg, run_cfg)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_event_file(stream, out_path, binary=fmt == "binary")
+    write_event_file(stream, out_path)
 
     fields: dict[str, object] = {
         f"config.{k}": v
@@ -206,7 +206,7 @@ def _simulate_one(src_cfg, chain_cfg, run_cfg, out_path: Path, fmt: str,
     fields["seed"] = run_cfg.seed
     fields["resolution_ps"] = run_cfg.timestamp_resolution_ps
     fields["rng_scheme"] = source.RNG_SCHEME
-    fields["format"] = fmt
+    fields["format"] = "binary"
     fields.update(manifest_extra)
     fields["output"] = str(out_path)
     _write_manifest(out_path, "simulate", fields)
@@ -251,11 +251,10 @@ def _cmd_simulate(args) -> int:
         resolution = keyvalue.get_int(kv, "resolution_ps", src_txt)
         out = args.out or keyvalue.get_str(kv, "output", src_txt)
         config_path = kv.get("config_file", "")
-        # manifests written before the binary format describe text files
-        fmt = kv.get("format", "text")
-        if fmt not in ("binary", "text"):
-            raise DataFormatError(f"{src_txt}: key 'format' is not 'binary' "
-                                  f"or 'text': {fmt!r}")
+        fmt = kv.get("format", "<missing>")
+        if fmt != "binary":
+            raise DataFormatError(f"{src_txt}: key 'format' is not 'binary': "
+                                  f"{fmt!r}")
     else:
         if args.config is None or args.duration is None or args.seed is None:
             raise _UsageError("simulate needs --config, --duration, and "
@@ -267,7 +266,6 @@ def _cmd_simulate(args) -> int:
         duration, seed, resolution = args.duration, args.seed, args.resolution_ps
         out = args.out
         config_path = args.config
-        fmt = "binary"
 
     # every run is validated before the first one writes a file
     runs = [source.RunConfig(duration, seed + k, resolution)
@@ -278,13 +276,13 @@ def _cmd_simulate(args) -> int:
 
     if args.jobs == 1:
         summaries = [_simulate_one(src_cfg, chain_cfg, runs[0], outputs[0],
-                                   fmt, extra)]
+                                   extra)]
     else:
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=_worker_count(args.jobs)) as pool:
             futures = [pool.submit(_simulate_one, src_cfg, chain_cfg, run,
-                                   path, fmt, extra)
+                                   path, extra)
                        for run, path in zip(runs, outputs)]
             summaries = [f.result() for f in futures]
 

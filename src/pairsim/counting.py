@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, Rate
-from .events import EventStream, _cluster_bounds, _merge_sorted
+from .events import EventStream, _cluster_bounds, _merge_sorted, _near
 from . import _EXPORTS
 
 __all__ = [*_EXPORTS["counting"]]
@@ -129,16 +129,6 @@ def _two_pointer_matches(a: list[int], b: list[int], half_window: int) -> int:
             i += 1
             j += 1
     return matches
-
-
-def _near(times: np.ndarray, limit: int) -> np.ndarray:
-    """Mask of the events of sorted times with a neighbour <= limit away."""
-    keep = np.zeros(times.size, dtype=bool)
-    for lo in range(0, times.size - 1, 1 << 16):    # not one 8 B/event diff
-        near = np.diff(times[lo:lo + (1 << 16) + 1]) <= limit
-        keep[lo:lo + near.size] |= near
-        keep[lo + 1:lo + 1 + near.size] |= near
-    return keep
 
 
 def _match_count(times: np.ndarray, is1: np.ndarray,

@@ -4,25 +4,25 @@ An EventStream is the interchange between the source simulator and the
 coincidence counter: time-ordered detection timestamps in integer picoseconds
 tagged with a detector index (1 or 2), plus run metadata.
 
-Two file versions share one header of ``# key = value`` lines and differ in
-the body. Version 1 is UTF-8 text, one tab-separated event per line::
+write_event_file writes version 2: a header of ``# key = value`` lines
+that ends with ``# events = <n>``, then two packed columns, n little-endian
+int64 timestamps and then n uint8 detector indices::
 
-    # pairsim-events v1
+    # pairsim-events v2
     # duration_ps = 10000000000000
     # resolution_ps = 1
     # seed = 42
     # config_digest = 3f6a...
-    1\t1250
-    2\t1250
-    ...
+    # events = 3538579
+    <8n bytes of timestamps><n bytes of detectors>
 
-Version 2 (``# pairsim-events v2``) ends its header with ``# events = <n>``
-and then holds two packed columns: n little-endian int64 timestamps, then
-n uint8 detector indices. read_event_file dispatches on the magic line;
-write_event_file writes v1 unless binary=True.
+read_event_file dispatches on the magic line. It also reads version 1
+(``# pairsim-events v1``), which earlier versions wrote: the same header
+lines without ``# events``, then UTF-8 text, one ``<detector>\t<time>``
+event per line.
 
 README "File formats" gives the exact lines the reader accepts. Timestamps
-must ascend; the writer/reader round trip is bit exact in both versions.
+must ascend; the writer/reader round trip is bit exact.
 """
 
 from __future__ import annotations
@@ -56,6 +56,16 @@ def _cluster_bounds(cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = np.concatenate(([0], np.flatnonzero(cut) + 1))
     ends = np.append(starts[1:], cut.size + 1)
     return starts, ends
+
+
+def _near(times: np.ndarray, limit: int) -> np.ndarray:
+    """Mask of the events of sorted times with a neighbour <= limit away."""
+    keep = np.zeros(times.size, dtype=bool)
+    for lo in range(0, times.size - 1, 1 << 16):    # not one 8 B/event diff
+        near = np.diff(times[lo:lo + (1 << 16) + 1]) <= limit
+        keep[lo:lo + near.size] |= near
+        keep[lo + 1:lo + 1 + near.size] |= near
+    return keep
 
 
 def _merge_sorted(t1: np.ndarray, t2: np.ndarray
@@ -158,29 +168,21 @@ class EventStream:
                 and np.array_equal(self.times_ps, other.times_ps))
 
 
-def write_event_file(stream: EventStream, path: str | os.PathLike, *,
-                     binary: bool = False) -> None:
-    """Write a stream as a v1 text file, or as a v2 file with packed binary
-    columns when binary is true (both round trips are bit exact)."""
+def write_event_file(stream: EventStream, path: str | os.PathLike) -> None:
+    """Write a stream as a v2 file: the header, then the packed timestamp
+    and detector columns (the round trip is bit exact)."""
     header = [f"# duration_ps = {stream.duration_ps}",
               f"# resolution_ps = {stream.resolution_ps}"]
     if stream.seed is not None:
         header.append(f"# seed = {stream.seed}")
     if stream.config_digest:
         header.append(f"# config_digest = {stream.config_digest}")
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write("\n".join([FILE_MAGIC_V2, *header,
-                                f"# events = {stream.n_events}", ""])
-                     .encode("utf-8"))
-            stream.times_ps.astype("<i8", copy=False).tofile(fh)
-            stream.detectors.tofile(fh)
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join([FILE_MAGIC, *header, ""]))
-        rows = np.column_stack((stream.detectors, stream.times_ps))
-        for block in np.split(rows, range(1 << 14, len(rows), 1 << 14)):
-            fh.write("%d\t%d\n" * len(block) % tuple(block.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write("\n".join([FILE_MAGIC_V2, *header,
+                            f"# events = {stream.n_events}", ""])
+                 .encode("utf-8"))
+        stream.times_ps.astype("<i8", copy=False).tofile(fh)
+        stream.detectors.tofile(fh)
 
 
 def _first_bad_line(path: str | os.PathLike, fallback: str) -> str:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
+import numbers
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,7 +45,7 @@ import numpy as np
 
 from .core import (ConfigError, Efficiency, MemoryBudgetError, OpticalPower,
                    Rate, Wavelength, photon_flux)
-from .events import EventStream, _cluster_bounds
+from .events import EventStream, _cluster_bounds, _near
 from . import _EXPORTS, keyvalue
 
 __all__ = [*_EXPORTS["source"], "config_to_mapping", "config_from_mapping"]
@@ -150,12 +151,15 @@ class RunConfig:
         if not 0.5 < self.duration_s * 1e12 < 2.0**63:
             raise ConfigError("duration_s must round to 1 .. 2^63 - 1 ps, "
                               f"got {self.duration_s}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ConfigError(f"seed must fit in uint64, got {self.seed}")
-        if not 1 <= int(self.timestamp_resolution_ps) <= self.duration_ps:
-            raise ConfigError("timestamp_resolution_ps must lie in 1 .. "
-                              f"{self.duration_ps} (the duration), got "
-                              f"{self.timestamp_resolution_ps}")
+        bounds = {"seed": (0, 2**64 - 1),
+                  "timestamp_resolution_ps": (1, self.duration_ps)}
+        for name, (lo, hi) in bounds.items():
+            value = getattr(self, name)     # 1.9 would run as 1, nan fails
+            if not (isinstance(value, numbers.Real) and value % 1 == 0
+                    and lo <= value <= hi):
+                raise ConfigError(f"{name} must be an integer in {lo} .. "
+                                  f"{hi}, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
     @property
     def duration_ps(self) -> int:
@@ -282,23 +286,28 @@ def _deadtime_filter(times_ps: np.ndarray, dead_ps: int) -> np.ndarray:
     dead window.
 
     An event at least dead_ps after its predecessor is accepted whatever
-    came before, so it starts a cluster. A cluster shorter than dead_ps keeps
-    only its start; the sequential rule runs only on the longer ones, on
-    Python ints so that t + dead_ps cannot overflow.
+    came before, so it starts a cluster; one with no neighbour closer than
+    dead_ps is kept as it is. A cluster shorter than dead_ps keeps only its
+    start; the sequential rule runs only on the longer ones, on Python ints
+    so that t + dead_ps cannot overflow.
     """
-    if dead_ps <= 0 or times_ps.size == 0:
+    near = _near(times_ps, dead_ps - 1)
+    t = times_ps[near]
+    if t.size == 0:     # no event is near another, as always at dead_ps <= 0
         return times_ps
-    starts, ends = _cluster_bounds(np.diff(times_ps) >= dead_ps)
-    keep = np.zeros(times_ps.size, dtype=bool)
+    starts, ends = _cluster_bounds(np.diff(t) >= dead_ps)
+    keep = np.zeros(t.size, dtype=bool)
     keep[starts] = True
-    long = np.flatnonzero(times_ps[ends - 1] - times_ps[starts] >= dead_ps)
+    long = np.flatnonzero(t[ends - 1] - t[starts] >= dead_ps)
     for start, end in zip(starts[long].tolist(), ends[long].tolist()):
-        cluster = times_ps[start:end].tolist()
+        cluster = t[start:end].tolist()
         i = 0
         while i < len(cluster):
             keep[start + i] = True
             i = bisect.bisect_left(cluster, cluster[i] + dead_ps, i + 1)
-    return times_ps[keep]
+    kept = ~near
+    kept[near] = keep
+    return times_ps[kept]
 
 
 def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
@@ -313,7 +322,7 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
     dropped. Both detectors write into one uint64 key buffer (2t for
     detector 1, 2t + 1 for detector 2) that is sorted once. The traced peak
     is about 12 bytes per detected event at the reference point over 10 s
-    and 25 with dead time and jitter (the stream holds 9). Raises
+    and 17 with dead time and jitter (the stream holds 9). Raises
     MemoryBudgetError before generating anything when the expected
     detected-event count exceeds max_events or the expected pair count
     exceeds the largest Poisson mean numpy can sample (about 9.2e18).

@@ -270,24 +270,37 @@ class TestSimulate:
         manifest = keyvalue.read_keyvalue(str(out) + ".manifest")
         assert manifest["format"] == "binary"
 
-    def test_manifest_without_format_reproduces_text_file(
-            self, capsys, tmp_path, small_config):
-        # manifests written before the binary format describe text files
+    @pytest.mark.parametrize("fmt", [None, "text"])
+    def test_manifest_without_binary_format_is_data_error(
+            self, capsys, tmp_path, small_config, fmt):
+        # only v2 files are written, so a manifest asking for v1 text (or
+        # naming no format) cannot be re-run
         first = tmp_path / "first.events"
         run_cli(capsys, "simulate", "--config", str(small_config),
-                "--duration", "0.2", "--seed", "11", "--out", str(first))
-        text = tmp_path / "text.events"
-        pairsim.write_event_file(pairsim.read_event_file(first), text)
+                "--duration", "0.1", "--seed", "11", "--out", str(first))
         manifest = keyvalue.read_keyvalue(str(first) + ".manifest")
-        del manifest["format"]
-        old = tmp_path / "old.manifest"
-        keyvalue.write_keyvalue(old, manifest)
+        if fmt is None:
+            del manifest["format"]
+        else:
+            manifest["format"] = fmt
+        edited = tmp_path / "edited.manifest"
+        keyvalue.write_keyvalue(edited, manifest)
         second = tmp_path / "second.events"
-        code, _, _ = run_cli(capsys, "simulate", "--from-manifest", str(old),
-                             "--out", str(second))
-        assert code == 0
-        assert second.read_bytes().startswith(b"# pairsim-events v1\n")
-        assert sha(text) == sha(second)
+        code, _, err = run_cli(capsys, "simulate", "--from-manifest",
+                               str(edited), "--out", str(second))
+        assert code == 2 and repr(fmt or "<missing>") in err
+        assert "Traceback" not in err
+        assert not second.exists()
+        assert not Path(str(second) + ".manifest").exists()
+
+    def test_write_event_file_writes_v2(self, tmp_path):
+        stream = pairsim.EventStream(detectors=[1, 2], times_ps=[10, 20],
+                                     duration_ps=100)
+        for write in (pairsim.write_event_file, cli.write_event_file):
+            path = tmp_path / "default.events"
+            write(stream, path)
+            assert path.read_bytes().startswith(b"# pairsim-events v2\n")
+            assert pairsim.read_event_file(path) == stream
 
     def test_manifest_with_unknown_format_is_data_error(
             self, capsys, tmp_path, small_config):
@@ -712,7 +725,7 @@ def test_count_of_binary_file_loads_only_its_layers(tmp_path):
     counting layers and no other."""
     pairsim.write_event_file(pairsim.EventStream(
         detectors=[1, 2, 1], times_ps=[10, 20, 5000], duration_ps=10**12),
-        tmp_path / "tiny.events", binary=True)
+        tmp_path / "tiny.events")
     argv = ["count", str(tmp_path / "tiny.events")]
     src_dir = Path(pairsim.__file__).resolve().parents[1]
     proc = subprocess.run(

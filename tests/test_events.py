@@ -12,6 +12,22 @@ from pairsim import (ConfigError, DataFormatError, EventStream,
 from pairsim import events
 
 
+def write_v1_event_file(stream, path):
+    """The v1 text writer of earlier pairsim versions, kept so that tests can
+    pin the reader to the legacy bytes."""
+    header = [f"# duration_ps = {stream.duration_ps}",
+              f"# resolution_ps = {stream.resolution_ps}"]
+    if stream.seed is not None:
+        header.append(f"# seed = {stream.seed}")
+    if stream.config_digest:
+        header.append(f"# config_digest = {stream.config_digest}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join([events.FILE_MAGIC, *header, ""]))
+        rows = np.column_stack((stream.detectors, stream.times_ps))
+        for block in np.split(rows, range(1 << 14, len(rows), 1 << 14)):
+            fh.write("%d\t%d\n" * len(block) % tuple(block.ravel().tolist()))
+
+
 def small_stream(**overrides):
     kwargs = dict(
         detectors=np.array([1, 2, 1, 2], dtype=np.uint8),
@@ -160,7 +176,7 @@ class TestEventFile:
 class TestBinaryEventFile:
     def test_layout(self, tmp_path):
         path = tmp_path / "v2.events"
-        write_event_file(small_stream(), path, binary=True)
+        write_event_file(small_stream(), path)
         assert path.read_bytes() == (
             b"# pairsim-events v2\n# duration_ps = 10000\n"
             b"# resolution_ps = 1\n# seed = 42\n# config_digest = abc123\n"
@@ -173,7 +189,7 @@ class TestBinaryEventFile:
         path = tmp_path / "v2.events"
         empty = small_stream(detectors=[], times_ps=[], seed=None,
                              config_digest="")
-        write_event_file(empty, path, binary=True)
+        write_event_file(empty, path)
         assert path.read_bytes().endswith(b"# events = 0\n")
         assert read_event_file(path) == empty
 
@@ -367,10 +383,10 @@ def test_text_to_binary_round_trip_property(stream):
     """v1 file -> stream -> v2 file -> stream gives the same stream."""
     with tempfile.TemporaryDirectory() as tmp:
         text = os.path.join(tmp, "v1.events")
-        binary = os.path.join(tmp, "v2.events")
-        write_event_file(stream, text)
-        write_event_file(read_event_file(text), binary, binary=True)
-        assert read_event_file(binary) == stream
+        v2 = os.path.join(tmp, "v2.events")
+        write_v1_event_file(stream, text)
+        write_event_file(read_event_file(text), v2)
+        assert read_event_file(v2) == stream
 
 
 @st.composite

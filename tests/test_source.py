@@ -14,6 +14,7 @@ from pairsim import (ConfigError, DetectionChainConfig, Efficiency,
                      reference_chain, reference_source, sample_pair_spectrum,
                      simulate_run, write_event_file)
 from pairsim import keyvalue, source as source_mod
+from test_events import write_v1_event_file
 
 FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -149,6 +150,23 @@ class TestConfigs:
                 RunConfig(1.0, seed=1, timestamp_resolution_ps=bad)
         assert RunConfig(1.0, seed=1, timestamp_resolution_ps=10**12) \
             .timestamp_resolution_ps == 10**12
+
+    def test_run_config_rejects_non_integer_seed_and_resolution(self):
+        # int() would truncate these, or numpy fail on them inside the run
+        for bad in (1.9, math.nan, math.inf, "3"):
+            with pytest.raises(ConfigError, match="seed must be an integer"):
+                RunConfig(1e-4, seed=bad)
+        for bad in (100.7, math.nan, math.inf, "100"):
+            with pytest.raises(ConfigError,
+                               match="timestamp_resolution_ps must be an "
+                                     "integer"):
+                RunConfig(1e-4, seed=1, timestamp_resolution_ps=bad)
+        # a whole float is accepted and stored as the int it equals
+        run = RunConfig(1e-4, seed=2.0, timestamp_resolution_ps=100.0)
+        assert (run.seed, run.timestamp_resolution_ps) == (2, 100)
+        assert type(run.seed) is type(run.timestamp_resolution_ps) is int
+        stream, _ = simulate_run(make_source(1e5), make_chain(), run)
+        assert stream.resolution_ps == 100 and stream.seed == 2
 
     def test_true_counts_invariant(self):
         with pytest.raises(ConfigError):
@@ -470,10 +488,10 @@ class TestGoldenStream:
                 "755c1de353cab7af9f02b3a7c9a3c9b6")
 
     def test_event_file_digest(self, stream, tmp_path):
-        # computed with the previous per-line writer: the output_sha256 of
-        # old manifests and --from-manifest reproduction rely on these bytes
+        # computed with the previous per-line writer: v1 files written by
+        # earlier versions must still read back to the same stream
         path = tmp_path / "golden.events"
-        write_event_file(stream, path)
+        write_v1_event_file(stream, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "9c9cc4f02b900e32f1601d1d6d2327cd460dce4a2c71ed237ada7dbb5d76c10c")
         assert read_event_file(path) == stream
@@ -481,7 +499,7 @@ class TestGoldenStream:
     def test_binary_event_file_digest(self, stream, tmp_path):
         # the v2 bytes simulate writes by default: header, then packed columns
         path = tmp_path / "golden.events"
-        write_event_file(stream, path, binary=True)
+        write_event_file(stream, path)
         assert path.stat().st_size == 186 + 9 * stream.n_events
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "1d8f6196e7607b7f7a79d15b3af086b854aab1c7c86edfdba75bcd422d50516a")
@@ -575,7 +593,7 @@ class TestAllocationBudget:
         stream, _ = simulate_run(reference_source(), reference_chain(),
                                  RunConfig(1.0, seed=3))
         path = tmp_path / "reference.events"
-        write_event_file(stream, path, binary=True)
+        write_event_file(stream, path)
         nbytes = stream.times_ps.nbytes + stream.detectors.nbytes
         read, peak = traced_peak(lambda: read_event_file(path))
         assert read == stream
