@@ -154,9 +154,9 @@ class RunConfig:
         bounds = {"seed": (0, 2**64 - 1),
                   "timestamp_resolution_ps": (1, self.duration_ps)}
         for name, (lo, hi) in bounds.items():
-            value = getattr(self, name)     # 1.9 would run as 1, nan fails
-            if not (isinstance(value, numbers.Real) and value % 1 == 0
-                    and lo <= value <= hi):
+            value = getattr(self, name)     # int() would run 1.9 as 1
+            if not (isinstance(value, numbers.Real) and lo <= value <= hi
+                    and value % 1 == 0):    # inf and nan fail before the %
                 raise ConfigError(f"{name} must be an integer in {lo} .. "
                                   f"{hi}, got {value!r}")
             object.__setattr__(self, name, int(value))

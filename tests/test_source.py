@@ -153,7 +153,7 @@ class TestConfigs:
 
     def test_run_config_rejects_non_integer_seed_and_resolution(self):
         # int() would truncate these, or numpy fail on them inside the run
-        for bad in (1.9, math.nan, math.inf, "3"):
+        for bad in (1.9, math.nan, math.inf, np.float64(math.inf), "3"):
             with pytest.raises(ConfigError, match="seed must be an integer"):
                 RunConfig(1e-4, seed=bad)
         for bad in (100.7, math.nan, math.inf, "100"):
