@@ -60,14 +60,13 @@ def _sha256_file(path: Path) -> str:
 
 
 def _write_manifest(out_path: Path, command: str,
-                    fields: dict[str, object]) -> Path:
+                    fields: dict[str, object]) -> None:
     manifest = {"command": command, "version": __version__}
     manifest.update(fields)
-    if out_path.exists():
-        manifest["output_sha256"] = _sha256_file(out_path)
+    manifest["output"] = str(out_path)
+    manifest["output_sha256"] = _sha256_file(out_path)
     mpath = Path(str(out_path) + ".manifest")
     keyvalue.write_keyvalue(mpath, manifest, header=["pairsim run manifest"])
-    return mpath
 
 
 def _emit(text: str, out: str | None, command: str,
@@ -78,9 +77,7 @@ def _emit(text: str, out: str | None, command: str,
         return
     path = Path(out)
     path.write_text(text, encoding="utf-8")
-    fields = dict(manifest_fields)
-    fields["output"] = str(path)
-    _write_manifest(path, command, fields)
+    _write_manifest(path, command, manifest_fields)
 
 
 def read_event_file(path):
@@ -208,7 +205,6 @@ def _simulate_one(src_cfg, chain_cfg, run_cfg, out_path: Path,
     fields["rng_scheme"] = source.RNG_SCHEME
     fields["format"] = "binary"
     fields.update(manifest_extra)
-    fields["output"] = str(out_path)
     _write_manifest(out_path, "simulate", fields)
 
     n1, n2 = stream.counts()

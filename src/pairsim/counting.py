@@ -203,7 +203,10 @@ def estimate_accidentals(stream: EventStream,
 
     Shifts detector-2 timestamps by the configured delay, wrapping inside the
     run duration (event count and duration are preserved exactly), and
-    recounts coincidences.
+    recounts coincidences. Any delay is counted as given, including one that
+    wraps: within 10 windows of a multiple of the duration it brings true
+    pairs back into the window as accidentals (all of them at an exact
+    multiple). `pairsim count` refuses such a delay (exit 1).
     """
     d = _require_duration(stream)
     return Rate(_accidental_count(stream, stream.detectors == 1, window) / d)
@@ -212,7 +215,9 @@ def estimate_accidentals(stream: EventStream,
 def net_summary(stream: EventStream, window: WindowConfig = WindowConfig(),
                 dark_rates: tuple[Rate, Rate] = (Rate(0.0), Rate(0.0)),
                 ) -> CountSummary:
-    """Full raw/net summary with dark and accidental subtraction."""
+    """Full raw/net summary with dark and accidental subtraction. Any delay
+    counts as in estimate_accidentals: one at a multiple of the run duration
+    gives accidental_count == coincidence_count and an rc_net of 0."""
     duration_s = _require_duration(stream)
     is1 = stream.detectors == 1
     n1 = int(np.count_nonzero(is1))

@@ -275,9 +275,7 @@ def compare_sources(records: list[SourceRecord] | None = None,
     for rec in records:
         inp = EstimateInput(s1_net=rec.singles, s2_net=rec.singles,
                             rc_net=rec.coincidences,
-                            splitter_correction=rec.splitter_correction,
-                            pump_power_guided=rec.pump_power,
-                            pump_wavelength=rec.pump)
+                            splitter_correction=rec.splitter_correction)
         n = infer_pair_rate(inp)
         eta = conversion_efficiency(n, rec.pump_power, rec.pump)
         rc_per_watt = rec.coincidences.hz / rec.pump_power.watts

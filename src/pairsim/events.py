@@ -119,9 +119,8 @@ class EventStream:
         if det.ndim != 1 or t.ndim != 1 or det.shape != t.shape:
             raise ConfigError("detectors and times_ps must be 1-d arrays of "
                               "equal length")
-        if det.size and not np.all((det == 1) | (det == 2)):
-            bad = int(det[(det != 1) & (det != 2)][0])
-            raise ConfigError(f"detector index must be 1 or 2, got {bad}")
+        if (bad := det[(det - 1) > 1]).size:   # uint8: detector 0 wraps to 255
+            raise ConfigError(f"detector index must be 1 or 2, got {bad[0]}")
         if not 0 <= int(self.duration_ps) < 2**63:
             raise ConfigError(
                 f"duration must be in [0, 2**63) ps, got {self.duration_ps}")

@@ -197,17 +197,21 @@ def solve_poling_period(pump: Wavelength, signal: Wavelength,
                     pump=pump, signal=signal, idler=idler, qpm_order=qpm_order)
 
 
-def _bracketed_root(f, lo: float, hi: float, f_lo: float,
-                    f_hi: float) -> float | None:
-    """Root of f on [lo, hi] given f_lo = f(lo) and f_hi = f(hi), by
-    bisection run to floating-point convergence; None when f has the same
-    nonzero sign at both ends."""
+def _first_root(f, grid, values) -> float | None:
+    """Root of f in the first interval of grid with a zero end or a sign
+    change of values = f(grid), by bisection run to floating-point
+    convergence; None when there is no such interval."""
+    values = np.asarray(values)
+    hits = np.flatnonzero((values[:-1] == 0.0) | (values[1:] == 0.0)
+                          | np.diff(values < 0.0))    # bool diff: sign change
+    if not hits.size:
+        return None
+    lo, hi = grid[hits[0]:hits[0] + 2]
+    f_lo, f_hi = values[hits[0]:hits[0] + 2]
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
         return hi
-    if (f_lo < 0.0) == (f_hi < 0.0):
-        return None
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -245,7 +249,7 @@ def solve_temperature(pump: Wavelength, signal: Wavelength,
 
     lo, hi = temperature_range_c
     f_lo, f_hi = mismatch(lo), mismatch(hi)
-    root = _bracketed_root(mismatch, lo, hi, f_lo, f_hi)
+    root = _first_root(mismatch, (lo, hi), (f_lo, f_hi))
     if root is None:
         raise SolverError(
             f"no phase-matching temperature in range [{lo:g}, {hi:g}] C for "
@@ -264,7 +268,6 @@ def solve_degeneracy_temperature(pump: Wavelength, poling_period_um: float,
     Returns degrees Celsius. See solve_temperature for the root-finding
     contract.
     """
-    _check_grating(poling_period_um, qpm_order)
     degenerate = Wavelength(2.0 * pump.nm)
     try:
         point = solve_temperature(pump, degenerate, poling_period_um, model,
@@ -325,14 +328,8 @@ def solve_signal_wavelength(pump: Wavelength, poling_period_um: float,
     if hi_nm <= lo_nm:
         raise SolverError("degenerate wavelength sits at the model's validity edge")
     grid = np.linspace(lo_nm, hi_nm, 512)
-    values = (_signal_scan_per_m(pump, grid, temperature_c, model)
-              - grating).tolist()
-    root_nm = None
-    for i in range(len(grid) - 1):
-        root_nm = _bracketed_root(mismatch, float(grid[i]), float(grid[i + 1]),
-                                  values[i], values[i + 1])
-        if root_nm is not None:
-            break
+    values = _signal_scan_per_m(pump, grid, temperature_c, model) - grating
+    root_nm = _first_root(mismatch, grid, values)
     if root_nm is None:
         raise SolverError(
             f"no phase-matched signal wavelength for period {poling_period_um:g} um "
@@ -350,7 +347,6 @@ def temperature_tuning_curve(pump: Wavelength, poling_period_um: float,
     """Phase-matched points over a temperature sweep; temperatures with no
     solution are skipped."""
     _check_grating(poling_period_um, qpm_order)
-    model = model or default_sellmeier_model()
     points = []
     for t in temperatures_c:
         try:

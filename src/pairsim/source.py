@@ -148,9 +148,10 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         # duration_ps rounds to a whole count in [1, 2^63); NaN fails too
-        if not 0.5 < self.duration_s * 1e12 < 2.0**63:
+        if not (isinstance(self.duration_s, numbers.Real)
+                and 0.5 < self.duration_s * 1e12 < 2.0**63):
             raise ConfigError("duration_s must round to 1 .. 2^63 - 1 ps, "
-                              f"got {self.duration_s}")
+                              f"got {self.duration_s!r}")
         bounds = {"seed": (0, 2**64 - 1),
                   "timestamp_resolution_ps": (1, self.duration_ps)}
         for name, (lo, hi) in bounds.items():

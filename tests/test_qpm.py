@@ -257,6 +257,56 @@ def scalar_signal_scan(pump, grid, temperature_c, model=MODEL):
     return values
 
 
+def _bracketed_root(f, lo: float, hi: float, f_lo: float,
+                    f_hi: float) -> float | None:
+    """Root of f on [lo, hi] given f_lo = f(lo) and f_hi = f(hi), by
+    bisection run to floating-point convergence; None when f has the same
+    nonzero sign at both ends."""
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        return None
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def per_interval_signal_root(pump, poling_period_um, temperature_c,
+                             model=MODEL):
+    """Oracle: the signal root search that qpm._first_root replaced, one
+    _bracketed_root call per scan interval until one brackets a root; None
+    when none does."""
+    grating = 1 / (poling_period_um * 1e-6)
+
+    def mismatch(signal_nm: float) -> float:
+        signal = Wavelength(signal_nm)
+        idler = idler_wavelength(pump, signal)
+        return qpm._index_sum_per_m(pump, signal, idler, temperature_c,
+                                    model) - grating
+
+    grid = np.linspace(2.0 * pump.nm, model.wavelength_range_um[1] * 1e3, 512)
+    values = (qpm._signal_scan_per_m(pump, grid, temperature_c, model)
+              - grating).tolist()
+    root_nm = None
+    for i in range(len(grid) - 1):
+        root_nm = _bracketed_root(mismatch, float(grid[i]), float(grid[i + 1]),
+                                  values[i], values[i + 1])
+        if root_nm is not None:
+            break
+    return root_nm
+
+
 class TestSignalScan:
     @pytest.mark.parametrize("pump_nm,temperature_c", [
         (657.0, 60.0), (657.0, 100.0), (657.0, 140.0), (532.0, 25.0),
@@ -285,6 +335,32 @@ class TestSignalScan:
         with pytest.raises(ConfigError) as array:
             qpm._signal_scan_per_m(pump, grid, temperature_c, model)
         assert str(array.value) == str(scalar.value)
+
+
+    def test_root_matches_per_interval_search(self):
+        # signal-branch periods designed at 60 and 140 C, swept from 20 C
+        # (no solution below degeneracy) to 260 C (outside the model range)
+        for pump_nm in (532.0, 657.0, 775.0):
+            pump = Wavelength(pump_nm)
+            for t_design in (60.0, 140.0):
+                period = solve_poling_period(
+                    pump, Wavelength(2.0 * pump_nm + 30.0),
+                    t_design).poling_period_um
+                for t in [*np.linspace(20.0, 240.0, 20).tolist(), 260.0]:
+                    try:
+                        want = per_interval_signal_root(pump, period, t)
+                    except ConfigError as exc:
+                        with pytest.raises(ConfigError) as got:
+                            solve_signal_wavelength(pump, period, t)
+                        assert str(got.value) == str(exc)
+                        continue
+                    if want is None:
+                        with pytest.raises(SolverError,
+                                           match="no phase-matched signal"):
+                            solve_signal_wavelength(pump, period, t)
+                    else:
+                        assert solve_signal_wavelength(
+                            pump, period, t).signal.nm == want
 
 
 class TestSolveTemperatureGeneral:

@@ -137,7 +137,7 @@ class TestConfigs:
         with pytest.raises(ConfigError, match="duration"):
             RunConfig(0.0, seed=1)
         # the picosecond count must be at least 1 and fit int64
-        for bad in (math.nan, 0.5e-12, 9.3e6, 1e300):
+        for bad in (math.nan, 0.5e-12, 9.3e6, 1e300, '1', None):
             with pytest.raises(ConfigError, match="duration"):
                 RunConfig(bad, seed=1)
         assert RunConfig(0.6e-12, seed=1).duration_ps == 1
