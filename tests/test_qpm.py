@@ -338,29 +338,33 @@ class TestSignalScan:
 
 
     def test_root_matches_per_interval_search(self):
-        # signal-branch periods designed at 60 and 140 C, swept from 20 C
-        # (no solution below degeneracy) to 260 C (outside the model range)
-        for pump_nm in (532.0, 657.0, 775.0):
+        # periods designed near degeneracy at 60 and 140 C, swept from 20 C
+        # (no solution below degeneracy) to 260 C (outside the model range);
+        # the period that takes a 775 nm pump to a 3 um signal at 100 C
+        # matches two signal wavelengths below 180 C, which pins the root
+        # the scan takes
+        for pump_nm, signal_nm, t_design in [
+                (532.0, 1094.0, 60.0), (657.0, 1344.0, 60.0),
+                (657.0, 1344.0, 140.0), (775.0, 1580.0, 140.0),
+                (775.0, 3000.0, 100.0)]:
             pump = Wavelength(pump_nm)
-            for t_design in (60.0, 140.0):
-                period = solve_poling_period(
-                    pump, Wavelength(2.0 * pump_nm + 30.0),
-                    t_design).poling_period_um
-                for t in [*np.linspace(20.0, 240.0, 20).tolist(), 260.0]:
-                    try:
-                        want = per_interval_signal_root(pump, period, t)
-                    except ConfigError as exc:
-                        with pytest.raises(ConfigError) as got:
-                            solve_signal_wavelength(pump, period, t)
-                        assert str(got.value) == str(exc)
-                        continue
-                    if want is None:
-                        with pytest.raises(SolverError,
-                                           match="no phase-matched signal"):
-                            solve_signal_wavelength(pump, period, t)
-                    else:
-                        assert solve_signal_wavelength(
-                            pump, period, t).signal.nm == want
+            period = solve_poling_period(pump, Wavelength(signal_nm),
+                                         t_design).poling_period_um
+            for t in [*np.linspace(20.0, 240.0, 20).tolist(), 260.0]:
+                try:
+                    want = per_interval_signal_root(pump, period, t)
+                except ConfigError as exc:
+                    with pytest.raises(ConfigError) as got:
+                        solve_signal_wavelength(pump, period, t)
+                    assert str(got.value) == str(exc)
+                    continue
+                if want is None:
+                    with pytest.raises(SolverError,
+                                       match="no phase-matched signal"):
+                        solve_signal_wavelength(pump, period, t)
+                else:
+                    assert solve_signal_wavelength(
+                        pump, period, t).signal.nm == want
 
 
 class TestSolveTemperatureGeneral:
