@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 usage/config error, 2 data/parse error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import os
 import sys
@@ -28,8 +27,9 @@ from .core import (ConfigError, DataFormatError, OpticalPower, Rate,
                    SolverError, Wavelength)
 from . import keyvalue
 
-# Each command imports the layers it uses when it runs, so that estimate and
-# table1 start without numpy and no command loads a layer it does not call.
+# Each command imports the layers it uses when it runs, so that qpm,
+# estimate and table1 start without numpy and no command loads a layer (or
+# hashlib, which only a manifest needs) that it does not call.
 
 __all__ = ["main"]
 
@@ -52,6 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sha256_file(path: Path) -> str:
+    import hashlib
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
@@ -118,7 +119,6 @@ def _point_mapping(point, mismatch: float) -> dict[str, object]:
 
 
 def _cmd_qpm(args) -> int:
-    import numpy as np
     from . import qpm
     model = (qpm.load_sellmeier_file(args.sellmeier) if args.sellmeier
              else qpm.default_sellmeier_model())
@@ -137,7 +137,7 @@ def _cmd_qpm(args) -> int:
             raise _UsageError(
                 "--curve expects START:STOP:POINTS with finite temperatures "
                 f"and POINTS >= 1, got {args.curve!r}") from None
-        temps = np.linspace(t0, t1, n)
+        temps = qpm._linspace(t0, t1, n)
         points = qpm.temperature_tuning_curve(
             pump, args.period * 1e6, temps, model, order)
         lines = ["temperature_c,signal_wavelength_m,idler_wavelength_m"]

@@ -16,8 +16,6 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .core import ConfigError, SolverError, Wavelength, idler_wavelength
 from . import _EXPORTS, keyvalue
 
@@ -63,16 +61,28 @@ class SellmeierModel:
 
     def index_um(self, wavelength_um, temperature_c: float):
         """Index at wavelength(s) in micrometers; no range check, accepts
-        scalars or arrays."""
+        scalars or arrays (see _index_at)."""
+        return self._index_at(temperature_c)(wavelength_um * wavelength_um)
+
+    def _index_at(self, temperature_c: float):
+        """The index as a function of the squared wavelength in um^2 at one
+        temperature, its temperature terms computed once; no range check.
+        A float (np.float64 included) takes math.sqrt and an array
+        n2 ** 0.5, which numpy evaluates as sqrt: both equal np.sqrt bit
+        for bit, where a float's ** 0.5 (libm pow) does not."""
         a1, a2, a3, a4, a5, a6 = self.a
         b1, b2, b3, b4 = self.b
         f = (temperature_c - self.t_ref_low) * (temperature_c + self.t_ref_high)
-        lam2 = np.square(wavelength_um)
-        n2 = (a1 + b1 * f
-              + (a2 + b2 * f) / (lam2 - np.square(a3 + b3 * f))
-              + (a4 + b4 * f) / (lam2 - a5 * a5)
-              - a6 * lam2)
-        return np.sqrt(n2)
+        c1, c2, c3, c4 = a1 + b1 * f, a2 + b2 * f, a3 + b3 * f, a4 + b4 * f
+        pole3, pole5 = c3 * c3, a5 * a5
+        sqrt, nan = math.sqrt, math.nan
+
+        def index(lam2):
+            n2 = c1 + c2 / (lam2 - pole3) + c4 / (lam2 - pole5) - a6 * lam2
+            if isinstance(n2, float):   # np.sqrt's nan below zero, no error
+                return sqrt(n2) if n2 >= 0.0 else nan
+            return n2 ** 0.5
+        return index
 
 
 def _model_from_mapping(kv: dict[str, str], source: str) -> SellmeierModel:
@@ -197,21 +207,33 @@ def solve_poling_period(pump: Wavelength, signal: Wavelength,
                     pump=pump, signal=signal, idler=idler, qpm_order=qpm_order)
 
 
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """np.linspace(start, stop, n).tolist() for n >= 1, bit for bit,
+    without numpy: k * step + start, then stop."""
+    if n == 1:
+        return [0.0 * (stop - start) + start]
+    step = (stop - start) / (n - 1)
+    return [k * step + start for k in range(n - 1)] + [stop]
+
+
 def _first_root(f, grid, values) -> float | None:
     """Root of f in the first interval of grid with a zero end or a sign
     change of values = f(grid), by bisection run to floating-point
-    convergence; None when there is no such interval."""
-    values = np.asarray(values)
-    hits = np.flatnonzero((values[:-1] == 0.0) | (values[1:] == 0.0)
-                          | np.diff(values < 0.0))    # bool diff: sign change
-    if not hits.size:
+    convergence; None when there is no such interval. values is read
+    lazily, up to the end of that interval, so a generator of them
+    evaluates f no further along the grid than the root needs."""
+    points = zip(grid, values)
+    lo, f_lo = next(points)
+    for hi, f_hi in points:
+        if f_lo == 0.0:
+            return lo
+        if f_hi == 0.0:
+            return hi
+        if (f_lo < 0.0) != (f_hi < 0.0):
+            break
+        lo, f_lo = hi, f_hi
+    else:
         return None
-    lo, hi = grid[hits[0]:hits[0] + 2]
-    f_lo, f_hi = values[hits[0]:hits[0] + 2]
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -278,27 +300,46 @@ def solve_degeneracy_temperature(pump: Wavelength, poling_period_um: float,
     return point.temperature_c
 
 
-def _signal_scan_per_m(pump: Wavelength, signal_nm: np.ndarray,
-                       temperature_c: float,
-                       model: SellmeierModel) -> np.ndarray:
-    """_index_sum_per_m over an array of signal wavelengths above the pump,
-    each with its energy-conserving idler, in one index_um call per
-    wavelength set; bit-identical to the scalar path, including the range
-    error that path raises first."""
-    n_p = refractive_index(model, pump, temperature_c)
-    idler_nm = np.where(signal_nm == 2.0 * pump.nm, signal_nm,
-                        1.0 / (1.0 / pump.nm - 1.0 / signal_nm))
+def _signal_terms(pump_nm: float,
+                  signal_nm: float) -> tuple[float, float, float, float]:
+    """(um^2, m) of a signal above the pump, then of its energy-conserving
+    idler: the part of _index_sum_per_m that does not depend on the
+    temperature, rounded as the scalar path rounds it."""
+    idler_nm = (signal_nm if signal_nm == 2.0 * pump_nm
+                else 1.0 / (1.0 / pump_nm - 1.0 / signal_nm))
     signal_um, idler_um = signal_nm * 1e-3, idler_nm * 1e-3
-    lo, hi = model.wavelength_range_um
-    outside = np.flatnonzero((np.minimum(signal_um, idler_um) < lo)
-                             | (np.maximum(signal_um, idler_um) > hi))
-    if outside.size:
-        for nm in (signal_nm[outside[0]], idler_nm[outside[0]]):
-            model.check_range(Wavelength(nm), temperature_c)
-    n_s = model.index_um(signal_um, temperature_c)
-    n_i = model.index_um(idler_um, temperature_c)
-    return (n_p / pump.meters - n_s / (signal_nm * 1e-9)
-            - n_i / (idler_nm * 1e-9))
+    return (signal_um * signal_um, signal_nm * 1e-9,
+            idler_um * idler_um, idler_nm * 1e-9)
+
+
+@lru_cache(maxsize=8)
+def _signal_grid(pump_nm: float, hi_nm: float):
+    """The 512-point signal scan from degeneracy to hi_nm (np.linspace's
+    points) and the _signal_terms of each, computed once for all the
+    temperatures of a tuning curve."""
+    grid = tuple(_linspace(2.0 * pump_nm, hi_nm, 512))
+    return grid, tuple(_signal_terms(pump_nm, nm) for nm in grid)
+
+
+def _signal_mismatch(pump: Wavelength, temperature_c: float,
+                     model: SellmeierModel, grating: float):
+    """(scan, mismatch): _index_sum_per_m(pump, signal, its idler) -
+    grating, bit for bit, through one index kernel at this temperature.
+    scan(terms) yields it lazily for each signal's _signal_terms and
+    mismatch(signal_nm) returns it for one signal. Checks the pump and the
+    temperature against the model, not the signal or idler."""
+    model.check_range(pump, temperature_c)
+    index = model._index_at(temperature_c)
+    k_p = index(pump.um * pump.um) / pump.meters
+
+    def scan(terms):
+        for signal_um2, signal_m, idler_um2, idler_m in terms:
+            yield (k_p - index(signal_um2) / signal_m
+                   - index(idler_um2) / idler_m - grating)
+
+    def mismatch(signal_nm: float) -> float:
+        return next(scan((_signal_terms(pump.nm, signal_nm),)))
+    return scan, mismatch
 
 
 def solve_signal_wavelength(pump: Wavelength, poling_period_um: float,
@@ -315,20 +356,32 @@ def solve_signal_wavelength(pump: Wavelength, poling_period_um: float,
     _check_grating(poling_period_um, qpm_order)
     model = model or default_sellmeier_model()
     grating = qpm_order / (poling_period_um * 1e-6)
-
-    def mismatch(signal_nm: float) -> float:
-        signal = Wavelength(signal_nm)
-        idler = idler_wavelength(pump, signal)
-        return _index_sum_per_m(pump, signal, idler, temperature_c, model) - grating
-
     lo_nm = 2.0 * pump.nm
-    hi_nm = model.wavelength_range_um[1] * 1e3
-    while hi_nm * 1e-3 > model.wavelength_range_um[1]:  # 1.63 um rounds up
+    lo, hi = model.wavelength_range_um
+    hi_nm = hi * 1e3
+    while hi_nm * 1e-3 > hi:                  # 1.63 um rounds up
         hi_nm = math.nextafter(hi_nm, 0.0)    # keep the last scan point inside
     if hi_nm <= lo_nm:
         raise SolverError("degenerate wavelength sits at the model's validity edge")
-    grid = np.linspace(lo_nm, hi_nm, 512)
-    values = _signal_scan_per_m(pump, grid, temperature_c, model) - grating
+    scan, mismatch = _signal_mismatch(pump, temperature_c, model, grating)
+    grid, terms = _signal_grid(pump.nm, hi_nm)
+    values = scan(terms)
+    # Each operation rounds monotonically, so along the grid the signal
+    # ascends and its idler descends: these ends bound every signal and
+    # idler of the scan and of its bisection (the idler formula at 2 pump,
+    # whose exact idler is 2 pump, bounds the idlers just above it).
+    top = max(grid[-2], grid[-1])
+    ends = (lo_nm, top, idler_wavelength(pump, Wavelength(top)).nm,
+            1.0 / (1.0 / pump.nm - 1.0 / lo_nm))
+    if not all(lo <= nm * 1e-3 <= hi for nm in ends):
+        # the checked scalar path, over every point before any is used: a
+        # point outside the model raises even when a root lies before it
+        def checked(signal_nm: float) -> float:
+            signal = Wavelength(signal_nm)
+            return _index_sum_per_m(pump, signal,
+                                    idler_wavelength(pump, signal),
+                                    temperature_c, model) - grating
+        mismatch, values = checked, [checked(nm) for nm in grid]
     root_nm = _first_root(mismatch, grid, values)
     if root_nm is None:
         raise SolverError(

@@ -36,7 +36,6 @@ import hashlib
 import math
 import numbers
 from dataclasses import astuple, dataclass
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from typing import Mapping
@@ -281,6 +280,13 @@ def _substream(seed: int, index: int) -> np.random.Generator:
                                                spawn_key=(index,))))
 
 
+def _ceil_ps(ns: float) -> int:
+    """Exact ceiling of a time in ns as whole ps: math.ceil(Fraction(ns) *
+    1000), in integers."""
+    num, den = ns.as_integer_ratio()
+    return -(-num * 1000 // den)
+
+
 def _deadtime_filter(times_ps: np.ndarray, dead_ps: int) -> np.ndarray:
     """Non-paralyzable dead time on sorted int64 ps: drop events less than
     dead_ps after the last accepted one; dropped events do not extend the
@@ -378,7 +384,7 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
         half[n:] = rng.integers(0, duration_ps, n_dark)
 
     rng_jitter = _substream(run.seed, _SUB_JITTER)
-    dead_ps = math.ceil(Fraction(chain.dead_time_ns) * 1000)
+    dead_ps = _ceil_ps(chain.dead_time_ns)
     for k, (half, n) in enumerate(zip(halves, n_photons)):
         t = half.view(np.int64)
         if chain.jitter_ps > 0.0:

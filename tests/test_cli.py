@@ -104,6 +104,22 @@ class TestQpm:
         first = lines[1].split(",")
         assert float(first[1]) >= 2 * 657e-9 - 1e-12
 
+    @pytest.mark.parametrize("curve", [
+        "100:130:1", "100:100:5", "140:60:41", "-20:-5:7", "-0:35.3:3",
+        "60:140:41", "-10.1:10.3:1000"])
+    def test_curve_temperatures_are_linspace(self, capsys, monkeypatch,
+                                             curve):
+        seen = []
+        monkeypatch.setattr(pairsim.qpm, "temperature_tuning_curve",
+                            lambda pump, period, temps, model, order:
+                            seen.append(temps) or [])
+        code, _, err = run_cli(capsys, "qpm", "--pump", "657e-9",
+                               "--period", "12.4e-6", f"--curve={curve}")
+        assert code == 0, err
+        t0, t1, n = curve.split(":")
+        want = np.linspace(float(t0), float(t1), int(n)).tolist()
+        assert [t.hex() for t in seen[0]] == [t.hex() for t in want]
+
     def test_out_writes_manifest(self, capsys, tmp_path):
         report = tmp_path / "point.txt"
         code, _, _ = run_cli(capsys, "qpm", "--pump", "657e-9",
@@ -680,11 +696,11 @@ _SIMULATE = ["simulate", "--config", "{config}", "--duration", "0.05",
 @pytest.mark.parametrize("argv, loaded, unloaded", [
     (None, {"pairsim.cli"}, {"numpy", "concurrent.futures"}),
     (["estimate", "--s1", "1e5", "--s2", "1e5", "--rc", "1e3",
-      "--duration", "2"], {"pairsim.estimator"}, {"numpy"}),
-    (["table1"], {"pairsim.estimator"}, {"numpy"}),
+      "--duration", "2"], {"pairsim.estimator"}, {"numpy", "hashlib"}),
+    (["table1"], {"pairsim.estimator"}, {"numpy", "hashlib"}),
     (["qpm", "--pump", "657e-9", "--period", "12.4e-6", "--curve",
-      "100:130:3"], {"numpy", "pairsim.qpm"},
-     {"pairsim.source", "pairsim.events", "pairsim.counting"}),
+      "100:130:3"], {"pairsim.qpm"},
+     {"numpy", "pairsim.source", "pairsim.events", "pairsim.counting"}),
     (_SIMULATE, {"pairsim.source", "pairsim.events"},
      {"pairsim.qpm", "pairsim.counting", "pairsim.estimator",
       "concurrent.futures"}),

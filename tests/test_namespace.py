@@ -117,4 +117,4 @@ def test_import_loads_no_submodule_until_used():
         env=dict(os.environ, PYTHONPATH=str(src_dir)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "[] False", "['pairsim.core'] False", "True"]
+        "[] False", "['pairsim.core'] False", "False"]

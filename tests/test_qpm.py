@@ -41,6 +41,15 @@ class TestRefractiveIndex:
                 n = refractive_index(MODEL, Wavelength(lam * 1e3), float(t))
                 assert 1.0 < n < 3.0
 
+    def test_array_index_matches_scalar_path(self):
+        nm = np.linspace(400.0, 5000.0, 1001).tolist()
+        lam = np.array([Wavelength(x).um for x in nm])
+        for t in (20.0, 100.0, 200.0):
+            n = MODEL.index_um(lam, t)
+            assert isinstance(n, np.ndarray)
+            assert n.tolist() == [refractive_index(MODEL, Wavelength(x), t)
+                                  for x in nm]
+
     def test_out_of_range_errors_name_the_bound(self):
         with pytest.raises(ConfigError, match="wavelength"):
             refractive_index(MODEL, Wavelength(200.0), 100.0)
@@ -296,8 +305,8 @@ def per_interval_signal_root(pump, poling_period_um, temperature_c,
                                     model) - grating
 
     grid = np.linspace(2.0 * pump.nm, model.wavelength_range_um[1] * 1e3, 512)
-    values = (qpm._signal_scan_per_m(pump, grid, temperature_c, model)
-              - grating).tolist()
+    values = [v - grating
+              for v in scalar_signal_scan(pump, grid, temperature_c, model)]
     root_nm = None
     for i in range(len(grid) - 1):
         root_nm = _bracketed_root(mismatch, float(grid[i]), float(grid[i + 1]),
@@ -314,16 +323,24 @@ class TestSignalScan:
     def test_matches_scalar_path(self, pump_nm, temperature_c):
         pump = Wavelength(pump_nm)
         grid = np.linspace(2.0 * pump.nm, MODEL.wavelength_range_um[1] * 1e3,
-                           512)
-        assert qpm._signal_scan_per_m(pump, grid, temperature_c,
-                                      MODEL).tolist() \
+                           512).tolist()
+        scan, mismatch = qpm._signal_mismatch(pump, temperature_c, MODEL, 0.0)
+        got_grid, terms = qpm._signal_grid(pump.nm, grid[-1])
+        assert list(got_grid) == grid
+        assert list(scan(terms)) == [mismatch(nm) for nm in grid] \
             == scalar_signal_scan(pump, grid, temperature_c)
+        # the solver bounds the range of the whole scan by its ends: the
+        # signal ascends along the grid and its idler descends
+        idlers = [idler_wavelength(pump, Wavelength(nm)).nm for nm in grid]
+        assert grid == sorted(grid) and idlers == sorted(idlers, reverse=True)
 
-    # temperature and pump out of the validity range, and a model whose
-    # upper edge 1.63 um comes back one ulp above itself through nm, so the
-    # last signal point of the scan falls outside it
+    # temperature and pump out of the validity range; the scan's own range
+    # errors are pinned by test_idler_error_raises_before_the_root, and a
+    # model edge that comes back one ulp above itself through nm (which an
+    # unadjusted scan would cross) by
+    # TestSignalSolve::test_model_edge_that_rounds_up_through_nm
     @pytest.mark.parametrize("pump_nm,temperature_c,max_um", [
-        (657.0, 300.0, 5.0), (150.0, 100.0, 5.0), (657.0, 100.0, 1.63)])
+        (657.0, 300.0, 5.0), (150.0, 100.0, 5.0)])
     def test_range_error_matches_scalar_path(self, pump_nm, temperature_c,
                                              max_um):
         from dataclasses import replace
@@ -332,10 +349,25 @@ class TestSignalScan:
         grid = np.linspace(2.0 * pump.nm, max_um * 1e3, 512)
         with pytest.raises(ConfigError) as scalar:
             scalar_signal_scan(pump, grid, temperature_c, model)
-        with pytest.raises(ConfigError) as array:
-            qpm._signal_scan_per_m(pump, grid, temperature_c, model)
-        assert str(array.value) == str(scalar.value)
+        with pytest.raises(ConfigError) as solver:
+            solve_signal_wavelength(pump, 12.4, temperature_c, model)
+        assert str(solver.value) == str(scalar.value)
 
+    def test_idler_error_raises_before_the_root(self):
+        # a model that starts at the pump and reaches 1e20 um: near its top
+        # the idler of this pump rounds one ulp below the pump, outside the
+        # model, while the mismatch changes sign near an 18 um signal long
+        # before that; the first point outside still raises, as in the
+        # scalar path that scans every point first
+        from dataclasses import replace
+        pump = Wavelength(752.5483636861356)
+        model = replace(MODEL, wavelength_range_um=(pump.um, 1e20))
+        grid = np.linspace(2.0 * pump.nm, 1e23, 512)
+        with pytest.raises(ConfigError, match="outside validity") as scalar:
+            scalar_signal_scan(pump, grid, 100.0, model)
+        with pytest.raises(ConfigError) as solver:
+            solve_signal_wavelength(pump, 12.4, 100.0, model)
+        assert str(solver.value) == str(scalar.value)
 
     def test_root_matches_per_interval_search(self):
         # periods designed near degeneracy at 60 and 140 C, swept from 20 C

@@ -388,6 +388,19 @@ class TestSimulateRun:
                     == np.unique(free.times_for(k)).tolist()
         assert dead.n_events < free.n_events - 1000
 
+    def test_dead_time_ceiling_is_exact(self):
+        # oracle: the exact rational ceiling; the dead times 1 ... 1000 ns
+        # and 1 ... 1000 ps as read from SI text, then log-uniform values
+        from fractions import Fraction
+        from pairsim.source import _ceil_ps
+        rng = np.random.default_rng(9)
+        values = [float(f"{k}e-{e}") * 1e9 for e in (9, 12)
+                  for k in range(1, 1001)]
+        values += [0.0, 5e-324, 1e-3, 50.0, 2.0**-30, 1e300]
+        values += (10.0 ** rng.uniform(-6.0, 6.0, 100_000)).tolist()
+        for ns in values:
+            assert _ceil_ps(ns) == math.ceil(Fraction(ns) * 1000), ns
+
     def test_dead_time_monotone(self):
         src = make_source(2e6)
         window = WindowConfig(1.0, 100.0)
