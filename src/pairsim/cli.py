@@ -7,8 +7,7 @@ Celsius. Whenever a command writes an output file it also writes a
 ``<output>.manifest`` key-value file carrying the fully resolved
 configuration, the seed, and the output digest; ``simulate --from-manifest``
 re-runs a manifest and reproduces the event file bit-exactly. ``simulate``
-writes binary (v2) event files; ``count`` also reads the v1 text files of
-earlier versions.
+writes binary (v2) event files, the one format ``count`` reads.
 
 Exit codes: 0 success, 1 usage/config error, 2 data/parse error,
 3 inference/solver error.
@@ -317,7 +316,7 @@ def _cmd_count(args) -> int:
 # ----------------------------------------------------------- estimate ----
 
 def _read_summary_csv(path: str) -> dict[str, str]:
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines()
+    lines = [ln for ln in keyvalue._read_utf8(path).splitlines()
              if ln.strip()]
     if len(lines) < 2:
         raise DataFormatError(f"{path}: expected a CSV header and one row")

@@ -16,10 +16,8 @@ int64 timestamps and then n uint8 detector indices::
     # events = 3538579
     <8n bytes of timestamps><n bytes of detectors>
 
-read_event_file dispatches on the magic line. It also reads version 1
-(``# pairsim-events v1``), which earlier versions wrote: the same header
-lines without ``# events``, then UTF-8 text, one ``<detector>\t<time>``
-event per line.
+read_event_file reads only version 2. A version 1 text file
+(``# pairsim-events v1``), which pairsim 0.1.0 wrote, is a DataFormatError.
 
 README "File formats" gives the exact lines the reader accepts. Timestamps
 must ascend; the writer/reader round trip is bit exact.
@@ -28,8 +26,6 @@ must ascend; the writer/reader round trip is bit exact.
 from __future__ import annotations
 
 import os
-import re
-import warnings
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -40,8 +36,7 @@ from . import _EXPORTS
 
 __all__ = [*_EXPORTS["events"]]
 
-FILE_MAGIC = "# pairsim-events v1"
-FILE_MAGIC_V2 = "# pairsim-events v2"
+FILE_MAGIC = "# pairsim-events v2"
 
 
 def _cluster_bounds(cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,43 +172,26 @@ def write_event_file(stream: EventStream, path: str | os.PathLike) -> None:
     if stream.config_digest:
         header.append(f"# config_digest = {stream.config_digest}")
     with open(path, "wb") as fh:
-        fh.write("\n".join([FILE_MAGIC_V2, *header,
+        fh.write("\n".join([FILE_MAGIC, *header,
                             f"# events = {stream.n_events}", ""])
                  .encode("utf-8"))
         stream.times_ps.astype("<i8", copy=False).tofile(fh)
         stream.detectors.tofile(fh)
 
 
-def _first_bad_line(path: str | os.PathLike, fallback: str) -> str:
-    """Locate a failed bulk parse by the previous per-line rule (no events)."""
-    src, overflow = str(path), None
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if lineno == 1 or not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                return (f"{src}:{lineno}: expected '<detector>\\t<timestamp_ps>', "
-                        f"got {line!r}")
-            try:
-                d, ts = int(parts[0]), int(parts[1])
-            except ValueError:
-                return f"{src}:{lineno}: non-integer event fields {line!r}"
-            if d not in (1, 2):
-                return f"{src}:{lineno}: detector index must be 1 or 2, got {d}"
-            if overflow is None and not -2**63 <= ts < 2**63:
-                overflow = f"{src}:{lineno}: timestamp {ts} ps exceeds int64"
-    return overflow or fallback
-
-
 def read_event_file(path: str | os.PathLike) -> EventStream:
-    """Read a v1 or v2 event file, whichever its magic line names; a
-    malformed file raises DataFormatError naming where it is bad."""
+    """Read a v2 event file; a malformed file raises DataFormatError naming
+    where it is bad."""
     with open(path, "rb") as fh:
-        if fh.readline(64) == (FILE_MAGIC_V2 + "\n").encode():
+        magic = fh.readline(64)
+        if magic == (FILE_MAGIC + "\n").encode():
             return _read_binary(path, fh)
-    return _read_text(path)
+    if magic in (b"# pairsim-events v1\n", b"# pairsim-events v1\r\n"):
+        raise DataFormatError(
+            f"{path}:1: a v1 text event file, which pairsim 0.1.0 wrote; "
+            f"this version reads only {FILE_MAGIC!r}")
+    raise DataFormatError(f"{path}:1: not an event file "
+                          f"(expected {FILE_MAGIC!r})")
 
 
 def _read_binary(path: str | os.PathLike, fh) -> EventStream:
@@ -260,46 +238,3 @@ def _read_binary(path: str | os.PathLike, fh) -> EventStream:
             body + 8 * n + np.flatnonzero((dets - 1) > 1),
             body + 8 * np.flatnonzero(bad_t), [body]))
         fail(int(at[0]), str(exc))
-
-
-def _read_text(path: str | os.PathLike) -> EventStream:
-    """Parse a v1 file with one bulk parse of its event lines; a malformed
-    line raises DataFormatError naming its 1-based line number."""
-    src, header, stray = str(path), {}, False
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        if fh.readline().rstrip("\n") != FILE_MAGIC:
-            raise DataFormatError(
-                f"{src}:1: not an event file (expected {FILE_MAGIC!r})")
-        # header keys: any '#' line, the last wins. The bulk parse fails bad
-        # UTF-8 but drops '#...' and reads \x1c-\x1f as spaces: catch strays
-        while chunk := fh.read(1 << 20) + fh.readline():    # whole lines
-            comments = re.findall(r"^#.*", chunk, re.M) if "#" in chunk else []
-            header.update((key.strip(), value.strip()) for key, eq, value
-                          in (x[1:].partition("=") for x in comments) if eq)
-            stray = stray or any(c in chunk and chunk.count(c) != sum(
-                x.count(c) for x in comments) for c in "#\x1c\x1d\x1e\x1f")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy 1.x would read 10.5 as 10
-            warnings.filterwarnings("ignore", "loadtxt: input contained")
-            rows = np.loadtxt(path, np.int64, delimiter="\t", encoding="utf-8",
-                              ndmin=2)
-        if stray or rows.size and (rows.shape[1] != 2 or rows[:, 0].min() < 1
-                                   or rows[:, 0].max() > 2):
-            raise ValueError("malformed event lines")
-    except (ValueError, Warning) as exc:
-        raise DataFormatError(_first_bad_line(path, f"{src}: {exc}")) from None
-    rows = rows.reshape(-1, 2)      # a file without events loads as (0, 1)
-    if "duration_ps" not in header:
-        raise DataFormatError(f"{src}: header is missing duration_ps")
-    try:
-        return EventStream(
-            detectors=rows[:, 0].astype(np.uint8), times_ps=rows[:, 1],
-            duration_ps=int(header["duration_ps"]),
-            resolution_ps=int(header.get("resolution_ps", "1")),
-            seed=int(header["seed"]) if "seed" in header else None,
-            config_digest=header.get("config_digest", ""))
-    except ConfigError as exc:
-        raise DataFormatError(f"{src}: {exc}") from None
-    except ValueError as exc:       # a header value that int() cannot read
-        raise DataFormatError(f"{src}: bad header value ({exc})") from None

@@ -46,9 +46,20 @@ def parse_keyvalue(text: str, source: str = "<string>") -> dict[str, str]:
     return result
 
 
+def _read_utf8(path: str | os.PathLike) -> str:
+    """The text of a file; bytes that are not UTF-8 are a DataFormatError
+    naming the offset of the first."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(
+            f"{path}: byte {exc.start}: not UTF-8 text") from None
+
+
 def read_keyvalue(path: str | os.PathLike) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_keyvalue(fh.read(), source=str(path))
+    return parse_keyvalue(_read_utf8(path), source=str(path))
 
 
 def format_value(value: object) -> str:

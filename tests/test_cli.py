@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pairsim
-from pairsim import cli, events, keyvalue
+from pairsim import cli, keyvalue
 from pairsim import source as source_mod
 from test_estimator import TABLE1_CSV_SHA256, TABLE1_TEXT_SHA256, sha256_text
 from test_source import make_chain, make_source
@@ -406,46 +406,6 @@ class TestCount:
         assert keyvalue.get_int(kv, "rc_accidental_count") \
             < keyvalue.get_int(kv, "rc_count")
 
-    def test_empty_file_with_duration_gives_zero_summary(self, capsys,
-                                                         tmp_path):
-        path = tmp_path / "empty.events"
-        path.write_text("# pairsim-events v1\n# duration_ps = 1000000000\n",
-                        encoding="utf-8")
-        code, out, _ = run_cli(capsys, "count", str(path))
-        assert code == 0
-        kv = parse_out(out)
-        assert keyvalue.get_float(kv, "s1_raw_hz") == 0.0
-        assert keyvalue.get_float(kv, "rc_raw_hz") == 0.0
-
-    def test_corrupt_detector_index_is_data_error(self, capsys, tmp_path):
-        path = tmp_path / "bad.events"
-        path.write_text("# pairsim-events v1\n# duration_ps = 1000\n"
-                        "1\t10\n3\t20\n", encoding="utf-8")
-        code, _, err = run_cli(capsys, "count", str(path))
-        assert code == 2 and ":4" in err
-
-    def test_unsorted_file_is_data_error(self, capsys, tmp_path):
-        path = tmp_path / "bad.events"
-        path.write_text("# pairsim-events v1\n# duration_ps = 1000\n"
-                        "1\t50\n2\t10\n", encoding="utf-8")
-        code, _, err = run_cli(capsys, "count", str(path))
-        assert code == 2 and "non-decreasing" in err
-
-    def test_timestamp_beyond_int64_is_data_error(self, capsys, tmp_path):
-        path = tmp_path / "bad.events"
-        path.write_text("# pairsim-events v1\n# duration_ps = 1000\n"
-                        "1\t10\n2\t99999999999999999999\n", encoding="utf-8")
-        code, _, err = run_cli(capsys, "count", str(path))
-        assert code == 2 and ":4:" in err
-
-    def test_duration_beyond_int64_is_data_error(self, capsys, tmp_path):
-        path = tmp_path / "bad.events"
-        path.write_text("# pairsim-events v1\n"
-                        "# duration_ps = 99999999999999999999\n1\t10\n",
-                        encoding="utf-8")
-        code, _, err = run_cli(capsys, "count", str(path))
-        assert code == 2 and "duration" in err
-
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "count", str(tmp_path / "nope.events"))
         assert code == 2
@@ -502,12 +462,7 @@ class TestCountBinary:
     @pytest.mark.parametrize("data, offset, fragment", MALFORMED_V2.values(),
                              ids=MALFORMED_V2.keys())
     def test_malformed_file_names_byte_offset(self, capsys, tmp_path,
-                                              monkeypatch, data, offset,
-                                              fragment):
-        def unreachable(*args):
-            raise AssertionError("the v2 reader called _first_bad_line")
-
-        monkeypatch.setattr(events, "_first_bad_line", unreachable)
+                                              data, offset, fragment):
         path = tmp_path / "bad.events"
         path.write_bytes(data)
         code, out, err = run_cli(capsys, "count", str(path))
@@ -815,6 +770,23 @@ def test_float_option_edge_values_exit_codes(capsys, tmp_path, template,
         got.append(run_cli(capsys, *template.format(
             v=v, summary=summary, config=config, tmp=tmp_path).split())[0])
     assert tuple(got) == (0, *codes)
+
+
+@pytest.mark.parametrize("command", [
+    "estimate --summary={bad}",
+    "simulate --config={bad} --duration=0.01 --seed=1 --out={tmp}/sim.events",
+    "simulate --from-manifest={bad}",
+    "qpm --pump=657e-9 --period=12.4e-6 --sellmeier={bad}",
+    "table1 --data={bad}",
+], ids=["estimate", "simulate-config", "simulate-manifest", "qpm", "table1"])
+def test_non_utf8_text_input_is_data_error(capsys, tmp_path, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"a = 1\nb = \xff\n")
+    code, out, err = run_cli(capsys, *command.format(bad=bad,
+                                                     tmp=tmp_path).split())
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: byte 10: not UTF-8 text\n"
+    assert not (tmp_path / "sim.events").exists()
 
 
 def test_version_flag(capsys):

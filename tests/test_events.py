@@ -1,7 +1,6 @@
 import os
 import re
 import tempfile
-import warnings
 
 import numpy as np
 import pytest
@@ -9,23 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pairsim import (ConfigError, DataFormatError, EventStream,
                      read_event_file, write_event_file)
-from pairsim import events
-
-
-def write_v1_event_file(stream, path):
-    """The v1 text writer of earlier pairsim versions, kept so that tests can
-    pin the reader to the legacy bytes."""
-    header = [f"# duration_ps = {stream.duration_ps}",
-              f"# resolution_ps = {stream.resolution_ps}"]
-    if stream.seed is not None:
-        header.append(f"# seed = {stream.seed}")
-    if stream.config_digest:
-        header.append(f"# config_digest = {stream.config_digest}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join([events.FILE_MAGIC, *header, ""]))
-        rows = np.column_stack((stream.detectors, stream.times_ps))
-        for block in np.split(rows, range(1 << 14, len(rows), 1 << 14)):
-            fh.write("%d\t%d\n" * len(block) % tuple(block.ravel().tolist()))
+from pairsim import cli, events
 
 
 def small_stream(**overrides):
@@ -145,33 +128,6 @@ class TestEventFile:
         with pytest.raises(DataFormatError, match=":1"):
             read_event_file(path)
 
-    def test_malformed_line_reports_number(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("# pairsim-events v1\n# duration_ps = 100\n"
-                        "1\t10\ngarbage line\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match=":4"):
-            read_event_file(path)
-
-    def test_detector_three_reports_line(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("# pairsim-events v1\n# duration_ps = 100\n"
-                        "1\t10\n3\t20\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match=r":4.*detector index"):
-            read_event_file(path)
-
-    def test_unsorted_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("# pairsim-events v1\n# duration_ps = 100\n"
-                        "1\t50\n2\t10\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="non-decreasing"):
-            read_event_file(path)
-
-    def test_missing_duration_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("# pairsim-events v1\n1\t10\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="duration_ps"):
-            read_event_file(path)
-
 
 class TestBinaryEventFile:
     def test_layout(self, tmp_path):
@@ -194,129 +150,32 @@ class TestBinaryEventFile:
         assert read_event_file(path) == empty
 
 
-HEAD = "# pairsim-events v1\n# duration_ps = 1000\n"
+V1_FILE = ("a v1 text event file, which pairsim 0.1.0 wrote; this version "
+           "reads only '# pairsim-events v2'")
+NOT_EVENT_FILE = "not an event file (expected '# pairsim-events v2')"
 
-# One row per line form: (file text, result). The result is the list of
-# (detector, timestamp) events read, or (line, fragment) for a
-# DataFormatError (exit 2), where line is the 1-based line it names (None
-# for none). Rows marked "changed" differ from the previous per-line reader
-# on purpose; every other row is that reader's result.
-READER_PARITY = {
-    "blank line in body": (HEAD + "1\t10\n\n2\t20\n", [(1, 10), (2, 20)]),
-    # changed: was skipped, the bulk parser rejects it
-    "whitespace-only line in body": (HEAD + "1\t10\n \t \n2\t20\n",
-                                     (None, "could not convert")),
-    "comment in body": (HEAD + "1\t10\n# note\n2\t20\n", [(1, 10), (2, 20)]),
-    "header key after events": (
-        "# pairsim-events v1\n1\t10\n2\t20\n# duration_ps = 1000\n",
-        [(1, 10), (2, 20)]),
-    "blank line in header": (
-        "# pairsim-events v1\n\n# duration_ps = 1000\n1\t10\n", [(1, 10)]),
-    "CRLF line ends": (HEAD.replace("\n", "\r\n") + "1\t10\r\n2\t20\r\n",
-                       [(1, 10), (2, 20)]),
-    "CR line ends": (HEAD.replace("\n", "\r") + "1\t10\r2\t20\r",
-                     [(1, 10), (2, 20)]),
-    "plus sign": (HEAD + "1\t+10\n", [(1, 10)]),
-    "spaces around field": (HEAD + "1\t 10 \n", [(1, 10)]),
-    # changed: int() read digit separators and non-ASCII digits
-    "digit separator": (HEAD + "1\t1_0\n", (None, "could not convert")),
-    "non-ASCII digits": (HEAD + "1\t\u0661\u0660\n", (None, "could not convert")),
-    "inline comment": (HEAD + "1\t10 # c\n", (3, "non-integer event fields")),
-    "comment after indent": (HEAD + "  # note\n1\t10\n", (3, "expected")),
-    "file separator padding": (HEAD + "1\t\x1c10\n", (3, "non-integer")),
-    "three columns": (HEAD + "1\t10\t5\n", (3, "expected")),
-    "one column": (HEAD + "1\t10\n7\n", (4, "expected")),
-    "space separator": (HEAD + "1 10\n", (3, "expected")),
-    "non-integer fields": (HEAD + "1\t10.5\n", (3, "non-integer")),
-    "detector 0": (HEAD + "1\t10\n0\t20\n", (4, "detector index")),
-    "detector 3": (HEAD + "1\t10\n3\t20\n", (4, "detector index")),
-    "detector 257": (HEAD + "257\t10\n", (3, "detector index")),
-    # changed: was an OverflowError traceback
-    "timestamp beyond int64": (HEAD + "1\t10\n2\t99999999999999999999\n",
-                               (4, "exceeds int64")),
-    "timestamp beyond int64, later bad line": (
-        HEAD + "1\t99999999999999999999\n3\t20\n", (4, "detector index")),
-    "negative timestamp": (HEAD + "1\t-5\n", (None, "lie in")),
-    # changed: was accepted, the int64 difference of the decrease wraps
-    "decrease beyond int64 difference": (
-        "# pairsim-events v1\n# duration_ps = 9223372036854775807\n"
-        "1\t0\n1\t9223372036854775806\n2\t-10\n1\t5\n",
-        (None, "non-decreasing")),
-    # changed: was accepted, then an OverflowError traceback in count
-    "duration beyond int64": (
-        "# pairsim-events v1\n# duration_ps = 99999999999999999999\n1\t10\n",
-        (None, "duration must be")),
-    # changed: was a UnicodeDecodeError traceback
-    "bytes not UTF-8": (HEAD + "1\t\udcff10\n", (3, "non-integer")),
-    "empty body": (HEAD, []),
-    "no trailing newline": (HEAD + "1\t10\n2\t20", [(1, 10), (2, 20)]),
+# (first line, message after '<path>:1: '): only '# pairsim-events v2' and
+# a LF starts an event file; a v1 magic line is named as such
+NOT_V2 = {
+    "v1, LF": (b"# pairsim-events v1\n", V1_FILE),
+    "v1, CRLF": (b"# pairsim-events v1\r\n", V1_FILE),
+    "v2, CRLF": (b"# pairsim-events v2\r\n", NOT_EVENT_FILE),
+    "other": (b"time,detector\n", NOT_EVENT_FILE),
 }
 
 
-@pytest.mark.parametrize("text,expected", READER_PARITY.values(),
-                         ids=READER_PARITY.keys())
-def test_reader_parity(tmp_path, text, expected):
+@pytest.mark.parametrize("first, message", NOT_V2.values(), ids=NOT_V2.keys())
+def test_only_v2_magic_line_reads(tmp_path, capsys, first, message):
+    """The library raises DataFormatError and count exits 2, printing
+    nothing on stdout."""
     path = tmp_path / "events.txt"
-    path.write_bytes(text.encode("utf-8", "surrogateescape"))
-    if isinstance(expected, list):
-        stream = read_event_file(path)
-        assert list(zip(stream.detectors.tolist(),
-                        stream.times_ps.tolist())) == expected
-        return
-    line, fragment = expected
+    path.write_bytes(first + b"# duration_ps = 1000\n1\t10\n")
     with pytest.raises(DataFormatError) as err:
         read_event_file(path)
-    prefix = f"{path}:{line}: " if line else f"{path}: "
-    assert str(err.value).startswith(prefix) and fragment in str(err.value)
-
-
-@pytest.mark.filterwarnings("ignore")
-@pytest.mark.parametrize("line", ["1\t10.5", "1\t1e3", "1.9\t10"])
-def test_non_integer_fields_rejected_under_any_warning_filter(tmp_path, line):
-    path = tmp_path / "events.txt"
-    path.write_text(HEAD + line + "\n", encoding="utf-8")
-    with pytest.raises(DataFormatError,
-                       match=f"^{re.escape(str(path))}:3: non-integer"):
-        read_event_file(path)
-
-
-@pytest.mark.filterwarnings("ignore")
-def test_bulk_parse_warning_is_data_error(tmp_path, monkeypatch):
-    """numpy 1.x loadtxt reads '10.5' as 10 and only warns; the reader's own
-    warning filter turns that into a located error whatever the caller's."""
-    def truncating_loadtxt(*args, **kwargs):
-        warnings.warn("loadtxt: integer via a float", DeprecationWarning)
-        return np.array([[1, 10]], dtype=np.int64)
-
-    monkeypatch.setattr(events.np, "loadtxt", truncating_loadtxt)
-    path = tmp_path / "events.txt"
-    path.write_text(HEAD + "1\t10.5\n", encoding="utf-8")
-    with pytest.raises(DataFormatError,
-                       match=f"^{re.escape(str(path))}:3: non-integer"):
-        read_event_file(path)
-
-
-def test_scan_reads_every_chunk(tmp_path):
-    """The header and stray-character scan reads the file in chunks of 2**20
-    characters after the magic line, each completed to a line end: keys and
-    stray '#' past the first chunk count, and a line the cut splits stays
-    whole."""
-    body = "".join(f"1\t{i}\n" for i in range(200_000))      # about 1.8 MB
-    path = tmp_path / "events.txt"
-    path.write_text("# pairsim-events v1\n" + body + "# duration_ps = 300000\n"
-                    "# duration_ps = 200000\n", encoding="utf-8")
-    stream = read_event_file(path)
-    assert stream.duration_ps == 200_000 and stream.n_events == 200_000
-    path.write_text(HEAD.replace("1000", "300000") + body + "1\t250000 # c\n",
-                    encoding="utf-8")
-    with pytest.raises(DataFormatError, match=":200003: non-integer"):
-        read_event_file(path)
-    # 104857 lines of 10 characters, then the cut falls just before this '#'
-    body = "".join(f"1\t{i:07d}\n" for i in range(104_857)) + "2\t999 # c\n"
-    path.write_text("# pairsim-events v1\n" + body
-                    + "# duration_ps = 2000000\n", encoding="utf-8")
-    with pytest.raises(DataFormatError, match=":104859: non-integer"):
-        read_event_file(path)
+    assert str(err.value) == f"{path}:1: {message}"
+    assert cli.main(["count", str(path)]) == 2
+    out, stderr = capsys.readouterr()
+    assert out == "" and stderr == f"error: {path}:1: {message}\n"
 
 
 @st.composite
@@ -375,18 +234,6 @@ def test_write_read_round_trip_property(stream):
         path = os.path.join(tmp, "events.txt")
         write_event_file(stream, path)
         assert read_event_file(path) == stream
-
-
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(event_streams())
-def test_text_to_binary_round_trip_property(stream):
-    """v1 file -> stream -> v2 file -> stream gives the same stream."""
-    with tempfile.TemporaryDirectory() as tmp:
-        text = os.path.join(tmp, "v1.events")
-        v2 = os.path.join(tmp, "v2.events")
-        write_v1_event_file(stream, text)
-        write_event_file(read_event_file(text), v2)
-        assert read_event_file(v2) == stream
 
 
 @st.composite

@@ -118,3 +118,10 @@ def test_import_loads_no_submodule_until_used():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "[] False", "['pairsim.core'] False", "False"]
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == pairsim.__version__

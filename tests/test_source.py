@@ -14,7 +14,6 @@ from pairsim import (ConfigError, DetectionChainConfig, Efficiency,
                      reference_chain, reference_source, sample_pair_spectrum,
                      simulate_run, write_event_file)
 from pairsim import keyvalue, source as source_mod
-from test_events import write_v1_event_file
 
 FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -500,15 +499,6 @@ class TestGoldenStream:
             == ("447009b54b72ff2c1157fab6294df742"
                 "755c1de353cab7af9f02b3a7c9a3c9b6")
 
-    def test_event_file_digest(self, stream, tmp_path):
-        # computed with the previous per-line writer: v1 files written by
-        # earlier versions must still read back to the same stream
-        path = tmp_path / "golden.events"
-        write_v1_event_file(stream, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "9c9cc4f02b900e32f1601d1d6d2327cd460dce4a2c71ed237ada7dbb5d76c10c")
-        assert read_event_file(path) == stream
-
     def test_binary_event_file_digest(self, stream, tmp_path):
         # the v2 bytes simulate writes by default: header, then packed columns
         path = tmp_path / "golden.events"
@@ -602,7 +592,7 @@ class TestAllocationBudget:
 
     def test_binary_read_peak(self, tmp_path):
         # the two columns are read into their final arrays; EventStream's
-        # checks allocate the rest (v1 text reads peak near 3x)
+        # checks allocate the rest
         stream, _ = simulate_run(reference_source(), reference_chain(),
                                  RunConfig(1.0, seed=3))
         path = tmp_path / "reference.events"
