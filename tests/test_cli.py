@@ -406,6 +406,33 @@ class TestCount:
         assert keyvalue.get_int(kv, "rc_accidental_count") \
             < keyvalue.get_int(kv, "rc_count")
 
+    def test_corrupt_detector_index_is_data_error(self, capsys, tmp_path):
+        # the detector column starts at byte 78; the second one is 255
+        path = tmp_path / "bad.events"
+        path.write_bytes(v2_file([10, 20, 30], [1, 255, 2]))
+        code, out, err = run_cli(capsys, "count", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: byte 79: ")
+        assert "detector index" in err
+
+    def test_unsorted_file_is_data_error(self, capsys, tmp_path):
+        # the body starts at byte 54; the third time, 20 < 50, is at 70
+        path = tmp_path / "bad.events"
+        path.write_bytes(v2_file([10, 50, 20], [1, 2, 1]))
+        code, out, err = run_cli(capsys, "count", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: byte 70: ")
+        assert "non-decreasing" in err
+
+    def test_duration_beyond_int64_is_data_error(self, capsys, tmp_path):
+        # 2**63, one past the int64 maximum; the body starts at byte 69
+        path = tmp_path / "bad.events"
+        path.write_bytes(v2_file([10], [1], head=b"# pairsim-events v2\n"
+                                 b"# duration_ps = %d\n" % 2**63))
+        code, out, err = run_cli(capsys, "count", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: byte 69: duration must be")
+
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "count", str(tmp_path / "nope.events"))
         assert code == 2

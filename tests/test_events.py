@@ -128,6 +128,25 @@ class TestEventFile:
         with pytest.raises(DataFormatError, match=":1"):
             read_event_file(path)
 
+    def test_unsorted_file_rejected(self, tmp_path):
+        # the body starts at byte 53; the second time, 10 < 50, is at 61
+        path = tmp_path / "bad.events"
+        path.write_bytes(b"# pairsim-events v2\n# duration_ps = 100\n"
+                         b"# events = 2\n"
+                         + np.array([50, 10], dtype="<i8").tobytes()
+                         + bytes([1, 2]))
+        with pytest.raises(DataFormatError,
+                           match=r": byte 61: .*non-decreasing"):
+            read_event_file(path)
+
+    def test_missing_duration_rejected(self, tmp_path):
+        path = tmp_path / "bad.events"
+        path.write_bytes(b"# pairsim-events v2\n# events = 1\n"
+                         + np.array([10], dtype="<i8").tobytes() + b"\x01")
+        with pytest.raises(DataFormatError,
+                           match=": byte 33: header is missing duration_ps"):
+            read_event_file(path)
+
 
 class TestBinaryEventFile:
     def test_layout(self, tmp_path):
