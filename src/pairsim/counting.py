@@ -134,7 +134,9 @@ def _two_pointer_matches(a: list[int], b: list[int], half_window: int) -> int:
 def _match_count(times: np.ndarray, is1: np.ndarray,
                  half_window_ps: float) -> int:
     """One-to-one greedy matching in time order, |t1 - t2| <= half window,
-    of a merged stream (detector 1 first at ties; is1 marks its events).
+    of a merged stream (detector 1 first at ties; is1 marks its events, as
+    a bool mask or as the detector indices 1 and 2, and is read only at the
+    candidates, so a stream's detectors need no full-size mask).
 
     Timestamps are integers, so the window is its integer floor. A gap wider
     than the window is never spanned by a match, so the clusters between
@@ -148,7 +150,7 @@ def _match_count(times: np.ndarray, is1: np.ndarray,
     """
     half_window = min(math.floor(half_window_ps), 2**63 - 1)
     keep = _near(times, half_window)
-    t, m = times[keep], is1[keep]
+    t, m = times[keep], is1[keep] == 1
     if t.size == 0:
         return 0
     starts, ends = _cluster_bounds(np.diff(t) > half_window)
@@ -160,8 +162,7 @@ def _match_count(times: np.ndarray, is1: np.ndarray,
                                    t[ambiguous & ~m].tolist(), half_window))
 
 
-def _accidental_count(stream: EventStream, is1: np.ndarray,
-                      window: WindowConfig) -> int:
+def _accidental_count(stream: EventStream, window: WindowConfig) -> int:
     """Matches against detector 2 delayed by shift = delay mod duration and
     wrapped: its sorted times rotated at one point, for any delay.
 
@@ -172,9 +173,10 @@ def _accidental_count(stream: EventStream, is1: np.ndarray,
     t >= duration - shift; any other event is more than a half window from
     every event of the other detector. The candidates are 8 % of the
     reference stream and 56 % of the dense one, and net_summary peaks at
-    about 4 bytes per event above the stream. A delay far beyond the mean
-    event spacing keeps every event: the gap pass then adds about 20 % and
-    the peak is 19 bytes per event (18 without the pruning).
+    about 2 bytes per event above the stream. A delay far beyond the mean
+    event spacing keeps every event, and the traced peak is then 21 bytes
+    per event: the candidates' times (8), their two detector halves (8) and
+    the index np.compress builds (4).
     """
     t, d = stream.times_ps, stream.duration_ps
     shift = window.delay_ps % d
@@ -182,18 +184,25 @@ def _accidental_count(stream: EventStream, is1: np.ndarray,
     keep = _near(t, reach)
     keep[:np.searchsorted(t, reach, "right")] = True    # head zone
     keep[np.searchsorted(t, d - shift):] = True          # wrap zone
-    t2 = np.compress(keep & ~is1, t)
+    at = np.flatnonzero(keep)
+    del keep        # each del below frees a temporary before the next one
+    t, is1 = t[at], stream.detectors[at] == 1
+    del at
+    t1 = np.compress(is1, t)
+    t2 = np.compress(np.logical_not(is1, out=is1), t)
+    del t, is1
     k = int(np.searchsorted(t2, d - shift))
     t2 = np.concatenate((t2[k:] - (d - shift), t2[:k] + shift))
-    return _match_count(*_merge_sorted(np.compress(keep & is1, t), t2),
-                        window.half_window_ps)
+    times, is1 = _merge_sorted(t1, t2)
+    del t1, t2
+    return _match_count(times, is1, window.half_window_ps)
 
 
 def count_coincidences(stream: EventStream,
                        window: WindowConfig = WindowConfig()) -> Rate:
     """Raw coincidence rate from greedy start/stop matching."""
     d = _require_duration(stream)
-    return Rate(_match_count(stream.times_ps, stream.detectors == 1,
+    return Rate(_match_count(stream.times_ps, stream.detectors,
                              window.half_window_ps) / d)
 
 
@@ -209,7 +218,7 @@ def estimate_accidentals(stream: EventStream,
     multiple). `pairsim count` refuses such a delay (exit 1).
     """
     d = _require_duration(stream)
-    return Rate(_accidental_count(stream, stream.detectors == 1, window) / d)
+    return Rate(_accidental_count(stream, window) / d)
 
 
 def net_summary(stream: EventStream, window: WindowConfig = WindowConfig(),
@@ -219,11 +228,10 @@ def net_summary(stream: EventStream, window: WindowConfig = WindowConfig(),
     counts as in estimate_accidentals: one at a multiple of the run duration
     gives accidental_count == coincidence_count and an rc_net of 0."""
     duration_s = _require_duration(stream)
-    is1 = stream.detectors == 1
-    n1 = int(np.count_nonzero(is1))
-    n2 = stream.n_events - n1
-    rc_count = _match_count(stream.times_ps, is1, window.half_window_ps)
-    acc_count = _accidental_count(stream, is1, window)
+    n1, n2 = stream.counts()
+    rc_count = _match_count(stream.times_ps, stream.detectors,
+                            window.half_window_ps)
+    acc_count = _accidental_count(stream, window)
 
     nets = {"s1_net": n1 / duration_s - dark_rates[0].hz,
             "s2_net": n2 / duration_s - dark_rates[1].hz,

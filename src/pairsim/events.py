@@ -114,7 +114,8 @@ class EventStream:
         if det.ndim != 1 or t.ndim != 1 or det.shape != t.shape:
             raise ConfigError("detectors and times_ps must be 1-d arrays of "
                               "equal length")
-        if (bad := det[(det - 1) > 1]).size:   # uint8: detector 0 wraps to 255
+        if det.size and not 1 <= det.min() <= det.max() <= 2:
+            bad = det[(det - 1) > 1]    # uint8: detector 0 wraps to 255
             raise ConfigError(f"detector index must be 1 or 2, got {bad[0]}")
         if not 0 <= int(self.duration_ps) < 2**63:
             raise ConfigError(
@@ -205,10 +206,13 @@ def _read_binary(path: str | os.PathLike, fh) -> EventStream:
 
     while "events" not in header:
         pos, line = fh.tell(), fh.readline(1 << 12)
-        key, eq, value = line[1:].decode("utf-8", "replace").partition("=")
-        if line[:1] != b"#" or not eq or line[-1:] != b"\n":
+        if line[:1] != b"#" or b"=" not in line or line[-1:] != b"\n":
             fail(pos, "expected a '# key = value' header line (the header "
                       "ends with '# events = <n>')")
+        try:
+            key, _, value = line[1:].decode("utf-8").partition("=")
+        except UnicodeDecodeError as exc:
+            fail(pos + 1 + exc.start, "not UTF-8 text")
         header[key.strip()] = value.strip()
     body, meta = fh.tell(), {"resolution_ps": 1, "seed": None}
     if "duration_ps" not in header:

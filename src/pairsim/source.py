@@ -328,7 +328,7 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
     than ceil(dead time in ps) after the last kept one on its detector is
     dropped. Both detectors write into one uint64 key buffer (2t for
     detector 1, 2t + 1 for detector 2) that is sorted once. The traced peak
-    is about 12 bytes per detected event at the reference point over 10 s
+    is about 10 bytes per detected event at the reference point over 10 s
     and 17 with dead time and jitter (the stream holds 9). Raises
     MemoryBudgetError before generating anything when the expected
     detected-event count exceeds max_events or the expected pair count
@@ -379,7 +379,7 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
             if k < 2:
                 halves[k][filled[k]:filled[k] + count] = pair_t
                 filled[k] += count
-    del pair_t
+        del pair_t      # before the next class draws its own
     for half, n, rng, n_dark in zip(halves, n_photons, rng_darks, n_darks):
         half[n:] = rng.integers(0, duration_ps, n_dark)
 

@@ -448,7 +448,8 @@ def v2_file(times, detectors, events=None,
 
 # (file bytes, byte offset the error names, message fragment); the header
 # of v2_file ends at byte 41 and, with '# events = 2', its body starts at 54.
-# A bad header value names the end of the header, where the body starts
+# A bad header value names the end of the header, where the body starts; a
+# header byte that is not UTF-8 is named itself
 MALFORMED_V2 = {
     "truncated body": (v2_file([10, 20], [1, 2])[:-1], 71, "needs 18"),
     "events above body": (v2_file([10, 20], [1, 2], events=3), 72,
@@ -482,6 +483,12 @@ MALFORMED_V2 = {
         "resolution must be"),
     "header without body": (b"# pairsim-events v2\n# duration_ps = 1000\n",
                             41, "# events = <n>"),
+    "header value not UTF-8": (
+        v2_file([10], [1], head=b"# pairsim-events v2\n# duration_ps = 1000\n"
+                b"# config_digest = ab\xffcd\n"), 61, "not UTF-8 text"),
+    "header key not UTF-8": (
+        v2_file([10], [1], head=b"# pairsim-events v2\n"
+                b"# dur\xffation_ps = 1000\n"), 25, "not UTF-8 text"),
 }
 
 

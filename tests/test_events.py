@@ -148,6 +148,20 @@ class TestEventFile:
             read_event_file(path)
 
 
+    @pytest.mark.parametrize("line, offset", [
+        (b"# config_digest = ab\xffcd\n", 60),     # in a value
+        (b"# dur\xffation_ps = 5\n", 45),          # in a key
+    ], ids=["value", "key"])
+    def test_header_not_utf8_names_byte(self, tmp_path, line, offset):
+        # the line starts at byte 40; the error names the byte 0xff itself
+        path = tmp_path / "bad.events"
+        path.write_bytes(b"# pairsim-events v2\n# duration_ps = 100\n"
+                         + line + b"# events = 0\n")
+        with pytest.raises(DataFormatError) as err:
+            read_event_file(path)
+        assert str(err.value) == f"{path}: byte {offset}: not UTF-8 text"
+
+
 class TestBinaryEventFile:
     def test_layout(self, tmp_path):
         path = tmp_path / "v2.events"
