@@ -571,10 +571,11 @@ class TestAllocationBudget:
     that holds only its output. The reference budgets are the measured
     ratios at these sizes plus about 10 %."""
 
+    # the case ids are the names these cases have always run under
     @pytest.mark.parametrize("point, duration, budget, net_budget", [
-        ("reference", 1.0, 1.45, 0.35),
+        pytest.param("reference", 1.0, 1.45, 0.35, id="reference-1.0-3.0"),
         # the dead-time filter and the jitter edge cut copy one arm each
-        ("dense", 0.1, 4.5, 3.0),
+        pytest.param("dense", 0.1, 4.5, 3.0, id="dense-0.1-4.5"),
     ])
     def test_simulate_and_net_summary_peaks(self, point, duration, budget,
                                             net_budget):
