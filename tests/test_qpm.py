@@ -406,3 +406,88 @@ class TestSolveTemperatureGeneral:
         point = solve_temperature(pump, Wavelength(1314.0), period)
         assert point.temperature_c == pytest.approx(130.0, abs=0.01)
         assert abs(phase_mismatch(point)) < 1e-6
+
+
+def _outcome(solve, *args) -> str:
+    """A solver's result by repr, or its error by type and text."""
+    try:
+        result = solve(*args)
+    except (ConfigError, SolverError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(result, QpmPoint):
+        result = (result.poling_period_um, result.temperature_c,
+                  result.signal.nm, result.idler.nm, result.qpm_order)
+    return repr(result)
+
+
+def _golden_models(pump):
+    """The bundled model and narrowed copies: an upper edge that comes back
+    one ulp above itself through nm; one that starts at the pump and
+    reaches 1e20 um, where for some pumps the idler of the top signals
+    rounds below the pump, so the scan raises even though its root lies
+    far below that point; upper edges one ulp below and one and three
+    ulps above degeneracy."""
+    from dataclasses import replace
+    degenerate = 2.0 * pump.nm * 1e-3
+    above = math.nextafter(degenerate, math.inf)
+    three_above = math.nextafter(math.nextafter(above, math.inf), math.inf)
+    return [MODEL, replace(MODEL, wavelength_range_um=(0.4, 1.63)),
+            replace(MODEL, wavelength_range_um=(pump.um, 1e20)),
+            *(replace(MODEL, wavelength_range_um=(pump.um, edge))
+              for edge in (math.nextafter(degenerate, 0.0), above,
+                           three_above))]
+
+
+def golden_sweep_lines():
+    """One line per solver call over a fixed grid of pumps, signals,
+    periods, temperatures and models."""
+    lines = []
+    # 458.08..., 752.54... and 857.52... nm are pumps whose top idler
+    # rounds below the pump under the 1e20 um model
+    pumps = [Wavelength(nm) for nm in (150.0, 404.5, 458.0815751497359,
+                                       532.0, 657.0, 752.5483636861356,
+                                       857.5244425409053, 1064.0, 2600.0)]
+    for pump in pumps:
+        signals = [Wavelength(nm) for nm in (2.0 * pump.nm, 1.1 * pump.nm,
+                                             2.3 * pump.nm, 3000.0, 6000.0)]
+        periods = [6.0, 12.4]
+        for signal in signals:
+            for t in (25.0, 100.0, 260.0):
+                for order in (1, 3):
+                    lines.append(_outcome(solve_poling_period, pump, signal,
+                                          t, None, order))
+                    try:
+                        point = solve_poling_period(pump, signal, t, None,
+                                                    order)
+                    except (ConfigError, SolverError):
+                        continue
+                    if t == 100.0 and order == 1:
+                        periods.append(point.poling_period_um)
+                    for dt in (0.0, 0.5, 100.0, 200.0):
+                        lines.append(_outcome(phase_mismatch, QpmPoint(
+                            point.poling_period_um, t + dt, pump, signal,
+                            point.idler, order)))
+        for model in _golden_models(pump):
+            for period in periods:
+                for t in np.linspace(20.0, 260.0, 9).tolist():
+                    lines.append(_outcome(solve_signal_wavelength, pump,
+                                          period, t, model))
+                for signal in signals[:3]:
+                    for t_range in ((20.0, 200.0), (20.0, 260.0)):
+                        lines.append(_outcome(solve_temperature, pump,
+                                              signal, period, model, 1,
+                                              t_range))
+    return lines
+
+
+class TestGoldenSweep:
+    # sha256 over golden_sweep_lines(), one line each, frozen before the
+    # signal scan and the scalar mismatch shared one kernel
+    SWEEP_SHA256 = ("ed2ddb0847a0c96bd50195f8a91801c1"
+                    "40d8a854ed94b72dc47a226e9e8314eb")
+
+    def test_sweep_digest(self):
+        import hashlib
+        lines = golden_sweep_lines()
+        digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+        assert digest == self.SWEEP_SHA256

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -114,6 +115,16 @@ def si_config_texts(draw):
     return keyvalue.format_keyvalue(values)
 
 
+def internal_values():
+    """Finite doubles >= 0: random bit patterns over every exponent, the
+    subnormals included, hypothesis floats, and every power of two."""
+    return st.one_of(
+        st.integers(0, 0x7FEF_FFFF_FFFF_FFFF).map(
+            lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+        st.floats(min_value=0.0, allow_infinity=False, allow_subnormal=True),
+        st.integers(-1074, 1023).map(lambda e: math.ldexp(1.0, e)))
+
+
 class TestConfigs:
     def test_reference_source_pins_rate(self):
         assert pair_rate(reference_source()).hz == pytest.approx(7.75e6, rel=1e-12)
@@ -194,6 +205,23 @@ class TestConfigs:
         assert config_digest(*reloaded) == config_digest(*configs)
         assert keyvalue.format_keyvalue(
             source_mod.config_to_mapping(*reloaded)) == written
+
+    @settings(derandomize=True, deadline=None, max_examples=600)
+    @given(st.sampled_from([("dead_time_s", "dead_time_ns", 1e9),
+                            ("jitter_s", "jitter_ps", 1e12)]),
+           internal_values())
+    def test_si_value_scales_back_when_a_neighbour_does(self, field, x):
+        """Whenever x / scale or one of its two float neighbours times the
+        scale gives back the internal value x, the SI value
+        config_to_mapping writes does too."""
+        from dataclasses import replace
+        key, name, scale = field
+        chain = replace(reference_chain(), **{name: x})
+        written = source_mod.config_to_mapping(reference_source(), chain)[key]
+        y = x / scale
+        if any(c * scale == x for c in (y, math.nextafter(y, math.inf),
+                                        math.nextafter(y, -math.inf))):
+            assert written * scale == x
 
     def test_bundled_reference_config_matches_code(self):
         from importlib import resources
