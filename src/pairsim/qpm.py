@@ -163,10 +163,25 @@ def refractive_index(model: SellmeierModel, wavelength: Wavelength,
 def _index_sum_per_m(pump: Wavelength, signal: Wavelength, idler: Wavelength,
                      temperature_c: float, model: SellmeierModel) -> float:
     """n_p/lp - n_s/ls - n_i/li in 1/m, with range checks."""
-    n_p = refractive_index(model, pump, temperature_c)
-    n_s = refractive_index(model, signal, temperature_c)
-    n_i = refractive_index(model, idler, temperature_c)
-    return n_p / pump.meters - n_s / signal.meters - n_i / idler.meters
+    for wavelength in (pump, signal, idler):
+        model.check_range(wavelength, temperature_c)
+    return _mismatch_at(model, temperature_c, pump, 0.0)(
+        _signal_terms(pump.nm, signal.nm, idler.nm))
+
+
+def _mismatch_at(model: SellmeierModel, temperature_c: float,
+                 pump: Wavelength, grating: float):
+    """The phase-mismatch kernel at one temperature, without range checks:
+    mismatch(terms) = n_p/lp - n_s/ls - n_i/li - grating in 1/m for the
+    _signal_terms of a signal and its idler."""
+    index = model._index_at(temperature_c)
+    k_p = index(pump.um * pump.um) / pump.meters
+
+    def mismatch(terms) -> float:
+        signal_um2, signal_m, idler_um2, idler_m = terms
+        return (k_p - index(signal_um2) / signal_m
+                - index(idler_um2) / idler_m - grating)
+    return mismatch
 
 
 def phase_mismatch(point: QpmPoint,
@@ -300,13 +315,15 @@ def solve_degeneracy_temperature(pump: Wavelength, poling_period_um: float,
     return point.temperature_c
 
 
-def _signal_terms(pump_nm: float,
-                  signal_nm: float) -> tuple[float, float, float, float]:
-    """(um^2, m) of a signal above the pump, then of its energy-conserving
-    idler: the part of _index_sum_per_m that does not depend on the
-    temperature, rounded as the scalar path rounds it."""
-    idler_nm = (signal_nm if signal_nm == 2.0 * pump_nm
-                else 1.0 / (1.0 / pump_nm - 1.0 / signal_nm))
+def _signal_terms(pump_nm: float, signal_nm: float,
+                  idler_nm: float | None = None,
+                  ) -> tuple[float, float, float, float]:
+    """(um^2, m) of a signal, then of an idler, by default the signal's
+    energy-conserving one: the part of the mismatch that does not depend
+    on the temperature, rounded as Wavelength and idler_wavelength round."""
+    if idler_nm is None:
+        idler_nm = (signal_nm if signal_nm == 2.0 * pump_nm
+                    else 1.0 / (1.0 / pump_nm - 1.0 / signal_nm))
     signal_um, idler_um = signal_nm * 1e-3, idler_nm * 1e-3
     return (signal_um * signal_um, signal_nm * 1e-9,
             idler_um * idler_um, idler_nm * 1e-9)
@@ -319,27 +336,6 @@ def _signal_grid(pump_nm: float, hi_nm: float):
     temperatures of a tuning curve."""
     grid = tuple(_linspace(2.0 * pump_nm, hi_nm, 512))
     return grid, tuple(_signal_terms(pump_nm, nm) for nm in grid)
-
-
-def _signal_mismatch(pump: Wavelength, temperature_c: float,
-                     model: SellmeierModel, grating: float):
-    """(scan, mismatch): _index_sum_per_m(pump, signal, its idler) -
-    grating, bit for bit, through one index kernel at this temperature.
-    scan(terms) yields it lazily for each signal's _signal_terms and
-    mismatch(signal_nm) returns it for one signal. Checks the pump and the
-    temperature against the model, not the signal or idler."""
-    model.check_range(pump, temperature_c)
-    index = model._index_at(temperature_c)
-    k_p = index(pump.um * pump.um) / pump.meters
-
-    def scan(terms):
-        for signal_um2, signal_m, idler_um2, idler_m in terms:
-            yield (k_p - index(signal_um2) / signal_m
-                   - index(idler_um2) / idler_m - grating)
-
-    def mismatch(signal_nm: float) -> float:
-        return next(scan((_signal_terms(pump.nm, signal_nm),)))
-    return scan, mismatch
 
 
 def solve_signal_wavelength(pump: Wavelength, poling_period_um: float,
@@ -363,9 +359,9 @@ def solve_signal_wavelength(pump: Wavelength, poling_period_um: float,
         hi_nm = math.nextafter(hi_nm, 0.0)    # keep the last scan point inside
     if hi_nm <= lo_nm:
         raise SolverError("degenerate wavelength sits at the model's validity edge")
-    scan, mismatch = _signal_mismatch(pump, temperature_c, model, grating)
+    model.check_range(pump, temperature_c)
+    mismatch = _mismatch_at(model, temperature_c, pump, grating)
     grid, terms = _signal_grid(pump.nm, hi_nm)
-    values = scan(terms)
     # Each operation rounds monotonically, so along the grid the signal
     # ascends and its idler descends: these ends bound every signal and
     # idler of the scan and of its bisection (the idler formula at 2 pump,
@@ -374,15 +370,14 @@ def solve_signal_wavelength(pump: Wavelength, poling_period_um: float,
     ends = (lo_nm, top, idler_wavelength(pump, Wavelength(top)).nm,
             1.0 / (1.0 / pump.nm - 1.0 / lo_nm))
     if not all(lo <= nm * 1e-3 <= hi for nm in ends):
-        # the checked scalar path, over every point before any is used: a
-        # point outside the model raises even when a root lies before it
-        def checked(signal_nm: float) -> float:
-            signal = Wavelength(signal_nm)
-            return _index_sum_per_m(pump, signal,
-                                    idler_wavelength(pump, signal),
-                                    temperature_c, model) - grating
-        mismatch, values = checked, [checked(nm) for nm in grid]
-    root_nm = _first_root(mismatch, grid, values)
+        # the range checks of every point before any is used: a point
+        # outside the model raises even when a root lies before it
+        for nm in grid:
+            signal = Wavelength(nm)
+            for wavelength in (signal, idler_wavelength(pump, signal)):
+                model.check_range(wavelength, temperature_c)
+    root_nm = _first_root(lambda nm: mismatch(_signal_terms(pump.nm, nm)),
+                          grid, map(mismatch, terms))
     if root_nm is None:
         raise SolverError(
             f"no phase-matched signal wavelength for period {poling_period_um:g} um "

@@ -199,19 +199,6 @@ def expected_rates(source: SourceConfig,
     return Rate(e1 * n), Rate(e2 * n), Rate(f * e1 * e2 * n)
 
 
-def _si_out(internal: float, scale: float) -> float:
-    """SI value y for an internal value x so that y * scale is x bit-exactly
-    if such a y exists (nudged by one ulp when plain division lands on the
-    wrong neighbour); otherwise the plain quotient."""
-    y = internal / scale
-    if y * scale == internal:
-        return y
-    for candidate in (math.nextafter(y, math.inf), math.nextafter(y, -math.inf)):
-        if candidate * scale == internal:
-            return candidate
-    return y
-
-
 # config key -> (config class, field, unit type, SI -> field scale): the
 # one description of the flat SI config, in file, manifest and digest
 # order. Unit None is a plain float field, unit bool a true/false flag.
@@ -239,16 +226,18 @@ _CONFIG_FIELDS = {
 
 def config_to_mapping(source: SourceConfig,
                       chain: DetectionChainConfig) -> dict[str, object]:
-    """Flat SI-unit mapping (the config-file representation). For a config
-    read from SI text, config_from_mapping gives the same config back; one
-    built in internal units can come back one ulp off (see _si_out)."""
+    """Flat SI-unit mapping (the config-file representation), each value
+    the internal one divided by its scale. For a config read from SI text,
+    config_from_mapping gives the same config back; one built in internal
+    units comes back one ulp off where no float times the scale equals the
+    internal value."""
     configs = {SourceConfig: source, DetectionChainConfig: chain}
     mapping: dict[str, object] = {}
     for key, (cls, field, unit, scale) in _CONFIG_FIELDS.items():
         value = getattr(configs[cls], field)
         if unit not in (None, bool):
             value = astuple(value)[0]
-        mapping[key] = value if unit is bool else _si_out(value, scale)
+        mapping[key] = value if unit is bool else value / scale
     return mapping
 
 

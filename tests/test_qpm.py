@@ -324,11 +324,23 @@ class TestSignalScan:
         pump = Wavelength(pump_nm)
         grid = np.linspace(2.0 * pump.nm, MODEL.wavelength_range_um[1] * 1e3,
                            512).tolist()
-        scan, mismatch = qpm._signal_mismatch(pump, temperature_c, MODEL, 0.0)
+
+        def three_indices(signal_nm):
+            # the mismatch from three refractive_index calls, outside the
+            # kernel that the scan and _index_sum_per_m share
+            signal = Wavelength(signal_nm)
+            k_p, k_s, k_i = (
+                refractive_index(MODEL, w, temperature_c) / w.meters
+                for w in (pump, signal, idler_wavelength(pump, signal)))
+            return k_p - k_s - k_i
+
+        mismatch = qpm._mismatch_at(MODEL, temperature_c, pump, 0.0)
         got_grid, terms = qpm._signal_grid(pump.nm, grid[-1])
         assert list(got_grid) == grid
-        assert list(scan(terms)) == [mismatch(nm) for nm in grid] \
-            == scalar_signal_scan(pump, grid, temperature_c)
+        assert [mismatch(t) for t in terms] \
+            == [mismatch(qpm._signal_terms(pump.nm, nm)) for nm in grid] \
+            == scalar_signal_scan(pump, grid, temperature_c) \
+            == [three_indices(nm) for nm in grid]
         # the solver bounds the range of the whole scan by its ends: the
         # signal ascends along the grid and its idler descends
         idlers = [idler_wavelength(pump, Wavelength(nm)).nm for nm in grid]
