@@ -827,3 +827,74 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+# bad inputs and the exit code each ends in: (argv, what to patch with
+# monkeypatch.setattr, exit code, the error line's text); {tmp} holds the
+# files test_bad_input_exit_codes writes
+BAD_CLI_INPUTS = {
+    "curve without period": ("qpm --pump=657e-9 --curve=60:140:5", None, 1,
+                             "--curve requires --period"),
+    "simulate without out": (
+        "simulate --config={tmp}/ref.txt --duration=0.01 --seed=1", None, 1,
+        "simulate needs --out"),
+    "negative dead time": (
+        "simulate --config={tmp}/dead_time.txt --duration=0.01 --seed=1 "
+        "--out={tmp}/sim.events", None, 1, "dead_time_ns must be >= 0"),
+    "nan jitter": (
+        "simulate --config={tmp}/jitter.txt --duration=0.01 --seed=1 "
+        "--out={tmp}/sim.events", None, 1, "jitter_ps must be >= 0, got nan"),
+    "zero spectral width": (
+        "simulate --config={tmp}/fwhm.txt --duration=0.01 --seed=1 "
+        "--out={tmp}/sim.events", None, 1, "spectral_fwhm_nm must be > 0"),
+    "out of memory": (
+        "simulate --config={tmp}/ref.txt --duration=0.01 --seed=1 "
+        "--out={tmp}/sim.events",
+        ("pairsim.source.simulate_run", _out_of_memory), 1, "out of memory"),
+    "one-line summary": ("estimate --summary={tmp}/header.csv", None, 2,
+                         "expected a CSV header and one row"),
+    "ragged summary": ("estimate --summary={tmp}/ragged.csv", None, 2,
+                       "header/row column mismatch"),
+    "config empty key": (
+        "simulate --config={tmp}/empty_key.txt --duration=0.01 --seed=1 "
+        "--out={tmp}/sim.events", None, 2, "empty key"),
+    "pump at the model edge": ("qpm --pump=2.6e-6 --period=1e-5 --temp=100",
+                               None, 3, "degenerate wavelength sits at the "
+                                        "model's validity edge"),
+}
+
+
+@pytest.mark.parametrize("argv, patch, code, message",
+                         BAD_CLI_INPUTS.values(), ids=BAD_CLI_INPUTS.keys())
+def test_bad_input_exit_codes(capsys, monkeypatch, tmp_path, argv, patch,
+                              code, message):
+    from importlib import resources
+    config = resources.files("pairsim.data").joinpath(
+        "reference_run_config.txt").read_text(encoding="utf-8")
+
+    def with_value(key, value):
+        return "".join(line if not line.startswith(f"{key} =")
+                       else f"{key} = {value}\n"
+                       for line in config.splitlines(keepends=True))
+
+    files = {"ref.txt": config,
+             "dead_time.txt": with_value("dead_time_s", "-1e-9"),
+             "jitter.txt": with_value("jitter_s", "nan"),
+             "fwhm.txt": with_value("spectral_fwhm_m", "0"),
+             "empty_key.txt": config + " = 5\n",
+             "header.csv": "s1_net_hz,s2_net_hz,rc_net_hz,duration_s\n",
+             "ragged.csv": "s1_net_hz,s2_net_hz,rc_net_hz,duration_s\n"
+                           "1e5,1e5,1e3\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    if patch:
+        monkeypatch.setattr(*patch)
+    got, out, err = run_cli(capsys, *argv.format(tmp=tmp_path).split())
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "sim.events").exists()
