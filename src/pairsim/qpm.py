@@ -235,7 +235,7 @@ def _first_root(f, grid, values) -> float | None:
     """Root of f in the first interval of grid with a zero end or a sign
     change of values = f(grid), by bisection run to floating-point
     convergence; None when there is no such interval. values is read
-    lazily, up to the end of that interval, so a generator of them
+    lazily, up to the end of that interval, so an iterator of them
     evaluates f no further along the grid than the root needs."""
     points = zip(grid, values)
     lo, f_lo = next(points)
