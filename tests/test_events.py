@@ -37,6 +37,18 @@ class TestEventStream:
         with pytest.raises(ConfigError, match="non-decreasing"):
             small_stream(times_ps=np.array([100, 50, 2500, 7000]))
 
+    # the order check runs in 2^16-event blocks: a descent on either side
+    # of a block boundary, and at the last event
+    @pytest.mark.parametrize("k", [1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1,
+                                   3 * (1 << 16), 200_000 - 1])
+    def test_rejects_a_descent_anywhere(self, k):
+        times = np.arange(200_000)
+        times[k] = times[k - 1] - 1
+        with pytest.raises(ConfigError, match="non-decreasing"):
+            EventStream(np.ones(times.size, np.uint8), times, 10**6)
+        times[k] = times[k - 1]       # ties are allowed
+        EventStream(np.ones(times.size, np.uint8), times, 10**6)
+
     def test_rejects_bad_detector(self):
         with pytest.raises(ConfigError, match="detector index"):
             small_stream(detectors=np.array([1, 3, 1, 2]))
