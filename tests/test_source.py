@@ -581,6 +581,63 @@ class TestReferenceGoldenStream:
                     summary.accidental_count) == counts
 
 
+class TestBlockGoldenStreams:
+    """Per-seed output of runs whose draws each cross a 2^16-value block,
+    pinned bit for bit like TestGoldenStream: the dense point's pair
+    classes, photons per arm and jitter draws, 1 MHz darks, and a run
+    shorter than 2^32 ps, where numpy draws bounded 32-bit integers."""
+
+    RUNS = {
+        "dense-0.2": (2e6, dict(mu1=0.5, mu2=0.5, eta1=0.9, eta2=0.9,
+                                dark1=1e3, dark2=1e3, dead_time_ns=50.0,
+                                splitter=False, jitter_ps=300.0), 0.2),
+        "darks-1mhz-0.1": (7.75e6, dict(dark1=1e6, dark2=1e6), 0.1),
+        "unit-efficiency-4ms": (5e7, dict(mu1=1.0, mu2=1.0, eta1=1.0,
+                                          eta2=1.0, splitter=False,
+                                          jitter_ps=50.0), 0.004),
+    }
+
+    @pytest.mark.parametrize("name, counts, times_sha256, detectors_sha256", [
+        ("dense-0.2", (172003, 172375),
+         "56617bb5c6170dcf771329f7e2fba4430f634dee2846a88124218688c8f0ad2e",
+         "40dbe9d5a462d65e77d4a6d68de4164d9466031ccc2ad08f65a85b6ae6d3deb5"),
+        ("darks-1mhz-0.1", (115220, 115555),
+         "6d4aa30b81018fc10c5057897f0e1e554a9891f8f71a07a40bc4b69724a556b1",
+         "2f9ba3e56b427d8250cca48068a38a612de24a7b18d44ed0a04f6e05c765d4e0"),
+        ("unit-efficiency-4ms", (199711, 199711),
+         "b6a708db5a6dd32f004908ac40bafc9722081dc62141bfbe2b1ba0e68d18ea8f",
+         "7879f1489ef280074cc680f3dd81898034791e7f48914b18c3208465447bd3c3"),
+    ])
+    def test_stream_digest(self, name, counts, times_sha256,
+                           detectors_sha256):
+        pair_hz, chain, duration = self.RUNS[name]
+        stream, truth = simulate_run(make_source(pair_hz), make_chain(**chain),
+                                     RunConfig(duration, seed=20261019))
+        assert max(truth.pairs_detected_coincident,
+                   *truth.darks_emitted) > 1 << 16
+        assert stream.counts() == counts
+        assert hashlib.sha256(stream.times_ps.astype("<i8").tobytes()) \
+            .hexdigest() == times_sha256
+        assert hashlib.sha256(stream.detectors.tobytes()).hexdigest() \
+            == detectors_sha256
+
+    @pytest.mark.parametrize("high", [2**62 + 12345, 4_000_000_001])
+    def test_chunked_draws_equal_one_call(self, high):
+        # simulate_run draws 2^16 values at a time; numpy's integers (the
+        # 64-bit and the bounded 32-bit path) and normal must then give the
+        # values of one call, or every event file would change
+        n = 3 * (1 << 16) + 12345
+        one, chunked = (source_mod._substream(7, 0) for _ in range(2))
+        draws = {"integers": lambda rng, k: rng.integers(0, high, k),
+                 "normal": lambda rng, k: rng.normal(0.0, 300.0, k)}
+        for draw in draws.values():
+            whole = draw(one, n)
+            parts = np.concatenate([draw(chunked, min(1 << 16, n - lo))
+                                    for lo in range(0, n, 1 << 16)])
+            assert np.array_equal(whole, parts)
+        assert one.integers(0, 2**63) == chunked.integers(0, 2**63)
+
+
 def traced_peak(call):
     """(result, peak bytes the call allocated above what it started with);
     tracemalloc sees numpy's array buffers."""
