@@ -397,7 +397,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--order", type=int, default=1, help="QPM order (odd)")
     p.add_argument("--sellmeier", help="alternative coefficient file")
     p.add_argument("--curve", metavar="T0:T1:N",
-                   help="sweep temperature, emit CSV tuning curve")
+                   help="sweep temperature, emit the tuning curve as CSV "
+                        "(with or without --csv)")
     p.add_argument("--csv", action="store_true", help="CSV output")
     p.add_argument("--out", help="write the report here (plus manifest)")
     p.set_defaults(func=_cmd_qpm)

@@ -38,6 +38,11 @@ __all__ = [*_EXPORTS["events"]]
 
 FILE_MAGIC = "# pairsim-events v2"
 
+# events per block of the passes that walk a stream (the order check, the
+# gap passes, the counter) and values per draw in simulate_run: each holds
+# O(block) temporaries, not O(stream)
+_BLOCK = 1 << 16
+
 
 def _cluster_bounds(cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(starts, ends) of the clusters of a non-empty sorted time array of
@@ -56,8 +61,8 @@ def _cluster_bounds(cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _near(times: np.ndarray, limit: int) -> np.ndarray:
     """Mask of the events of sorted times with a neighbour <= limit away."""
     keep = np.zeros(times.size, dtype=bool)
-    for lo in range(0, times.size - 1, 1 << 16):    # not one 8 B/event diff
-        near = np.diff(times[lo:lo + (1 << 16) + 1]) <= limit
+    for lo in range(0, times.size - 1, _BLOCK):     # not one 8 B/event diff
+        near = np.diff(times[lo:lo + _BLOCK + 1]) <= limit
         keep[lo:lo + near.size] |= near
         keep[lo + 1:lo + 1 + near.size] |= near
     return keep
@@ -128,8 +133,8 @@ class EventStream:
                 f"timestamp resolution must be >= 1 ps, got {self.resolution_ps}")
         if t.size:
             # in blocks, as _near, not one n-byte mask; np.diff can overflow
-            for lo in range(0, t.size - 1, 1 << 16):
-                block = t[lo:lo + (1 << 16) + 1]
+            for lo in range(0, t.size - 1, _BLOCK):
+                block = t[lo:lo + _BLOCK + 1]
                 if np.any(block[1:] < block[:-1]):
                     raise ConfigError("timestamps must be non-decreasing")
             if t[0] < 0 or t[-1] >= self.duration_ps:
@@ -155,8 +160,8 @@ class EventStream:
         return self.times_ps[self.detectors == detector]
 
     def counts(self) -> tuple[int, int]:
-        return (int(np.count_nonzero(self.detectors == 1)),
-                int(np.count_nonzero(self.detectors == 2)))
+        n2 = int(self.detectors.sum(dtype=np.int64)) - self.n_events
+        return self.n_events - n2, n2
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventStream):
@@ -225,13 +230,16 @@ def _read_binary(path: str | os.PathLike, fh) -> EventStream:
         fail(body, "header is missing duration_ps")
     for key in ("events", "duration_ps", "resolution_ps", "seed"):
         if key in header:
-            try:
-                meta[key] = int(header[key])
-            except ValueError:
-                fail(body, f"{key} is not an integer: {header[key]!r}")
+            text = header[key]
+            if not (text.isascii() and text.isdigit()):
+                fail(body, f"{key} is not an integer in ASCII digits ({key} "
+                           f"must be >= 0, with no sign): {text!r}")
+            meta[key] = int(text)
+    if meta["duration_ps"] == 0:
+        fail(body, "duration_ps must be > 0, got 0")
+    if meta["seed"] is not None and meta["seed"] > 2**64 - 1:
+        fail(body, f"seed must be at most 2**64 - 1, got {meta['seed']}")
     n = meta.pop("events")
-    if n < 0:
-        fail(body, f"events must be >= 0, got {n}")
     size = os.fstat(fh.fileno()).st_size
     if size != body + 9 * n:
         fail(min(size, body + 9 * n), f"'# events = {n}' needs {9 * n} body "

@@ -44,7 +44,7 @@ import numpy as np
 
 from .core import (ConfigError, Efficiency, MemoryBudgetError, OpticalPower,
                    Rate, Wavelength, photon_flux)
-from .events import EventStream, _cluster_bounds, _near
+from .events import _BLOCK, EventStream, _cluster_bounds, _near
 from . import _EXPORTS, keyvalue
 
 __all__ = [*_EXPORTS["source"], "config_to_mapping", "config_from_mapping"]
@@ -276,6 +276,13 @@ def _ceil_ps(ns: float) -> int:
     return -(-num * 1000 // den)
 
 
+def _blocks(a: np.ndarray) -> list[np.ndarray]:
+    """Views of a in order, _BLOCK values each (the last one shorter). numpy
+    draws values one after another, so drawing a block at a time gives the
+    values of one call with O(block) temporaries."""
+    return [a[lo:lo + _BLOCK] for lo in range(0, a.size, _BLOCK)]
+
+
 def _deadtime_filter(times_ps: np.ndarray, dead_ps: int) -> np.ndarray:
     """Non-paralyzable dead time on sorted int64 ps: drop events less than
     dead_ps after the last accepted one; dropped events do not extend the
@@ -316,15 +323,17 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
     uniform integer ps, jitter is rounded to whole ps, and an event less
     than ceil(dead time in ps) after the last kept one on its detector is
     dropped. Both detectors write into one uint64 key buffer (2t for
-    detector 1, 2t + 1 for detector 2) that is sorted once. The traced peak
-    is about 9.7 bytes per detected event at the reference point over 10 s
-    and 17 with dead time and jitter (the stream holds 9). With dead time
-    the sort is a stable merge whose buffer, up to 4 bytes per key,
-    tracemalloc does not see: the dense point's peak RSS rise is 19 bytes
-    per event against 16.7 traced (0.5 s, 0.86M events). Raises
-    MemoryBudgetError before generating anything when the expected
-    detected-event count exceeds max_events or the expected pair count
-    exceeds the largest Poisson mean numpy can sample (about 9.2e18).
+    detector 1, 2t + 1 for detector 2) that is sorted once. Pair times,
+    darks and jitter are drawn 2^16 values at a time, straight into the
+    buffer. The traced peak is about 9.1 bytes per detected event at the
+    reference point over 10 s and 14.7 with dead time and jitter (the
+    stream holds 9). With dead time the sort is a stable merge whose
+    buffer, up to 4 bytes per key, tracemalloc does not see; at the dense
+    point it reuses freed memory, and the peak RSS rise equals the traced
+    peak (0.5 s, 0.86M events). Raises MemoryBudgetError before generating
+    anything when the expected detected-event count exceeds max_events or
+    the expected pair count exceeds the largest Poisson mean numpy can
+    sample (about 9.2e18).
     """
     n_rate = pair_rate(source).hz
     e1, e2 = chain.arm_efficiencies
@@ -366,14 +375,18 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
     filled = [0, 0]
     duration_ps = run.duration_ps
     for c, count in enumerate(counts[:-1].tolist()):
-        pair_t = rng_pairs.integers(0, duration_ps, count)
+        dests = []
         for k in (c // 3, c % 3):
             if k < 2:
-                halves[k][filled[k]:filled[k] + count] = pair_t
+                dests.append(halves[k][filled[k]:filled[k] + count])
                 filled[k] += count
-        del pair_t      # before the next class draws its own
-    for half, n, rng, n_dark in zip(halves, n_photons, rng_darks, n_darks):
-        half[n:] = rng.integers(0, duration_ps, n_dark)
+        for parts in zip(*map(_blocks, dests)):
+            pair_t = rng_pairs.integers(0, duration_ps, parts[0].size)
+            for part in parts:
+                part[:] = pair_t
+    for half, n, rng in zip(halves, n_photons, rng_darks):
+        for part in _blocks(half[n:]):
+            part[:] = rng.integers(0, duration_ps, part.size)
 
     rng_jitter = _substream(run.seed, _SUB_JITTER)
     dead_ps = _ceil_ps(chain.dead_time_ns)
@@ -383,9 +396,10 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
             # photons only, clipped so that the cast is defined; the sum is
             # exact mod 2**64, so as uint64 a photon stays in the run exactly
             # when it lies below duration_ps
-            t[:n] += np.clip(np.rint(rng_jitter.normal(0.0, chain.jitter_ps,
-                                                       n)),
-                             -2.0**62, 2.0**62).astype(np.int64)
+            for part in _blocks(t[:n]):
+                part += np.clip(np.rint(rng_jitter.normal(
+                    0.0, chain.jitter_ps, part.size)),
+                    -2.0**62, 2.0**62).astype(np.int64)
         if dead_ps:
             half.sort()     # as uint64, photons jittered out of the run last
             kept = _deadtime_filter(
