@@ -168,11 +168,19 @@ def _closed_matches(times: np.ndarray, is1: np.ndarray, half_window: int,
                     after: int | None) -> tuple[int, np.ndarray, np.ndarray]:
     """(matches of the clusters that no event at time >= after can join,
     the times and is1 of the last cluster if one can, left open); after
-    None closes every cluster."""
-    split = times.size
+    None closes every cluster. The last cluster's start is sought back from
+    the end in doubling spans, so a short one costs no segment-sized
+    temporary."""
+    split, span = times.size, 64
     if after is not None and split and after - times[-1] <= half_window:
-        cut = np.flatnonzero(np.diff(times) > half_window)
-        split = int(cut[-1]) + 1 if cut.size else 0
+        hi, split = split, 0
+        while hi > 1:
+            lo = max(hi - span, 0)
+            cut = np.flatnonzero(np.diff(times[lo:hi]) > half_window)
+            if cut.size:
+                split = lo + int(cut[-1]) + 1
+                break
+            hi, span = lo + 1, 2 * span
     return (_match_count(times[:split], is1[:split], half_window),
             times[split:].copy(), is1[split:].copy())
 

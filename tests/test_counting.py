@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pairsim import (ConfigError, EventStream, Rate, WindowConfig,
                      count_coincidences, count_singles, estimate_accidentals,
                      net_summary)
+from pairsim import counting
 from pairsim.counting import _match_count
 from pairsim.events import _merge_sorted
 
@@ -114,6 +115,25 @@ def sparse_streams(draw):
     return (*sides, duration, WindowConfig(2.0 * half / 1e3, delay / 1e3))
 
 
+# (detector-1 times, detector-2 times, matches at a 500 ps half window)
+MERGED_KERNEL_CASES = [
+    # 0 has only its same-detector neighbour 400 within the window
+    ([0, 400], [800], 1),
+    # a same-detector event sits between 0 and its partner 450
+    ([0, 200], [450], 1),
+    ([0], [100, 300, 450], 1),
+    # chains of same-detector neighbours on both sides
+    ([0, 400, 800, 1200], [1600, 2000, 2400], 1),
+    # one detector-2 event inside a detector-1 chain
+    ([0, 400, 800], [600], 1),
+    # a cluster of one detector only
+    ([0, 300], [2000], 0),
+    ([], [], 0),
+    ([5], [], 0),
+    ([], [5], 0),
+]
+
+
 class TestWindowConfig:
     def test_validation(self):
         with pytest.raises(ConfigError, match="window"):
@@ -211,22 +231,7 @@ class TestCountCoincidences:
         assert _match_count(*_merge_sorted(t1, t2), 0.0) \
             == brute_force_matches(t1, t2, 0.0)
 
-    @pytest.mark.parametrize("t1, t2, matches", [
-        # 0 has only its same-detector neighbour 400 within the window
-        ([0, 400], [800], 1),
-        # a same-detector event sits between 0 and its partner 450
-        ([0, 200], [450], 1),
-        ([0], [100, 300, 450], 1),
-        # chains of same-detector neighbours on both sides
-        ([0, 400, 800, 1200], [1600, 2000, 2400], 1),
-        # one detector-2 event inside a detector-1 chain
-        ([0, 400, 800], [600], 1),
-        # a cluster of one detector only
-        ([0, 300], [2000], 0),
-        ([], [], 0),
-        ([5], [], 0),
-        ([], [5], 0),
-    ])
+    @pytest.mark.parametrize("t1, t2, matches", MERGED_KERNEL_CASES)
     def test_merged_kernel_cases(self, t1, t2, matches):
         assert brute_force_matches(t1, t2, 500.0) == matches
         s = stream_from_times(t1, t2, 10_000)
@@ -342,3 +347,24 @@ class TestNetSummary:
                     "s2_net_hz", "rc_raw_hz", "rc_accidental_hz", "rc_net_hz",
                     "rc_count", "floored"):
             assert key in mapping
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+class TestSmallBlocks:
+    """The counts again in blocks of a few events, so that ties fall on
+    block boundaries, delayed times wrap across many blocks and clusters
+    are carried through several of them; checked against the O(n^2)
+    oracle."""
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(case=tied_streams())
+    def test_counts_match_brute_force_property(self, block, case):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(counting, "_BLOCK", block)
+            TestCountCoincidences.test_counts_match_brute_force_property \
+                .hypothesis.inner_test(self, case)
+
+    @pytest.mark.parametrize("t1, t2, matches", MERGED_KERNEL_CASES)
+    def test_merged_kernel_cases(self, monkeypatch, block, t1, t2, matches):
+        monkeypatch.setattr(counting, "_BLOCK", block)
+        TestCountCoincidences().test_merged_kernel_cases(t1, t2, matches)

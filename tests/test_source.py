@@ -684,6 +684,20 @@ class TestAllocationBudget:
         if point == "dense":    # 1.47x while it held full-size masks
             assert peak <= 1.47 * nbytes
 
+    def test_dense_net_summary_peak_does_not_grow_with_the_stream(self):
+        # the counter walks the stream in 2^16-event blocks: five times the
+        # events, the same peak
+        chain = make_chain(mu1=0.5, mu2=0.5, eta1=0.9, eta2=0.9, dark1=1e3,
+                           dark2=1e3, dead_time_ns=50.0, splitter=False,
+                           jitter_ps=300.0)
+        peaks = []
+        for duration in (0.1, 0.5):
+            stream, _ = simulate_run(make_source(2e6), chain,
+                                     RunConfig(duration, seed=3))
+            peaks.append(traced_peak(lambda: net_summary(
+                stream, WindowConfig(1.0, 100.0)))[1])
+        assert peaks[1] <= peaks[0] + 64 * 1024
+
     def test_binary_read_peak(self, tmp_path):
         # the two columns are read into their final arrays; EventStream's
         # checks allocate the rest
