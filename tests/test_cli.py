@@ -489,6 +489,32 @@ MALFORMED_V2 = {
     "header key not UTF-8": (
         v2_file([10], [1], head=b"# pairsim-events v2\n"
                 b"# dur\xffation_ps = 1000\n"), 25, "not UTF-8 text"),
+    # header integers are ASCII digits with no sign, as the writer writes
+    # them; Python's int() would also take a sign, '_' and other digits
+    "seed negative": (
+        v2_file([10], [1], head=b"# pairsim-events v2\n# duration_ps = 1000\n"
+                b"# seed = -5\n"), 66, "seed is not an integer in ASCII"),
+    "duration with underscores": (
+        v2_file([10], [1], head=b"# pairsim-events v2\n"
+                b"# duration_ps = 1_000_000_000\n"), 63,
+        "duration_ps is not an integer in ASCII"),
+    "duration with plus sign": (
+        v2_file([10], [1], head=b"# pairsim-events v2\n"
+                b"# duration_ps = +1000000000\n"), 61,
+        "duration_ps is not an integer in ASCII"),
+    "duration in Arabic-Indic digits": (
+        v2_file([10], [1], head="# pairsim-events v2\n"
+                "# duration_ps = \u0661\u0660\u0660\u0660\n".encode()), 58,
+        "duration_ps is not an integer in ASCII"),
+    # rates over a run of 0 ps are undefined, so the reader refuses it
+    "duration 0": (
+        v2_file([], [], head=b"# pairsim-events v2\n# duration_ps = 0\n"), 51,
+        "duration_ps must be > 0"),
+    # RunConfig's seeds end at 2**64 - 1
+    "seed above 2**64 - 1": (
+        v2_file([10], [1], head=b"# pairsim-events v2\n# duration_ps = 1000\n"
+                b"# seed = 18446744073709551616\n"), 84,
+        "seed must be at most 2**64 - 1"),
 }
 
 

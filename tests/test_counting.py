@@ -356,7 +356,7 @@ class TestSmallBlocks:
     are carried through several of them; checked against the O(n^2)
     oracle."""
 
-    @settings(derandomize=True, deadline=None, max_examples=120)
+    @settings(derandomize=True, deadline=None, max_examples=60)
     @given(case=tied_streams())
     def test_counts_match_brute_force_property(self, block, case):
         with pytest.MonkeyPatch.context() as mp:

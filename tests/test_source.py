@@ -628,9 +628,8 @@ class TestBlockGoldenStreams:
         # values of one call, or every event file would change
         n = 3 * (1 << 16) + 12345
         one, chunked = (source_mod._substream(7, 0) for _ in range(2))
-        draws = {"integers": lambda rng, k: rng.integers(0, high, k),
-                 "normal": lambda rng, k: rng.normal(0.0, 300.0, k)}
-        for draw in draws.values():
+        for draw in (lambda rng, k: rng.integers(0, high, k),
+                     lambda rng, k: rng.normal(0.0, 300.0, k)):
             whole = draw(one, n)
             parts = np.concatenate([draw(chunked, min(1 << 16, n - lo))
                                     for lo in range(0, n, 1 << 16)])
@@ -721,8 +720,8 @@ class TestAllocationBudget:
         assert peak <= (1 << 16) + 8192
 
     def test_net_summary_peak_below_stream(self):
-        # one full-size mask at a time; the delayed merge holds only the
-        # candidates (8 % of the stream)
+        # the counter holds one 2^16-event block's temporaries, and its
+        # merges hold only candidates (8 % of the stream)
         stream, _ = simulate_run(reference_source(), reference_chain(),
                                  RunConfig(1.0, seed=3))
         nbytes = stream.times_ps.nbytes + stream.detectors.nbytes
