@@ -209,7 +209,7 @@ def _block_counts(stream: EventStream, window: WindowConfig
 
     The candidates are 8 % of the reference stream and 56 % of the dense
     one. Whatever the stream's length, a pass holds one block's temporaries
-    (traced: 0.7 MB at the reference point, 1.9 MB at the dense one, 2.1 MB
+    (traced: 0.7 MB at the reference point, 1.7 MB at the dense one, 2.1 MB
     when a long delay makes every event a candidate) plus the pending
     buffer, which grows with shift times the detector-2 rate. It is a few
     events at a 100 ns or 1 ms delay. A shift just under the duration puts
@@ -296,7 +296,7 @@ def net_summary(stream: EventStream, window: WindowConfig = WindowConfig(),
 
     Both counts come from one blocked pass, so the traced peak does not grow
     with the stream: 0.19 bytes per event above the stream at the 10 s
-    reference point and 2.2 at the 0.5 s dense one (the stream holds 9)."""
+    reference point and 2.0 at the 0.5 s dense one (the stream holds 9)."""
     duration_s = _require_duration(stream)
     n1, n2 = stream.counts()
     rc_count, acc_count = _block_counts(stream, window)
