@@ -51,11 +51,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sha256_file(path: Path) -> str:
+    """sha256 hex digest of a file, read into one reusable 64 KiB buffer,
+    so hashing holds 64 KiB whatever the file's size."""
     import hashlib
-    h = hashlib.sha256()
+    h, buf = hashlib.sha256(), bytearray(1 << 16)
+    view = memoryview(buf)
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
+        while n := fh.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
 
 

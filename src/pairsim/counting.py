@@ -267,7 +267,9 @@ def _block_counts(stream: EventStream, window: WindowConfig
 
 def count_coincidences(stream: EventStream,
                        window: WindowConfig = WindowConfig()) -> Rate:
-    """Raw coincidence rate from greedy start/stop matching."""
+    """Raw coincidence rate from greedy start/stop matching. It costs one
+    whole net_summary pass; net_summary gives this count and the
+    accidentals' together."""
     d = _require_duration(stream)
     return Rate(_block_counts(stream, window)[0] / d)
 
@@ -281,7 +283,9 @@ def estimate_accidentals(stream: EventStream,
     recounts coincidences. Any delay is counted as given, including one that
     wraps: within 10 windows of a multiple of the duration it brings true
     pairs back into the window as accidentals (all of them at an exact
-    multiple). `pairsim count` refuses such a delay (exit 1).
+    multiple). `pairsim count` refuses such a delay (exit 1). It costs one
+    whole net_summary pass; net_summary gives this count and the raw
+    coincidences' together.
     """
     d = _require_duration(stream)
     return Rate(_block_counts(stream, window)[1] / d)

@@ -231,9 +231,11 @@ def _read_binary(path: str | os.PathLike, fh) -> EventStream:
     for key in ("events", "duration_ps", "resolution_ps", "seed"):
         if key in header:
             text = header[key]
-            if not (text.isascii() and text.isdigit()):
+            if not (text.isascii() and text.isdigit()) or (
+                    text[0] == "0" and text != "0"):
                 fail(body, f"{key} is not an integer in ASCII digits ({key} "
-                           f"must be >= 0, with no sign): {text!r}")
+                           f"must be >= 0, with no sign or leading zero): "
+                           f"{text!r}")
             meta[key] = int(text)
     if meta["duration_ps"] == 0:
         fail(body, "duration_ps must be > 0, got 0")
