@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,70 @@ def small_config(tmp_path):
     path = tmp_path / "config.txt"
     keyvalue.write_keyvalue(path, source_mod.config_to_mapping(src, chain))
     return path
+
+
+class TestSha256File:
+    @pytest.fixture(scope="class")
+    def event_file(self, tmp_path_factory):
+        """A 2 s run of the bundled reference point: 6.4 MB."""
+        stream, _ = source_mod.simulate_run(
+            source_mod.reference_source(), source_mod.reference_chain(),
+            source_mod.RunConfig(2.0, 1))
+        path = tmp_path_factory.mktemp("hash") / "run.events"
+        pairsim.write_event_file(stream, path)
+        return path
+
+    @pytest.mark.parametrize("size", [0, 1, 65_535, 65_536, 65_537,
+                                      3 * 65_536 + 5])
+    def test_equals_hashlib_across_buffer_edges(self, tmp_path, size):
+        data = np.random.default_rng(size).bytes(size)
+        path = tmp_path / "data.bin"
+        path.write_bytes(data)
+        assert cli._sha256_file(path) == hashlib.sha256(data).hexdigest()
+
+    def test_equals_hashlib_on_event_file(self, event_file):
+        assert cli._sha256_file(event_file) == sha(event_file)
+
+    def test_peak_memory_is_one_buffer(self, event_file):
+        assert event_file.stat().st_size >= 4_000_000
+        tracemalloc.start()
+        try:
+            cli._sha256_file(event_file)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * 1024
+
+
+# every command that writes --out; {events} is a simulated event file
+MANIFEST_COMMANDS = {
+    "qpm": "qpm --pump=657e-9 --signal=1314e-9 --temp=100 --out={out}",
+    "qpm --curve": "qpm --pump=657e-9 --period=12.4e-6 --curve=100:130:3 "
+                   "--out={out}",
+    "simulate": "simulate --config={config} --duration=0.05 --seed=1 "
+                "--out={out}",
+    "count": "count {events} --csv --out={out}",
+    "estimate": "estimate --s1=155e3 --s2=155e3 --rc=1550 --splitter "
+                "--out={out}",
+    "table1": "table1 --out={out}",
+}
+
+
+@pytest.mark.parametrize("argv", MANIFEST_COMMANDS.values(),
+                         ids=MANIFEST_COMMANDS.keys())
+def test_manifest_output_sha256_is_the_file_written(capsys, tmp_path,
+                                                    small_config, argv):
+    events, out = tmp_path / "run.events", tmp_path / "report.out"
+    if "{events}" in argv:
+        run_cli(capsys, "simulate", f"--config={small_config}",
+                "--duration=0.05", "--seed=1", f"--out={events}")
+    code, _, _ = run_cli(capsys, *argv.format(
+        out=out, config=small_config, events=events).split())
+    assert code == 0
+    manifest = keyvalue.read_keyvalue(str(out) + ".manifest")
+    assert manifest["command"] == argv.split()[0]
+    assert manifest["output"] == str(out)
+    assert manifest["output_sha256"] == sha(out)
 
 
 class TestQpm:
@@ -506,6 +571,17 @@ MALFORMED_V2 = {
         v2_file([10], [1], head="# pairsim-events v2\n"
                 "# duration_ps = \u0661\u0660\u0660\u0660\n".encode()), 58,
         "duration_ps is not an integer in ASCII"),
+    # a leading zero would re-write without it; '0' itself reads
+    "seed with leading zero": (
+        v2_file([10], [1], head=b"# pairsim-events v2\n# duration_ps = 1000\n"
+                b"# seed = 007\n"), 67, "seed is not an integer in ASCII"),
+    "duration with leading zero": (
+        v2_file([10], [1], head=b"# pairsim-events v2\n"
+                b"# duration_ps = 01000\n"), 55,
+        "duration_ps is not an integer in ASCII"),
+    "events with leading zero": (
+        v2_file([10, 20], [1, 2]).replace(b"= 2\n", b"= 02\n"), 55,
+        "events is not an integer in ASCII"),
     # rates over a run of 0 ps are undefined, so the reader refuses it
     "duration 0": (
         v2_file([], [], head=b"# pairsim-events v2\n# duration_ps = 0\n"), 51,
