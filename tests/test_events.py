@@ -173,6 +173,16 @@ class TestEventFile:
             read_event_file(path)
         assert str(err.value) == f"{path}: byte {offset}: not UTF-8 text"
 
+    # a header integer has no leading zero (README "File formats"), but '0'
+    # itself reads
+    @pytest.mark.parametrize("text, seed", [("0", 0), ("7", 7), ("10", 10)])
+    def test_header_integer_without_leading_zero_reads(self, tmp_path, text,
+                                                       seed):
+        path = tmp_path / "run.events"
+        path.write_bytes(b"# pairsim-events v2\n# duration_ps = 1000\n"
+                         b"# seed = %s\n# events = 0\n" % text.encode())
+        assert read_event_file(path).seed == seed
+
 
 class TestBinaryEventFile:
     def test_layout(self, tmp_path):

@@ -10,8 +10,6 @@ header uses one of the spellings in RESPELLINGS.
 import random
 from importlib import resources
 
-import pytest
-
 from pairsim import events, source
 from test_cli import run_cli
 
@@ -162,10 +160,3 @@ def test_fuzz_inputs_end_in_documented_exit_codes(capsys, tmp_path,
         assert 0 in got and set(got) - {0}, (kind, sorted(set(got)))
     assert seen, "no accepted event file used a named respelling"
 
-
-@pytest.mark.parametrize("text, seed", [("0", 0), ("7", 7), ("10", 10)])
-def test_header_integer_without_leading_zero_reads(tmp_path, text, seed):
-    path = tmp_path / "run.events"
-    path.write_bytes(b"# pairsim-events v2\n# duration_ps = 1000\n"
-                     b"# seed = %s\n# events = 0\n" % text.encode())
-    assert events.read_event_file(path).seed == seed
