@@ -44,7 +44,7 @@ _EXPORTS = {
         "config_digest", "reference_source", "reference_chain",
     ),
     "counting": (
-        "WindowConfig", "CountSummary", "count_singles", "count_coincidences",
+        "WindowConfig", "CountSummary", "count_coincidences",
         "estimate_accidentals", "net_summary",
     ),
     "estimator": (

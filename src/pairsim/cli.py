@@ -321,12 +321,16 @@ def _cmd_count(args) -> int:
 def _read_summary_csv(path: str) -> dict[str, str]:
     lines = [ln for ln in keyvalue._read_utf8(path).splitlines()
              if ln.strip()]
-    if len(lines) < 2:
-        raise DataFormatError(f"{path}: expected a CSV header and one row")
+    if len(lines) != 2:
+        raise DataFormatError(f"{path}: expected a CSV header and one row, "
+                              f"got {len(lines)} non-blank lines")
     keys = lines[0].split(",")
     values = lines[1].split(",")
     if len(keys) != len(values):
         raise DataFormatError(f"{path}: header/row column mismatch")
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise DataFormatError(f"{path}: duplicate column {key!r}")
     return dict(zip(keys, values))
 
 

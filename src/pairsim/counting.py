@@ -109,13 +109,6 @@ def _require_duration(stream: EventStream) -> float:
     return stream.duration_s
 
 
-def count_singles(stream: EventStream) -> tuple[Rate, Rate]:
-    """Raw per-detector count rates."""
-    d = _require_duration(stream)
-    n1, n2 = stream.counts()
-    return Rate(n1 / d), Rate(n2 / d)
-
-
 def _two_pointer_matches(a: list[int], b: list[int], half_window: int) -> int:
     """Greedy one-to-one start/stop matching of two sorted lists."""
     i = j = matches = 0
@@ -133,8 +126,9 @@ def _two_pointer_matches(a: list[int], b: list[int], half_window: int) -> int:
     return matches
 
 
-def _match_count(times: np.ndarray, is1: np.ndarray,
-                 half_window_ps: float) -> int:
+def _match_count(times: np.ndarray, is1: np.ndarray, half_window_ps: float,
+                 after: int | None = None
+                 ) -> tuple[int, np.ndarray, np.ndarray]:
     """One-to-one greedy matching in time order, |t1 - t2| <= half window,
     of a merged stream (detector 1 first at ties; is1 marks its events, as
     a bool mask or as the detector indices 1 and 2, and is read only at the
@@ -149,40 +143,31 @@ def _match_count(times: np.ndarray, is1: np.ndarray,
     and belong to the other detector, and nothing else competes for them.
     The exact sequential matcher runs only on clusters with at least two
     events per detector.
+
+    Returns (matches, times, is1), the last two of the open cluster. An
+    event at time after (None: no event) within the window of the last
+    event joins the last cluster, which is then open: left uncounted and
+    returned. Kept events' clusters are runs of the stream, so it is the
+    last kept cluster if the last event is kept, else the last event alone.
     """
     half_window = min(math.floor(half_window_ps), 2**63 - 1)
     keep = _near(times, half_window)
     t, m = np.compress(keep, times), np.compress(keep, is1) == 1
-    if t.size == 0:
-        return 0
-    starts, ends = _cluster_bounds(np.diff(t) > half_window)
-    n1 = np.add.reduceat(m, starts, dtype=np.int64)
-    pairs = np.minimum(n1, ends - starts - n1)
-    ambiguous = np.repeat(pairs > 1, ends - starts)
-    return (int(np.count_nonzero(pairs == 1))
-            + _two_pointer_matches(t[ambiguous & m].tolist(),
-                                   t[ambiguous & ~m].tolist(), half_window))
-
-
-def _closed_matches(times: np.ndarray, is1: np.ndarray, half_window: int,
-                    after: int | None) -> tuple[int, np.ndarray, np.ndarray]:
-    """(matches of the clusters that no event at time >= after can join,
-    the times and is1 of the last cluster if one can, left open); after
-    None closes every cluster. The last cluster's start is sought back from
-    the end in doubling spans, so a short one costs no segment-sized
-    temporary."""
-    split, span = times.size, 64
+    matches, split = 0, times.size      # the open cluster starts at split
     if after is not None and split and after - times[-1] <= half_window:
-        hi, split = split, 0
-        while hi > 1:
-            lo = max(hi - span, 0)
-            cut = np.flatnonzero(np.diff(times[lo:hi]) > half_window)
-            if cut.size:
-                split = lo + int(cut[-1]) + 1
-                break
-            hi, span = lo + 1, 2 * span
-    return (_match_count(times[:split], is1[:split], half_window),
-            times[split:].copy(), is1[split:].copy())
+        split -= 1
+    if t.size:
+        starts, ends = _cluster_bounds(np.diff(t) > half_window)
+        n1 = np.add.reduceat(m, starts, dtype=np.int64)
+        pairs = np.minimum(n1, ends - starts - n1)
+        if split < times.size and keep[-1]:
+            split -= int(ends[-1] - starts[-1]) - 1
+            pairs[-1] = 0       # neither counted nor matched: it is open
+        ambiguous = np.repeat(pairs > 1, ends - starts)
+        matches = int(np.count_nonzero(pairs == 1)) + _two_pointer_matches(
+            t[ambiguous & m].tolist(), t[ambiguous & ~m].tolist(),
+            half_window)
+    return matches, times[split:].copy(), is1[split:].copy()
 
 
 def _block_counts(stream: EventStream, window: WindowConfig
@@ -204,8 +189,8 @@ def _block_counts(stream: EventStream, window: WindowConfig
 
     A block's delayed segment is its detector-1 candidates merged with the
     pending delayed detector-2 candidates that fall before the next block's
-    first time; the later ones wait for a later block. Each count carries
-    its last cluster into the next block when the next block can extend it.
+    first time; the later ones wait for a later block. Each count's carry
+    is _match_count's open cluster, with after the next block's first time.
 
     The candidates are 8 % of the reference stream and 56 % of the dense
     one. Whatever the stream's length, a pass holds one block's temporaries
@@ -239,9 +224,9 @@ def _block_counts(stream: EventStream, window: WindowConfig
         tb, db = tb.take(at), det[lo:hi].take(at)
         del at
 
-        n, raw_t, raw_d = _closed_matches(np.concatenate((raw_t, tb)),
-                                          np.concatenate((raw_d, db)),
-                                          half, after)
+        n, raw_t, raw_d = _match_count(np.concatenate((raw_t, tb)),
+                                       np.concatenate((raw_d, db)), half,
+                                       after)
         raw += n
         is1 = db == 1
         t1 = np.compress(is1, tb)
@@ -257,9 +242,9 @@ def _block_counts(stream: EventStream, window: WindowConfig
         times, is1 = _merge_sorted(t1, pending[:j])
         pending = pending[j:]
         del t1
-        n, acc_t, acc_1 = _closed_matches(np.concatenate((acc_t, times)),
-                                          np.concatenate((acc_1, is1)),
-                                          half, after)
+        n, acc_t, acc_1 = _match_count(np.concatenate((acc_t, times)),
+                                       np.concatenate((acc_1, is1)), half,
+                                       after)
         acc += n
         del times, is1
     return raw, acc

@@ -961,6 +961,11 @@ BAD_CLI_INPUTS = {
                          "expected a CSV header and one row"),
     "ragged summary": ("estimate --summary={tmp}/ragged.csv", None, 2,
                        "header/row column mismatch"),
+    "two-row summary": ("estimate --summary={tmp}/two_rows.csv", None, 2,
+                        "expected a CSV header and one row, got 3 "
+                        "non-blank lines"),
+    "repeated summary column": ("estimate --summary={tmp}/repeated.csv",
+                                None, 2, "duplicate column 's1_net_hz'"),
     "config empty key": (
         "simulate --config={tmp}/empty_key.txt --duration=0.01 --seed=1 "
         "--out={tmp}/sim.events", None, 2, "empty key"),
@@ -990,7 +995,11 @@ def test_bad_input_exit_codes(capsys, monkeypatch, tmp_path, argv, patch,
              "empty_key.txt": config + " = 5\n",
              "header.csv": "s1_net_hz,s2_net_hz,rc_net_hz,duration_s\n",
              "ragged.csv": "s1_net_hz,s2_net_hz,rc_net_hz,duration_s\n"
-                           "1e5,1e5,1e3\n"}
+                           "1e5,1e5,1e3\n",
+             "two_rows.csv": "s1_net_hz,s2_net_hz,rc_net_hz,duration_s\n"
+                             "1e5,1e5,1e3,1\n1e5,1e5,1e3,1\n",
+             "repeated.csv": "s1_net_hz,s2_net_hz,rc_net_hz,s1_net_hz\n"
+                             "1e5,1e5,1e3,2e5\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     if patch:

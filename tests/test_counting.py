@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pairsim import (ConfigError, EventStream, Rate, WindowConfig,
-                     count_coincidences, count_singles, estimate_accidentals,
-                     net_summary)
+                     count_coincidences, estimate_accidentals, net_summary)
 from pairsim import counting
 from pairsim.counting import _match_count
 from pairsim.events import _merge_sorted
@@ -134,6 +133,30 @@ MERGED_KERNEL_CASES = [
 ]
 
 
+@st.composite
+def short_streams(draw):
+    """(times, is1) of a merged stream of up to 22 events, crowded within a
+    few half windows, and a half window of 0 to 7 ps."""
+    half = draw(st.integers(0, 7))
+    side = st.lists(st.integers(0, 3 * half + 6), max_size=11)
+    t1, t2 = (np.sort(np.array(draw(side), dtype=np.int64)) for _ in "12")
+    return *_merge_sorted(t1, t2), float(half)
+
+
+# _match_count at a 10 ps half window: (times, detectors, after, matches,
+# the open cluster's length)
+OPEN_CLUSTER_CASES = {
+    "last event alone": ([0, 5, 50], [1, 2, 1], 55, 1, 1),
+    "last kept cluster": ([0, 5, 50, 55], [1, 2, 1, 2], 60, 1, 2),
+    "last kept cluster ambiguous": ([0, 5, 50, 52, 54, 56],
+                                    [1, 2, 1, 1, 2, 2], 60, 1, 4),
+    "after at the window's edge": ([0, 5, 50, 55], [1, 2, 1, 2], 65, 1, 2),
+    "after beyond the window": ([0, 5, 50, 55], [1, 2, 1, 2], 66, 2, 0),
+    "after None": ([0, 5, 50, 55], [1, 2, 1, 2], None, 2, 0),
+    "empty": ([], [], 5, 0, 0),
+}
+
+
 class TestWindowConfig:
     def test_validation(self):
         with pytest.raises(ConfigError, match="window"):
@@ -143,23 +166,6 @@ class TestWindowConfig:
 
     def test_half_window(self):
         assert WindowConfig(1.0, 100.0).half_window_ps == 500.0
-
-
-class TestCountSingles:
-    def test_empty_stream(self):
-        s = stream_from_times([], [], 1_000_000)
-        assert tuple(r.hz for r in count_singles(s)) == (0.0, 0.0)
-
-    def test_dark_only_rates(self):
-        s = poisson_streams(22e3, 22e3, 1.0, seed=17)
-        s1, s2 = count_singles(s)
-        for r in (s1.hz, s2.hz):
-            assert abs(r - 22e3) < 3.0 * math.sqrt(22e3)
-
-    def test_zero_duration_rejected(self):
-        s = stream_from_times([], [], 0)
-        with pytest.raises(ConfigError, match="duration"):
-            count_singles(s)
 
 
 class TestCountCoincidences:
@@ -228,7 +234,7 @@ class TestCountCoincidences:
         assert (summary.coincidence_count, summary.accidental_count) \
             == (raw, acc)
         # a zero half window, which WindowConfig cannot express
-        assert _match_count(*_merge_sorted(t1, t2), 0.0) \
+        assert _match_count(*_merge_sorted(t1, t2), 0.0)[0] \
             == brute_force_matches(t1, t2, 0.0)
 
     @pytest.mark.parametrize("t1, t2, matches", MERGED_KERNEL_CASES)
@@ -237,13 +243,13 @@ class TestCountCoincidences:
         s = stream_from_times(t1, t2, 10_000)
         assert count_coincidences(s, WindowConfig(1.0, 100.0)).hz \
             * s.duration_s == matches
-        assert _match_count(s.times_ps, s.detectors == 1, 500.0) == matches
+        assert _match_count(s.times_ps, s.detectors == 1, 500.0)[0] == matches
 
     def test_merged_kernel_exact_ties_at_zero_half_window(self):
         t1 = np.array([5, 5, 7, 9, 9, 9], dtype=np.int64)
         t2 = np.array([5, 7, 7, 9, 12], dtype=np.int64)
         times, is1 = _merge_sorted(t1, t2)
-        assert _match_count(times, is1, 0.0) \
+        assert _match_count(times, is1, 0.0)[0] \
             == brute_force_matches(t1, t2, 0.0) == 3
 
     def test_independent_streams_rate(self):
@@ -260,6 +266,51 @@ class TestCountCoincidences:
         with pytest.raises(ConfigError, match="non-decreasing"):
             EventStream(detectors=np.array([1, 2], np.uint8),
                         times_ps=np.array([100, 50]), duration_ps=1000)
+
+
+@pytest.mark.parametrize("mask", [True, False],
+                         ids=["is1 mask", "detector indices"])
+class TestOpenCluster:
+    """_match_count(..., after) counts every cluster that an event at after
+    cannot join and returns the one it can, so that a stream counted in
+    pieces gives the whole stream's count."""
+
+    @pytest.mark.parametrize("times, det, after, matches, n_open",
+                             OPEN_CLUSTER_CASES.values(),
+                             ids=OPEN_CLUSTER_CASES.keys())
+    def test_cases(self, mask, times, det, after, matches, n_open):
+        times = np.array(times, dtype=np.int64)
+        det = np.array(det, dtype=np.uint8)
+        is1 = det == 1 if mask else det
+        n, open_t, open_1 = _match_count(times, is1, 10.0, after)
+        assert n == matches
+        assert open_t.tolist() == times[times.size - n_open:].tolist()
+        assert open_1.dtype == is1.dtype
+        assert open_1.tolist() == is1[is1.size - n_open:].tolist()
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(case=short_streams())
+    def test_prefix_and_rest_count_the_whole(self, mask, case):
+        times, is1, half = case
+        if not mask:
+            is1 = np.where(is1, 1, 2).astype(np.uint8)
+        whole = _match_count(times, is1, half)[0]
+        for c in range(times.size + 1):
+            after = int(times[c]) if c < times.size else None
+            n, open_t, open_1 = _match_count(times[:c], is1[:c], half, after)
+            k = open_t.size
+            # the open cluster is the prefix's last cluster, and after joins it
+            assert np.array_equal(open_t, times[c - k:c])
+            assert np.array_equal(open_1, is1[c - k:c])
+            assert (k > 0) == (c > 0 and after is not None
+                               and after - times[c - 1] <= half)
+            if k:
+                assert np.all(np.diff(open_t) <= half)
+                assert c == k or times[c - k] - times[c - k - 1] > half
+            rest = _match_count(np.concatenate((open_t, times[c:])),
+                                np.concatenate((open_1, is1[c:])), half)
+            assert n + rest[0] == whole
+            assert rest[1].size == 0
 
 
 class TestAccidentals:
@@ -309,19 +360,27 @@ class TestNetSummary:
         assert summary.floored == ()
 
     def test_floor_and_flag(self):
-        s = poisson_streams(1e3, 1e3, 1.0, seed=6)
-        summary = net_summary(s, WindowConfig(10.0, 500.0),
-                              (Rate(50e3), Rate(50e3)))
-        assert summary.net_singles[0].hz == 0.0
-        assert summary.net_singles[1].hz == 0.0
-        assert "s1_net" in summary.floored and "s2_net" in summary.floored
+        # the second stream holds dark counts only
+        for rate, seed in ((1e3, 6), (22e3, 17)):
+            s = poisson_streams(rate, rate, 1.0, seed=seed)
+            summary = net_summary(s, WindowConfig(10.0, 500.0),
+                                  (Rate(50e3), Rate(50e3)))
+            for r in summary.raw_singles:
+                assert abs(r.hz - rate) < 3.0 * math.sqrt(rate)
+            assert summary.net_singles[0].hz == 0.0
+            assert summary.net_singles[1].hz == 0.0
+            assert "s1_net" in summary.floored and "s2_net" in summary.floored
 
     def test_zero_dark_zero_accidental_net_equals_raw(self):
-        s = stream_from_times([1000], [1000], 1_000_000_000)
-        summary = net_summary(s, WindowConfig(1.0, 100.0))
-        assert summary.net_coincidences == summary.raw_coincidences
-        assert summary.net_singles == summary.raw_singles
-        assert summary.accidental_coincidences.hz == 0.0
+        # one pair in 1 ms, and the empty stream
+        for t, singles_hz in (([1000], 1000.0), ([], 0.0)):
+            s = stream_from_times(t, t, 1_000_000_000)
+            summary = net_summary(s, WindowConfig(1.0, 100.0))
+            assert tuple(r.hz for r in summary.raw_singles) \
+                == (singles_hz, singles_hz)
+            assert summary.net_coincidences == summary.raw_coincidences
+            assert summary.net_singles == summary.raw_singles
+            assert summary.accidental_coincidences.hz == 0.0
 
     def test_translation_invariance_with_clean_seam(self):
         s = poisson_streams(20e3, 20e3, 1.0, seed=8)
@@ -338,7 +397,7 @@ class TestNetSummary:
         translated = stream_from_times(t1, t2, s.duration_ps)
         assert count_coincidences(translated, window) \
             == count_coincidences(s, window)
-        assert count_singles(translated) == count_singles(s)
+        assert translated.counts() == s.counts()
 
     def test_summary_mapping_keys(self):
         s = poisson_streams(5e3, 5e3, 1.0, seed=10)

@@ -34,7 +34,7 @@ PUBLIC = {
         "config_digest", "reference_source", "reference_chain",
     ],
     "counting": [
-        "WindowConfig", "CountSummary", "count_singles", "count_coincidences",
+        "WindowConfig", "CountSummary", "count_coincidences",
         "estimate_accidentals", "net_summary",
     ],
     "estimator": [
@@ -49,7 +49,7 @@ PUBLIC = {
 def test_all_is_pinned():
     expected = ["__version__"] + [n for names in PUBLIC.values()
                                   for n in names]
-    assert len(expected) == 57
+    assert len(expected) == 56
     assert pairsim.__all__ == expected
 
 

@@ -697,6 +697,18 @@ class TestAllocationBudget:
                 stream, WindowConfig(1.0, 100.0)))[1])
         assert peaks[1] <= peaks[0] + 64 * 1024
 
+    def test_reference_net_summary_peak_does_not_grow_with_the_stream(self):
+        # the same at the reference point: three times the events, the same
+        # peak, so test_net_summary_peak_below_stream's 1 s budget measures
+        # the block size
+        peaks = []
+        for duration in (1.0, 3.0):
+            stream, _ = simulate_run(reference_source(), reference_chain(),
+                                     RunConfig(duration, seed=3))
+            peaks.append(traced_peak(lambda: net_summary(
+                stream, WindowConfig(1.0, 100.0)))[1])
+        assert peaks[1] <= peaks[0] + 64 * 1024
+
     def test_binary_read_peak(self, tmp_path):
         # the two columns are read into their final arrays; EventStream's
         # checks allocate the rest
@@ -738,6 +750,9 @@ BAD_LIBRARY_INPUTS = {
                     "1-d arrays of equal length"),
     "times_for(3)": (lambda: EventStream([1, 2], [1, 2], 10).times_for(3),
                      "detector index must be 1 or 2, got 3"),
+    "net_summary of a zero duration": (
+        lambda: net_summary(EventStream([], [], 0)),
+        "stream duration is zero; rates are undefined"),
     "negative sample count": (
         lambda: sample_pair_spectrum(reference_source(), -1, seed=1),
         "sample count must be >= 0, got -1"),
