@@ -139,7 +139,7 @@ def short_streams(draw):
     few half windows, and a half window of 0 to 7 ps."""
     half = draw(st.integers(0, 7))
     side = st.lists(st.integers(0, 3 * half + 6), max_size=11)
-    t1, t2 = (np.sort(np.array(draw(side), dtype=np.int64)) for _ in "12")
+    t1, t2 = (np.sort(np.array(draw(side), dtype=np.int64)) for _ in range(2))
     return *_merge_sorted(t1, t2), float(half)
 
 
