@@ -42,6 +42,15 @@ class _UsageError(Exception):
     pass
 
 
+def _given_alone(flag: str, args, *names: str) -> None:
+    """Usage error when any option in names is given with flag, whose
+    values replace theirs, so that no given option is silently ignored."""
+    given = [f"--{name.replace('_', '-')}" for name in names
+             if getattr(args, name) is not None]
+    if given:
+        raise _UsageError(f"{flag} cannot be given with {', '.join(given)}")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on usage errors; this CLI reserves 2
     for data errors, so usage problems are rethrown and mapped to 1."""
@@ -128,6 +137,7 @@ def _cmd_qpm(args) -> int:
     order = args.order
 
     if args.curve is not None:
+        _given_alone("--curve", args, "temp", "signal")
         if args.period is None:
             raise _UsageError("--curve requires --period")
         try:
@@ -233,6 +243,8 @@ def _cmd_simulate(args) -> int:
     if args.jobs < 1:
         raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
     if args.from_manifest:
+        _given_alone("--from-manifest", args, "config", "duration", "seed",
+                     "resolution_ps")
         kv = keyvalue.read_keyvalue(args.from_manifest)
         src_txt = args.from_manifest
         scheme = kv.get("rng_scheme", "<missing>")
@@ -261,7 +273,8 @@ def _cmd_simulate(args) -> int:
             raise _UsageError("simulate needs --out")
         src_cfg, chain_cfg = source.config_from_mapping(
             keyvalue.read_keyvalue(args.config), args.config)
-        duration, seed, resolution = args.duration, args.seed, args.resolution_ps
+        duration, seed = args.duration, args.seed
+        resolution = 1 if args.resolution_ps is None else args.resolution_ps
         out = args.out
         config_path = args.config
 
@@ -338,6 +351,7 @@ def _cmd_estimate(args) -> int:
     from . import estimator
     duration = args.duration
     if args.summary:
+        _given_alone("--summary", args, "s1", "s2", "rc")
         row = _read_summary_csv(args.summary)
         s1 = keyvalue.get_float(row, "s1_net_hz", args.summary)
         s2 = keyvalue.get_float(row, "s2_net_hz", args.summary)
@@ -414,8 +428,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", help="source+chain config file")
     p.add_argument("--duration", type=float, help="run duration [s]")
     p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--resolution-ps", type=int, default=1,
-                   help="timestamp resolution [ps]")
+    p.add_argument("--resolution-ps", type=int,
+                   help="timestamp resolution [ps] (default 1)")
     p.add_argument("--out", help="event file to write")
     p.add_argument("--jobs", type=int, default=1,
                    help="run N consecutive seeds in parallel, one file each")

@@ -103,12 +103,6 @@ class CountSummary:
         }
 
 
-def _require_duration(stream: EventStream) -> float:
-    if stream.duration_ps <= 0:
-        raise ConfigError("stream duration is zero; rates are undefined")
-    return stream.duration_s
-
-
 def _two_pointer_matches(a: list[int], b: list[int], half_window: int) -> int:
     """Greedy one-to-one start/stop matching of two sorted lists."""
     i = j = matches = 0
@@ -126,33 +120,31 @@ def _two_pointer_matches(a: list[int], b: list[int], half_window: int) -> int:
     return matches
 
 
-def _match_count(times: np.ndarray, is1: np.ndarray, half_window_ps: float,
+def _match_count(times: np.ndarray, det: np.ndarray, half_window: int,
                  after: int | None = None
                  ) -> tuple[int, np.ndarray, np.ndarray]:
-    """One-to-one greedy matching in time order, |t1 - t2| <= half window,
-    of a merged stream (detector 1 first at ties; is1 marks its events, as
-    a bool mask or as the detector indices 1 and 2, and is read only at the
-    candidates, so a stream's detectors need no full-size mask).
+    """One-to-one greedy matching in time order, |t1 - t2| <= half_window,
+    of a merged stream (detector 1 first at ties) and its detector indices
+    det, 1 or 2, read only at the candidates. Timestamps are integers, so
+    half_window is the window's integer floor.
 
-    Timestamps are integers, so the window is its integer floor. A gap wider
-    than the window is never spanned by a match, so the clusters between
-    such gaps match independently. One linear pass over the adjacent gaps
-    drops the events that are clusters of their own (about 98 % of the
+    A gap wider than the window is never spanned by a match, so the clusters
+    between such gaps match independently. One linear pass over the adjacent
+    gaps drops the events that are clusters of their own (about 98 % of the
     reference stream). A cluster with a single event of either detector
     holds exactly one match: the event's neighbours lie within the window
     and belong to the other detector, and nothing else competes for them.
     The exact sequential matcher runs only on clusters with at least two
     events per detector.
 
-    Returns (matches, times, is1), the last two of the open cluster. An
+    Returns (matches, times, det), the last two of the open cluster. An
     event at time after (None: no event) within the window of the last
     event joins the last cluster, which is then open: left uncounted and
     returned. Kept events' clusters are runs of the stream, so it is the
     last kept cluster if the last event is kept, else the last event alone.
     """
-    half_window = min(math.floor(half_window_ps), 2**63 - 1)
     keep = _near(times, half_window)
-    t, m = np.compress(keep, times), np.compress(keep, is1) == 1
+    t, m = np.compress(keep, times), np.compress(keep, det) == 1
     matches, split = 0, times.size      # the open cluster starts at split
     if after is not None and split and after - times[-1] <= half_window:
         split -= 1
@@ -167,13 +159,14 @@ def _match_count(times: np.ndarray, is1: np.ndarray, half_window_ps: float,
         matches = int(np.count_nonzero(pairs == 1)) + _two_pointer_matches(
             t[ambiguous & m].tolist(), t[ambiguous & ~m].tolist(),
             half_window)
-    return matches, times[split:].copy(), is1[split:].copy()
+    return matches, times[split:].copy(), det[split:].copy()
 
 
 def _block_counts(stream: EventStream, window: WindowConfig
                   ) -> tuple[int, int]:
-    """(raw, delayed) match counts of a stream, walked in fixed blocks of
-    _BLOCK events with one gap pass per block.
+    """net_summary's (raw, delayed) match counts of a stream, walked in
+    fixed blocks of _BLOCK events with one gap pass per block. Both counts
+    give _match_count the whole-ps half window and detector indices.
 
     The delayed count matches detector 1 against detector 2 delayed by
     shift = delay mod duration and wrapped: u + shift for u < duration -
@@ -210,7 +203,7 @@ def _block_counts(stream: EventStream, window: WindowConfig
     pending = np.compress(det[k:] == 2, t[k:])
     pending -= wrap
     raw = acc = 0
-    raw_t, raw_d, acc_t, acc_1 = t[:0], det[:0], t[:0], det[:0] == 1
+    raw_t, raw_d, acc_t, acc_d = t[:0], det[:0], t[:0], det[:0]
     for lo in range(0, t.size, _BLOCK):
         hi = min(lo + _BLOCK, t.size)
         after = t[hi] if hi < t.size else None      # the next block's start
@@ -239,41 +232,37 @@ def _block_counts(stream: EventStream, window: WindowConfig
         del t2
         j = pending.size if after is None else int(np.searchsorted(pending,
                                                                    after))
-        times, is1 = _merge_sorted(t1, pending[:j])
+        times, dets = _merge_sorted(t1, pending[:j])
         pending = pending[j:]
         del t1
-        n, acc_t, acc_1 = _match_count(np.concatenate((acc_t, times)),
-                                       np.concatenate((acc_1, is1)), half,
+        n, acc_t, acc_d = _match_count(np.concatenate((acc_t, times)),
+                                       np.concatenate((acc_d, dets)), half,
                                        after)
         acc += n
-        del times, is1
+        del times, dets
     return raw, acc
 
 
 def count_coincidences(stream: EventStream,
                        window: WindowConfig = WindowConfig()) -> Rate:
-    """Raw coincidence rate from greedy start/stop matching. It costs one
-    whole net_summary pass; net_summary gives this count and the
-    accidentals' together."""
-    d = _require_duration(stream)
-    return Rate(_block_counts(stream, window)[0] / d)
+    """Raw coincidence rate from greedy start/stop matching: a view of
+    net_summary, whose whole pass it costs."""
+    return net_summary(stream, window).raw_coincidences
 
 
 def estimate_accidentals(stream: EventStream,
                          window: WindowConfig = WindowConfig()) -> Rate:
-    """Delayed-window accidental estimate.
+    """Delayed-window accidental estimate: a view of net_summary, whose
+    whole pass it costs.
 
     Shifts detector-2 timestamps by the configured delay, wrapping inside the
     run duration (event count and duration are preserved exactly), and
     recounts coincidences. Any delay is counted as given, including one that
     wraps: within 10 windows of a multiple of the duration it brings true
     pairs back into the window as accidentals (all of them at an exact
-    multiple). `pairsim count` refuses such a delay (exit 1). It costs one
-    whole net_summary pass; net_summary gives this count and the raw
-    coincidences' together.
+    multiple). `pairsim count` refuses such a delay (exit 1).
     """
-    d = _require_duration(stream)
-    return Rate(_block_counts(stream, window)[1] / d)
+    return net_summary(stream, window).accidental_coincidences
 
 
 def net_summary(stream: EventStream, window: WindowConfig = WindowConfig(),
@@ -286,7 +275,9 @@ def net_summary(stream: EventStream, window: WindowConfig = WindowConfig(),
     Both counts come from one blocked pass, so the traced peak does not grow
     with the stream: 0.19 bytes per event above the stream at the 10 s
     reference point and 2.0 at the 0.5 s dense one (the stream holds 9)."""
-    duration_s = _require_duration(stream)
+    if stream.duration_ps <= 0:
+        raise ConfigError("stream duration is zero; rates are undefined")
+    duration_s = stream.duration_s
     n1, n2 = stream.counts()
     rc_count, acc_count = _block_counts(stream, window)
 

@@ -70,7 +70,8 @@ def _near(times: np.ndarray, limit: int) -> np.ndarray:
 
 def _merge_sorted(t1: np.ndarray, t2: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(times, is1) of sorted int64 t1, t2 >= 0 merged, t1 first at ties:
+    """(times, detectors) of sorted int64 t1, t2 >= 0 merged, t1 first at
+    ties, with uint8 detector indices 1 (t1) and 2 (t2) as in EventStream:
     one in-place timsort merge of the uint64 keys 2t (t1) and 2t + 1 (t2).
     The merge takes a buffer of up to 4 bytes per key that tracemalloc
     does not see: merging two runs of 4M keys raises the peak RSS by
@@ -80,10 +81,10 @@ def _merge_sorted(t1: np.ndarray, t2: np.ndarray
     np.left_shift(t2.view(np.uint64), 1, out=keys[t1.size:])
     keys[t1.size:] |= 1
     keys.sort(kind="stable")
-    is1 = np.bitwise_and(keys, 1, dtype=np.uint8, casting="unsafe").view(bool)
-    np.logical_not(is1, out=is1)
+    det = np.bitwise_and(keys, 1, dtype=np.uint8, casting="unsafe")
+    det += 1
     keys >>= 1
-    return keys.view(np.int64), is1
+    return keys.view(np.int64), det
 
 
 def _cast_exact(values, dtype: type, name: str, what: str) -> np.ndarray:

@@ -59,17 +59,11 @@ class SellmeierModel:
                 f"temperature {temperature_c:g} C outside validity "
                 f"[{tlo:g}, {thi:g}] C of model {self.name!r}")
 
-    def index_um(self, wavelength_um, temperature_c: float):
-        """Index at wavelength(s) in micrometers; no range check, accepts
-        scalars or arrays (see _index_at)."""
-        return self._index_at(temperature_c)(wavelength_um * wavelength_um)
-
     def _index_at(self, temperature_c: float):
-        """The index as a function of the squared wavelength in um^2 at one
+        """The index as a function of one squared wavelength in um^2 at one
         temperature, its temperature terms computed once; no range check.
-        A float (np.float64 included) takes math.sqrt and an array
-        n2 ** 0.5, which numpy evaluates as sqrt: both equal np.sqrt bit
-        for bit, where a float's ** 0.5 (libm pow) does not."""
+        It takes math.sqrt, which equals np.sqrt bit for bit where a float's
+        ** 0.5 (libm pow) does not, and gives np.sqrt's nan below zero."""
         a1, a2, a3, a4, a5, a6 = self.a
         b1, b2, b3, b4 = self.b
         f = (temperature_c - self.t_ref_low) * (temperature_c + self.t_ref_high)
@@ -77,11 +71,9 @@ class SellmeierModel:
         pole3, pole5 = c3 * c3, a5 * a5
         sqrt, nan = math.sqrt, math.nan
 
-        def index(lam2):
+        def index(lam2: float) -> float:
             n2 = c1 + c2 / (lam2 - pole3) + c4 / (lam2 - pole5) - a6 * lam2
-            if isinstance(n2, float):   # np.sqrt's nan below zero, no error
-                return sqrt(n2) if n2 >= 0.0 else nan
-            return n2 ** 0.5
+            return sqrt(n2) if n2 >= 0.0 else nan
         return index
 
 
@@ -157,7 +149,7 @@ def refractive_index(model: SellmeierModel, wavelength: Wavelength,
     declared validity range.
     """
     model.check_range(wavelength, temperature_c)
-    return float(model.index_um(wavelength.um, temperature_c))
+    return model._index_at(temperature_c)(wavelength.um * wavelength.um)
 
 
 def _index_sum_per_m(pump: Wavelength, signal: Wavelength, idler: Wavelength,

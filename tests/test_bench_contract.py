@@ -1,0 +1,51 @@
+"""perfbench's library pass runs against the library as it stands, so a
+library change that breaks the benchmark fails here, in the test suite."""
+
+import contextlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import pairsim
+from pairsim import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench/workloads.py, imported by path (perfbench is no package)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up
+    spec.loader.exec_module(module)
+    yield module
+    del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", ["reference", "dense"])
+def test_library_pass_meets_the_benchmark_checks(workloads, name, seed):
+    wl = workloads.WORKLOADS[name].scaled(0.02)
+    source, chain = workloads.library_configs(pairsim, wl)
+    stream, _, summary, result = workloads.library_pass(
+        pairsim, wl, seed, source, chain, contextlib.nullcontext)
+    out = workloads.library_output(summary, result)
+    assert workloads.check_output(wl, out) == []
+    # the traced run times the two rate helpers and checks them against
+    # net_summary's counts
+    window = pairsim.WindowConfig(wl.window_ns, wl.delay_ns)
+    d = summary.duration_s
+    assert round(pairsim.count_coincidences(stream, window).hz * d) \
+        == summary.coincidence_count
+    assert round(pairsim.estimate_accidentals(stream, window).hz * d) \
+        == summary.accidental_count
+
+
+def test_traced_cli_functions_exist():
+    # the tracer wraps these two by name for its events.write/read layers
+    assert callable(cli.read_event_file)
+    assert callable(cli.write_event_file)

@@ -972,6 +972,35 @@ BAD_CLI_INPUTS = {
     "pump at the model edge": ("qpm --pump=2.6e-6 --period=1e-5 --temp=100",
                                None, 3, "degenerate wavelength sits at the "
                                         "model's validity edge"),
+    # an option that another one replaces is refused, not silently ignored
+    "from-manifest with --config": (
+        "simulate --from-manifest={tmp}/run.manifest --config={tmp}/ref.txt "
+        "--out={tmp}/sim.events", None, 1,
+        "--from-manifest cannot be given with --config"),
+    "from-manifest with --duration": (
+        "simulate --from-manifest={tmp}/run.manifest --duration=9 "
+        "--out={tmp}/sim.events", None, 1,
+        "--from-manifest cannot be given with --duration"),
+    "from-manifest with --seed": (
+        "simulate --from-manifest={tmp}/run.manifest --seed=7 "
+        "--out={tmp}/sim.events", None, 1,
+        "--from-manifest cannot be given with --seed"),
+    "from-manifest with --resolution-ps": (
+        "simulate --from-manifest={tmp}/run.manifest --resolution-ps=2 "
+        "--out={tmp}/sim.events", None, 1,
+        "--from-manifest cannot be given with --resolution-ps"),
+    "summary with rates": (
+        "estimate --summary={tmp}/summary.csv --s1=2e5 --s2=2e5 --rc=2e3",
+        None, 1, "--summary cannot be given with --s1, --s2, --rc"),
+    "summary with --rc": (
+        "estimate --summary={tmp}/summary.csv --rc=2e3", None, 1,
+        "--summary cannot be given with --rc"),
+    "curve with --temp": (
+        "qpm --pump=657e-9 --period=1.24e-5 --curve=60:140:5 --temp=100",
+        None, 1, "--curve cannot be given with --temp"),
+    "curve with --signal": (
+        "qpm --pump=657e-9 --period=1.24e-5 --curve=60:140:5 "
+        "--signal=1314e-9", None, 1, "--curve cannot be given with --signal"),
 }
 
 
@@ -999,7 +1028,16 @@ def test_bad_input_exit_codes(capsys, monkeypatch, tmp_path, argv, patch,
              "two_rows.csv": "s1_net_hz,s2_net_hz,rc_net_hz,duration_s\n"
                              "1e5,1e5,1e3,1\n1e5,1e5,1e3,1\n",
              "repeated.csv": "s1_net_hz,s2_net_hz,rc_net_hz,s1_net_hz\n"
-                             "1e5,1e5,1e3,2e5\n"}
+                             "1e5,1e5,1e3,2e5\n",
+             "summary.csv": "s1_net_hz,s2_net_hz,rc_net_hz,duration_s\n"
+                            "1e5,1e5,1e3,1\n",
+             # a simulate manifest of the bundled config, seed 3, 1 ms
+             "run.manifest": "".join(f"config.{line}" for line
+                                     in config.splitlines(keepends=True)
+                                     if not line.startswith("#"))
+                             + "duration_s = 0.001\nseed = 3\n"
+                               "resolution_ps = 1\nformat = binary\n"
+                               f"rng_scheme = {source_mod.RNG_SCHEME}\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     if patch:

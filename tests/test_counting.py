@@ -135,12 +135,12 @@ MERGED_KERNEL_CASES = [
 
 @st.composite
 def short_streams(draw):
-    """(times, is1) of a merged stream of up to 22 events, crowded within a
-    few half windows, and a half window of 0 to 7 ps."""
+    """(times, detectors) of a merged stream of up to 22 events, crowded
+    within a few half windows, and a half window of 0 to 7 ps."""
     half = draw(st.integers(0, 7))
     side = st.lists(st.integers(0, 3 * half + 6), max_size=11)
     t1, t2 = (np.sort(np.array(draw(side), dtype=np.int64)) for _ in range(2))
-    return *_merge_sorted(t1, t2), float(half)
+    return *_merge_sorted(t1, t2), half
 
 
 # _match_count at a 10 ps half window: (times, detectors, after, matches,
@@ -283,8 +283,6 @@ class TestCountCoincidences:
                         times_ps=np.array([100, 50]), duration_ps=1000)
 
 
-@pytest.mark.parametrize("mask", [True, False],
-                         ids=["is1 mask", "detector indices"])
 class TestOpenCluster:
     """_match_count(..., after) counts every cluster that an event at after
     cannot join and returns the one it can, so that a stream counted in
@@ -293,37 +291,34 @@ class TestOpenCluster:
     @pytest.mark.parametrize("times, det, after, matches, n_open",
                              OPEN_CLUSTER_CASES.values(),
                              ids=OPEN_CLUSTER_CASES.keys())
-    def test_cases(self, mask, times, det, after, matches, n_open):
+    def test_cases(self, times, det, after, matches, n_open):
         times = np.array(times, dtype=np.int64)
         det = np.array(det, dtype=np.uint8)
-        is1 = det == 1 if mask else det
-        n, open_t, open_1 = _match_count(times, is1, 10.0, after)
+        n, open_t, open_d = _match_count(times, det, 10, after)
         assert n == matches
         assert open_t.tolist() == times[times.size - n_open:].tolist()
-        assert open_1.dtype == is1.dtype
-        assert open_1.tolist() == is1[is1.size - n_open:].tolist()
+        assert open_d.dtype == det.dtype
+        assert open_d.tolist() == det[det.size - n_open:].tolist()
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(case=short_streams())
-    def test_prefix_and_rest_count_the_whole(self, mask, case):
-        times, is1, half = case
-        if not mask:
-            is1 = np.where(is1, 1, 2).astype(np.uint8)
-        whole = _match_count(times, is1, half)[0]
+    def test_prefix_and_rest_count_the_whole(self, case):
+        times, det, half = case
+        whole = _match_count(times, det, half)[0]
         for c in range(times.size + 1):
             after = int(times[c]) if c < times.size else None
-            n, open_t, open_1 = _match_count(times[:c], is1[:c], half, after)
+            n, open_t, open_d = _match_count(times[:c], det[:c], half, after)
             k = open_t.size
             # the open cluster is the prefix's last cluster, and after joins it
             assert np.array_equal(open_t, times[c - k:c])
-            assert np.array_equal(open_1, is1[c - k:c])
+            assert np.array_equal(open_d, det[c - k:c])
             assert (k > 0) == (c > 0 and after is not None
                                and after - times[c - 1] <= half)
             if k:
                 assert np.all(np.diff(open_t) <= half)
                 assert c == k or times[c - k] - times[c - k - 1] > half
             rest = _match_count(np.concatenate((open_t, times[c:])),
-                                np.concatenate((open_1, is1[c:])), half)
+                                np.concatenate((open_d, det[c:])), half)
             assert n + rest[0] == whole
             assert rest[1].size == 0
 

@@ -311,9 +311,9 @@ def test_merge_sorted_matches_stable_argsort_property(runs):
     copies = (t1.copy(), t2.copy())
     times = np.concatenate(runs)
     order = np.argsort(times, kind="stable")
-    merged, is1 = events._merge_sorted(t1, t2)
-    assert merged.dtype == np.int64 and is1.dtype == bool
+    merged, det = events._merge_sorted(t1, t2)
+    assert merged.dtype == np.int64 and det.dtype == np.uint8
     np.testing.assert_array_equal(merged, times[order])
-    np.testing.assert_array_equal(is1, order < t1.size)
+    np.testing.assert_array_equal(det, np.where(order < t1.size, 1, 2))
     np.testing.assert_array_equal(t1, copies[0])
     np.testing.assert_array_equal(t2, copies[1])

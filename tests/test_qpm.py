@@ -41,15 +41,6 @@ class TestRefractiveIndex:
                 n = refractive_index(MODEL, Wavelength(lam * 1e3), float(t))
                 assert 1.0 < n < 3.0
 
-    def test_array_index_matches_scalar_path(self):
-        nm = np.linspace(400.0, 5000.0, 1001).tolist()
-        lam = np.array([Wavelength(x).um for x in nm])
-        for t in (20.0, 100.0, 200.0):
-            n = MODEL.index_um(lam, t)
-            assert isinstance(n, np.ndarray)
-            assert n.tolist() == [refractive_index(MODEL, Wavelength(x), t)
-                                  for x in nm]
-
     def test_out_of_range_errors_name_the_bound(self):
         with pytest.raises(ConfigError, match="wavelength"):
             refractive_index(MODEL, Wavelength(200.0), 100.0)

@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 from pairsim import (ConfigError, DetectionChainConfig, Efficiency,
                      EventStream, MemoryBudgetError, OpticalPower, Rate, RunConfig,
                      SourceConfig, TrueCounts, Wavelength, WindowConfig,
-                     config_digest, count_coincidences, expected_rates,
-                     net_summary, pair_rate, photon_flux, read_event_file,
-                     reference_chain, reference_source, sample_pair_spectrum,
-                     simulate_run, write_event_file)
+                     config_digest, count_coincidences, estimate_accidentals,
+                     expected_rates, net_summary, pair_rate, photon_flux,
+                     read_event_file, reference_chain, reference_source,
+                     sample_pair_spectrum, simulate_run, write_event_file)
 from pairsim import keyvalue, source as source_mod
 
 FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -752,6 +752,12 @@ BAD_LIBRARY_INPUTS = {
                      "detector index must be 1 or 2, got 3"),
     "net_summary of a zero duration": (
         lambda: net_summary(EventStream([], [], 0)),
+        "stream duration is zero; rates are undefined"),
+    "count_coincidences of a zero duration": (
+        lambda: count_coincidences(EventStream([], [], 0)),
+        "stream duration is zero; rates are undefined"),
+    "estimate_accidentals of a zero duration": (
+        lambda: estimate_accidentals(EventStream([], [], 0)),
         "stream duration is zero; rates are undefined"),
     "negative sample count": (
         lambda: sample_pair_spectrum(reference_source(), -1, seed=1),
