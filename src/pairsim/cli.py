@@ -363,6 +363,8 @@ def _cmd_estimate(args) -> int:
             raise _UsageError("estimate needs --s1, --s2, and --rc "
                               "(or --summary)")
         s1, s2, rc = args.s1, args.s2, args.rc
+    if args.pump is not None and args.power is None:
+        raise _UsageError("--pump requires --power")
 
     inp = estimator.EstimateInput(
         s1_net=Rate(s1), s2_net=Rate(s2), rc_net=Rate(rc),

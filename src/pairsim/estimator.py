@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 from .core import (ConfigError, DataFormatError, Efficiency, InferenceError,
                    OpticalPower, Rate, Wavelength, _require_finite,
@@ -212,12 +211,9 @@ def load_source_records(path=None) -> list[SourceRecord]:
     > 0, a signal no longer than its pump, or a coincidence rate above the
     singles rate, is a DataFormatError."""
     if path is None:
-        ref = resources.files("pairsim.data").joinpath("source_comparison.txt")
-        kv = keyvalue.parse_keyvalue(ref.read_text(encoding="utf-8"), str(ref))
-        src = str(ref)
-    else:
-        kv = keyvalue.read_keyvalue(path)
-        src = str(path)
+        path = keyvalue._bundled("source_comparison.txt")
+    kv = keyvalue.read_keyvalue(path)
+    src = str(path)
 
     def figure(key: str) -> float:
         value = keyvalue.get_float(kv, key, src)
@@ -293,42 +289,32 @@ def compare_sources(records: list[SourceRecord] | None = None,
     return rows
 
 
-_CSV_COLUMNS = [
-    "label", "pump_power_w", "pump_wavelength_m", "signal_wavelength_m",
-    "detector", "singles_hz", "coincidences_hz", "splitter_correction",
-    "pair_rate_hz", "computed_eta", "published_eta",
-    "eta_relative_deviation", "computed_rc_per_watt", "published_rc_per_watt",
-    "rc_relative_deviation", "flagged",
-]
-
-
-def _row_values(row: SourceComparisonRow) -> list[str]:
-    rec = row.record
-    return [
-        rec.label,
-        f"{rec.pump_power.watts:.8g}",
-        f"{rec.pump.meters:.8g}",
-        f"{rec.signal.meters:.8g}",
-        rec.detector,
-        f"{rec.singles.hz:.8g}",
-        f"{rec.coincidences.hz:.8g}",
-        "true" if rec.splitter_correction else "false",
-        f"{row.pair_rate.hz:.8g}",
-        f"{row.computed_eta:.8g}",
-        f"{rec.published_eta:.8g}",
-        f"{row.eta_relative_deviation:.8g}",
-        f"{row.computed_rc_per_watt:.8g}",
-        f"{rec.published_rc_per_watt:.8g}",
-        f"{row.rc_relative_deviation:.8g}",
-        "true" if row.flagged else "false",
-    ]
+# table1's CSV columns in order, each with the text of its cell in row r
+_CSV_CELLS = {
+    "label": lambda r: r.record.label,
+    "pump_power_w": lambda r: f"{r.record.pump_power.watts:.8g}",
+    "pump_wavelength_m": lambda r: f"{r.record.pump.meters:.8g}",
+    "signal_wavelength_m": lambda r: f"{r.record.signal.meters:.8g}",
+    "detector": lambda r: r.record.detector,
+    "singles_hz": lambda r: f"{r.record.singles.hz:.8g}",
+    "coincidences_hz": lambda r: f"{r.record.coincidences.hz:.8g}",
+    "splitter_correction": lambda r: str(r.record.splitter_correction).lower(),
+    "pair_rate_hz": lambda r: f"{r.pair_rate.hz:.8g}",
+    "computed_eta": lambda r: f"{r.computed_eta:.8g}",
+    "published_eta": lambda r: f"{r.record.published_eta:.8g}",
+    "eta_relative_deviation": lambda r: f"{r.eta_relative_deviation:.8g}",
+    "computed_rc_per_watt": lambda r: f"{r.computed_rc_per_watt:.8g}",
+    "published_rc_per_watt": lambda r: f"{r.record.published_rc_per_watt:.8g}",
+    "rc_relative_deviation": lambda r: f"{r.rc_relative_deviation:.8g}",
+    "flagged": lambda r: str(r.flagged).lower(),
+}
 
 
 def comparison_csv(rows: list[SourceComparisonRow]) -> str:
     """Machine-readable comparison report (same numbers as the text table)."""
-    lines = [",".join(_CSV_COLUMNS)]
+    lines = [",".join(_CSV_CELLS)]
     for row in rows:
-        values = [v.replace(",", ";") for v in _row_values(row)]
+        values = [cell(row).replace(",", ";") for cell in _CSV_CELLS.values()]
         lines.append(",".join(values))
     return "\n".join(lines) + "\n"
 
@@ -346,7 +332,7 @@ def comparison_text(rows: list[SourceComparisonRow]) -> str:
     }
     table = [list(columns)]
     for row in rows:
-        cells = dict(zip(_CSV_COLUMNS, _row_values(row)))
+        cells = {column: cell(row) for column, cell in _CSV_CELLS.items()}
         cells["flagged"] = "FLAGGED" if row.flagged else "ok"
         table.append([cells[column] for column in columns.values()])
     widths = [max(len(r[i]) for r in table) for i in range(len(columns))]

@@ -25,6 +25,8 @@ must ascend; the writer/reader round trip is bit exact.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import NoReturn
@@ -126,12 +128,24 @@ class EventStream:
         if det.size and not 1 <= det.min() <= det.max() <= 2:
             bad = det[(det - 1) > 1]    # uint8: detector 0 wraps to 255
             raise ConfigError(f"detector index must be 1 or 2, got {bad[0]}")
-        if not 0 <= int(self.duration_ps) < 2**63:
-            raise ConfigError(
-                f"duration must be in [0, 2**63) ps, got {self.duration_ps}")
-        if int(self.resolution_ps) < 1:
-            raise ConfigError(
-                f"timestamp resolution must be >= 1 ps, got {self.resolution_ps}")
+        # RunConfig's rule, and no bool: whole numbers in range, kept as int
+        # (int() would run 10.7 as 10; a seed of -1 or '7' would not read back)
+        bounds = {  # name: (lowest, first too high, the rule)
+            "duration_ps": (0, 2**63, "duration must be a whole number of "
+                                      "ps in [0, 2**63)"),
+            "resolution_ps": (1, math.inf, "timestamp resolution must be a "
+                                           "whole number of ps >= 1"),
+            "seed": (0, 2**64, "seed must be at most 2**64 - 1 (None or a "
+                               "whole number >= 0)")}
+        for name, (lo, end, rule) in bounds.items():
+            value = getattr(self, name)
+            if name == "seed" and value is None:
+                continue
+            if not (isinstance(value, numbers.Real)
+                    and not isinstance(value, bool) and lo <= value < end
+                    and value % 1 == 0):    # inf and nan fail before the %
+                raise ConfigError(f"{rule}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if t.size:
             # in blocks, as _near, not one n-byte mask; np.diff can overflow
             for lo in range(0, t.size - 1, _BLOCK):
@@ -143,8 +157,6 @@ class EventStream:
                     f"timestamps must lie in [0, {self.duration_ps}) ps")
         object.__setattr__(self, "detectors", det)
         object.__setattr__(self, "times_ps", t)
-        object.__setattr__(self, "duration_ps", int(self.duration_ps))
-        object.__setattr__(self, "resolution_ps", int(self.resolution_ps))
 
     @property
     def n_events(self) -> int:
@@ -240,8 +252,6 @@ def _read_binary(path: str | os.PathLike, fh) -> EventStream:
             meta[key] = int(text)
     if meta["duration_ps"] == 0:
         fail(body, "duration_ps must be > 0, got 0")
-    if meta["seed"] is not None and meta["seed"] > 2**64 - 1:
-        fail(body, f"seed must be at most 2**64 - 1, got {meta['seed']}")
     n = meta.pop("events")
     size = os.fstat(fh.fileno()).st_size
     if size != body + 9 * n:

@@ -62,6 +62,13 @@ def read_keyvalue(path: str | os.PathLike) -> dict[str, str]:
     return parse_keyvalue(_read_utf8(path), source=str(path))
 
 
+def _bundled(name: str):
+    """The bundled data file called name, found from this package's own
+    name so that a renamed copy of the tree reads its own data."""
+    from importlib import resources     # loads zipfile; count needs none
+    return resources.files(__package__) / "data" / name
+
+
 def format_value(value: object) -> str:
     """Text of one value: floats use repr (round-trip exact), booleans
     true/false, None the empty string, everything else str."""

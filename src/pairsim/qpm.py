@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from typing import Iterable, Sequence
 
 from .core import ConfigError, SolverError, Wavelength, idler_wavelength
@@ -77,7 +76,10 @@ class SellmeierModel:
         return index
 
 
-def _model_from_mapping(kv: dict[str, str], source: str) -> SellmeierModel:
+def load_sellmeier_file(path) -> SellmeierModel:
+    """Load a Sellmeier coefficient file (key-value format, see data/)."""
+    kv = keyvalue.read_keyvalue(path)
+    source = str(path)
     return SellmeierModel(
         name=keyvalue.get_str(kv, "name", source),
         a=tuple(keyvalue.get_float(kv, f"a{i}", source) for i in range(1, 7)),
@@ -91,17 +93,10 @@ def _model_from_mapping(kv: dict[str, str], source: str) -> SellmeierModel:
     )
 
 
-def load_sellmeier_file(path) -> SellmeierModel:
-    """Load a Sellmeier coefficient file (key-value format, see data/)."""
-    return _model_from_mapping(keyvalue.read_keyvalue(path), str(path))
-
-
 @lru_cache(maxsize=1)
 def default_sellmeier_model() -> SellmeierModel:
     """The bundled congruent lithium niobate extraordinary-index model."""
-    ref = resources.files("pairsim.data").joinpath("cln_ne_sellmeier.txt")
-    kv = keyvalue.parse_keyvalue(ref.read_text(encoding="utf-8"), str(ref))
-    return _model_from_mapping(kv, str(ref))
+    return load_sellmeier_file(keyvalue._bundled("cln_ne_sellmeier.txt"))
 
 
 def _check_grating(poling_period_um: float | None, qpm_order: int) -> None:

@@ -37,7 +37,6 @@ import math
 import numbers
 from dataclasses import astuple, dataclass
 from functools import lru_cache
-from importlib import resources
 from typing import Mapping
 
 import numpy as np
@@ -459,10 +458,8 @@ def sample_pair_spectrum(source: SourceConfig, count: int,
 
 @lru_cache(maxsize=1)
 def _reference_config() -> tuple[SourceConfig, DetectionChainConfig]:
-    ref = resources.files("pairsim.data").joinpath("reference_run_config.txt")
-    return config_from_mapping(
-        keyvalue.parse_keyvalue(ref.read_text(encoding="utf-8"), str(ref)),
-        str(ref))
+    path = keyvalue._bundled("reference_run_config.txt")
+    return config_from_mapping(keyvalue.read_keyvalue(path), str(path))
 
 
 def reference_source() -> SourceConfig:

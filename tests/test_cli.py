@@ -141,8 +141,7 @@ class TestQpm:
 
     def test_sellmeier_edge_that_rounds_up_through_nm(self, capsys,
                                                        tmp_path):
-        from importlib import resources
-        text = resources.files("pairsim.data").joinpath(
+        text = keyvalue._bundled(
             "cln_ne_sellmeier.txt").read_text(encoding="utf-8")
         path = tmp_path / "model.txt"
         path.write_text(text.replace("wavelength_max_um = 5.00",
@@ -728,8 +727,7 @@ class TestTable1:
         "singles_hz", "coincidences_hz", "published_eta",
         "published_rc_per_watt"])
     def test_bad_figure_is_data_error(self, capsys, tmp_path, key, value):
-        from importlib import resources
-        text = resources.files("pairsim.data").joinpath(
+        text = keyvalue._bundled(
             "source_comparison.txt").read_text(encoding="utf-8")
         line = next(ln for ln in text.splitlines()
                     if ln.startswith(f"knbo3_bulk.{key} = "))
@@ -743,8 +741,7 @@ class TestTable1:
     @pytest.mark.parametrize("signal", ["655e-9", "600e-9"])
     def test_signal_not_beyond_pump_is_data_error(self, capsys, tmp_path,
                                                   signal):
-        from importlib import resources
-        text = resources.files("pairsim.data").joinpath(
+        text = keyvalue._bundled(
             "source_comparison.txt").read_text(encoding="utf-8")
         data = tmp_path / "table.txt"
         data.write_text(text.replace("knbo3_bulk.signal_wavelength_m = 1310e-9",
@@ -757,8 +754,7 @@ class TestTable1:
     def test_coincidences_above_singles_is_data_error(self, capsys,
                                                       tmp_path):
         # singles_hz is 250e3 in the bundled row
-        from importlib import resources
-        text = resources.files("pairsim.data").joinpath(
+        text = keyvalue._bundled(
             "source_comparison.txt").read_text(encoding="utf-8")
         data = tmp_path / "table.txt"
         data.write_text(text.replace("knbo3_bulk.coincidences_hz = 5000",
@@ -892,10 +888,8 @@ _CURVE = "qpm --pump=657e-9 --period=12.4e-6 --curve=100:130:3"
 ])
 def test_float_option_edge_values_exit_codes(capsys, tmp_path, template,
                                              valid, codes):
-    from importlib import resources
     summary = tmp_path / "sum.csv"
-    config = resources.files("pairsim.data").joinpath(
-        "reference_run_config.txt")
+    config = keyvalue._bundled("reference_run_config.txt")
     pairsim.write_event_file(pairsim.EventStream(
         detectors=[1, 2, 1], times_ps=[10, 20, 5000], duration_ps=10**12),
         tmp_path / "tiny.events")
@@ -995,6 +989,9 @@ BAD_CLI_INPUTS = {
     "summary with --rc": (
         "estimate --summary={tmp}/summary.csv --rc=2e3", None, 1,
         "--summary cannot be given with --rc"),
+    "pump without power": (
+        "estimate --s1=10 --s2=10 --rc=1 --pump=657e-9", None, 1,
+        "--pump requires --power"),
     "curve with --temp": (
         "qpm --pump=657e-9 --period=1.24e-5 --curve=60:140:5 --temp=100",
         None, 1, "--curve cannot be given with --temp"),
@@ -1008,8 +1005,7 @@ BAD_CLI_INPUTS = {
                          BAD_CLI_INPUTS.values(), ids=BAD_CLI_INPUTS.keys())
 def test_bad_input_exit_codes(capsys, monkeypatch, tmp_path, argv, patch,
                               code, message):
-    from importlib import resources
-    config = resources.files("pairsim.data").joinpath(
+    config = keyvalue._bundled(
         "reference_run_config.txt").read_text(encoding="utf-8")
 
     def with_value(key, value):

@@ -8,9 +8,8 @@ header uses one of the spellings in RESPELLINGS.
 """
 
 import random
-from importlib import resources
 
-from pairsim import events, source
+from pairsim import events, keyvalue, source
 from test_cli import run_cli
 
 FUZZ_SEED = 15
@@ -95,7 +94,7 @@ def check_exit(capsys, argv) -> int:
 
 
 def _bundled(name: str) -> bytes:
-    return resources.files("pairsim.data").joinpath(name).read_bytes()
+    return keyvalue._bundled(name).read_bytes()
 
 
 def test_fuzz_inputs_end_in_documented_exit_codes(capsys, tmp_path,

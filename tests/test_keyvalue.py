@@ -1,5 +1,12 @@
+import dataclasses
+import importlib.util
+import shutil
+import sys
+from pathlib import Path
+
 import pytest
 
+import pairsim
 from pairsim import DataFormatError
 from pairsim import keyvalue
 
@@ -52,3 +59,36 @@ def test_typed_getters_validate():
         keyvalue.get_bool(kv, "x")
     with pytest.raises(DataFormatError, match="missing"):
         keyvalue.get_float(kv, "absent")
+
+
+def test_renamed_tree_reads_its_own_data(tmp_path):
+    # a copy of the package under another name, loaded beside pairsim in one
+    # process (as a paired benchmark loads a parent and a change tree),
+    # reads its own bundled files, not pairsim's
+    twin = tmp_path / "pairsim_twin"
+    shutil.copytree(Path(pairsim.__file__).parent, twin,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    config = twin / "data" / "reference_run_config.txt"
+    text = config.read_text(encoding="utf-8")
+    assert "dark1_hz = 22000.0\n" in text
+    config.write_text(text.replace("dark1_hz = 22000.0", "dark1_hz = 23000.0"),
+                      encoding="utf-8")
+    spec = importlib.util.spec_from_file_location(
+        "pairsim_twin", twin / "__init__.py",
+        submodule_search_locations=[str(twin)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["pairsim_twin"] = module
+    try:
+        spec.loader.exec_module(module)
+        assert module.reference_chain().dark1.hz == 23000.0
+        assert pairsim.reference_chain().dark1.hz == 22000.0
+        # the classes differ between the trees, so compare values
+        assert (dataclasses.astuple(module.default_sellmeier_model())
+                == dataclasses.astuple(pairsim.default_sellmeier_model()))
+        assert ([dataclasses.astuple(r) for r in module.load_source_records()]
+                == [dataclasses.astuple(r)
+                    for r in pairsim.load_source_records()])
+    finally:
+        for name in [name for name in sys.modules
+                     if name.split(".")[0] == "pairsim_twin"]:
+            del sys.modules[name]

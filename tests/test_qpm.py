@@ -9,7 +9,7 @@ from pairsim import (ConfigError, DataFormatError, QpmPoint, SolverError,
                      solve_degeneracy_temperature, solve_poling_period,
                      solve_signal_wavelength, solve_temperature,
                      temperature_tuning_curve)
-from pairsim import qpm
+from pairsim import keyvalue, qpm
 
 MODEL = default_sellmeier_model()
 
@@ -54,8 +54,7 @@ class TestModelFile:
         assert MODEL.wavelength_range_um == (0.40, 5.00)
 
     def test_load_from_file(self, tmp_path):
-        from importlib import resources
-        text = resources.files("pairsim.data").joinpath(
+        text = keyvalue._bundled(
             "cln_ne_sellmeier.txt").read_text(encoding="utf-8")
         path = tmp_path / "model.txt"
         path.write_text(text, encoding="utf-8")

@@ -225,8 +225,7 @@ class TestConfigs:
             assert written * scale == x
 
     def test_bundled_reference_config_matches_code(self):
-        from importlib import resources
-        text = resources.files("pairsim.data").joinpath(
+        text = keyvalue._bundled(
             "reference_run_config.txt").read_text(encoding="utf-8")
         kv = keyvalue.parse_keyvalue(text)
         assert source_mod.config_from_mapping(kv) \
@@ -742,6 +741,11 @@ class TestAllocationBudget:
         assert peak <= 0.35 * nbytes
 
 
+def _stream(**meta):
+    """A one-event EventStream, duration 10 ps unless meta replaces it."""
+    return EventStream([1], [5], **{"duration_ps": 10, **meta})
+
+
 # library calls with bad inputs: (call, the ConfigError's text)
 BAD_LIBRARY_INPUTS = {
     "unequal columns": (lambda: EventStream([1, 2], [1, 2, 3], 10),
@@ -766,6 +770,22 @@ BAD_LIBRARY_INPUTS = {
         lambda: sample_pair_spectrum(dataclasses.replace(
             reference_source(), spectral_fwhm_nm=5000.0), 1000, seed=1),
         "spectral width is unphysically large"),
+    # stream metadata that the event file could not write and read back
+    "seed 1.5": (lambda: _stream(seed=1.5), "seed must be at most"),
+    "seed -1": (lambda: _stream(seed=-1), "seed must be at most"),
+    "seed 2**64": (lambda: _stream(seed=2**64), "seed must be at most"),
+    "seed True": (lambda: _stream(seed=True), "seed must be at most"),
+    "seed '7'": (lambda: _stream(seed="7"), "seed must be at most"),
+    "duration 10.7 ps": (lambda: _stream(duration_ps=10.7),
+                         "duration must be a whole number"),
+    "duration nan": (lambda: _stream(duration_ps=math.nan),
+                     "duration must be a whole number"),
+    "duration inf": (lambda: _stream(duration_ps=math.inf),
+                     "duration must be a whole number"),
+    "duration '12'": (lambda: _stream(duration_ps="12"),
+                      "duration must be a whole number"),
+    "resolution 2.5 ps": (lambda: _stream(resolution_ps=2.5),
+                          "resolution must be a whole number"),
 }
 
 
