@@ -27,7 +27,8 @@ from .core import (ConfigError, DataFormatError, OpticalPower, Rate,
 from . import keyvalue
 
 # Each command imports the layers it uses when it runs, so that qpm,
-# estimate and table1 start without numpy and no command loads a layer (or
+# estimate and table1 run without numpy, simulate loads it only to draw,
+# after its config and manifest checks, and no command loads a layer (or
 # hashlib, which only a manifest needs) that it does not call.
 
 __all__ = ["main"]
@@ -313,7 +314,7 @@ def _cmd_count(args) -> int:
     # the delayed times wrap inside the run: the 10-window rule applies to
     # the delay's distance from the nearest multiple of the duration
     d = stream.duration_ps
-    if d > 0 and min(window.delay_ps % d, -window.delay_ps % d) \
+    if min(window.delay_ps % d, -window.delay_ps % d) \
             <= 10.0 * window.coincidence_window_ns * 1e3:
         raise _UsageError(f"--delay {args.delay} s wraps to within 10 windows "
                           f"of zero in a {stream.duration_s} s run")

@@ -275,8 +275,6 @@ def net_summary(stream: EventStream, window: WindowConfig = WindowConfig(),
     Both counts come from one blocked pass, so the traced peak does not grow
     with the stream: 0.19 bytes per event above the stream at the 10 s
     reference point and 2.0 at the 0.5 s dense one (the stream holds 9)."""
-    if stream.duration_ps <= 0:
-        raise ConfigError("stream duration is zero; rates are undefined")
     duration_s = stream.duration_s
     n1, n2 = stream.counts()
     rc_count, acc_count = _block_counts(stream, window)

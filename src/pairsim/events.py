@@ -25,6 +25,7 @@ must ascend; the writer/reader round trip is bit exact.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 import os
@@ -68,6 +69,43 @@ def _near(times: np.ndarray, limit: int) -> np.ndarray:
         keep[lo:lo + near.size] |= near
         keep[lo + 1:lo + 1 + near.size] |= near
     return keep
+
+
+def _blocks(a: np.ndarray) -> list[np.ndarray]:
+    """Views of a in order, _BLOCK values each (the last one shorter). numpy
+    draws values one after another, so drawing a block at a time gives the
+    values of one call with O(block) temporaries."""
+    return [a[lo:lo + _BLOCK] for lo in range(0, a.size, _BLOCK)]
+
+
+def _deadtime_filter(times_ps: np.ndarray, dead_ps: int) -> np.ndarray:
+    """Non-paralyzable dead time on sorted int64 ps: drop events less than
+    dead_ps after the last accepted one; dropped events do not extend the
+    dead window.
+
+    An event at least dead_ps after its predecessor is accepted whatever
+    came before, so it starts a cluster; one with no neighbour closer than
+    dead_ps is kept as it is. A cluster shorter than dead_ps keeps only its
+    start; the sequential rule runs only on the longer ones, on Python ints
+    so that t + dead_ps cannot overflow.
+    """
+    near = _near(times_ps, dead_ps - 1)
+    t = times_ps[near]
+    if t.size == 0:     # no event is near another, as always at dead_ps <= 0
+        return times_ps
+    starts, ends = _cluster_bounds(np.diff(t) >= dead_ps)
+    keep = np.zeros(t.size, dtype=bool)
+    keep[starts] = True
+    long = np.flatnonzero(t[ends - 1] - t[starts] >= dead_ps)
+    for start, end in zip(starts[long].tolist(), ends[long].tolist()):
+        cluster = t[start:end].tolist()
+        i = 0
+        while i < len(cluster):
+            keep[start + i] = True
+            i = bisect.bisect_left(cluster, cluster[i] + dead_ps, i + 1)
+    kept = ~near
+    kept[near] = keep
+    return times_ps[kept]
 
 
 def _merge_sorted(t1: np.ndarray, t2: np.ndarray
@@ -131,8 +169,8 @@ class EventStream:
         # RunConfig's rule, and no bool: whole numbers in range, kept as int
         # (int() would run 10.7 as 10; a seed of -1 or '7' would not read back)
         bounds = {  # name: (lowest, first too high, the rule)
-            "duration_ps": (0, 2**63, "duration must be a whole number of "
-                                      "ps in [0, 2**63)"),
+            "duration_ps": (1, 2**63, "duration must be a whole number of "
+                                      "ps in [1, 2**63)"),
             "resolution_ps": (1, math.inf, "timestamp resolution must be a "
                                            "whole number of ps >= 1"),
             "seed": (0, 2**64, "seed must be at most 2**64 - 1 (None or a "
@@ -250,8 +288,6 @@ def _read_binary(path: str | os.PathLike, fh) -> EventStream:
                            f"must be >= 0, with no sign or leading zero): "
                            f"{text!r}")
             meta[key] = int(text)
-    if meta["duration_ps"] == 0:
-        fail(body, "duration_ps must be > 0, got 0")
     n = meta.pop("events")
     size = os.fstat(fh.fileno()).st_size
     if size != body + 9 * n:

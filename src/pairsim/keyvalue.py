@@ -46,10 +46,11 @@ def parse_keyvalue(text: str, source: str = "<string>") -> dict[str, str]:
     return result
 
 
-def _read_utf8(path: str | os.PathLike) -> str:
-    """The text of a file; bytes that are not UTF-8 are a DataFormatError
-    naming the offset of the first."""
-    with open(path, "rb") as fh:
+def _read_utf8(path) -> str:
+    """The text of a path or a bundled resource (which opens itself); bytes
+    that are not UTF-8 are a DataFormatError naming the first's offset."""
+    with (open(path, "rb") if isinstance(path, (str, bytes, os.PathLike))
+          else path.open("rb")) as fh:
         data = fh.read()
     try:
         return data.decode("utf-8")

@@ -26,24 +26,20 @@ jitter rounded to whole ps, and the dead time acts as its exact ceiling in
 whole ps. Both detectors fill one uint64 key buffer, sorted once. Fixed seed
 gives a bit-identical stream; each physical process draws from its own
 named substream, so changing e.g. a dark rate does not shift the photon
-draws. RNG_SCHEME versions the draws.
+draws. RNG_SCHEME versions the draws. Configs, closed-form rates and the
+digest run on plain floats; numpy and the event layer load with a draw.
 """
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import math
 import numbers
 from dataclasses import astuple, dataclass
 from functools import lru_cache
 from typing import Mapping
 
-import numpy as np
-
 from .core import (ConfigError, Efficiency, MemoryBudgetError, OpticalPower,
                    Rate, Wavelength, photon_flux)
-from .events import _BLOCK, EventStream, _cluster_bounds, _near
 from . import _EXPORTS, keyvalue
 
 __all__ = [*_EXPORTS["source"], "config_to_mapping", "config_from_mapping"]
@@ -258,11 +254,13 @@ def config_from_mapping(kv: Mapping[str, str], source: str = "config",
 
 def config_digest(source: SourceConfig, chain: DetectionChainConfig) -> str:
     """Stable sha256 over the flat config representation."""
+    import hashlib
     text = keyvalue.format_keyvalue(config_to_mapping(source, chain))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:
+    import numpy as np
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=int(seed),
                                                spawn_key=(index,))))
@@ -273,43 +271,6 @@ def _ceil_ps(ns: float) -> int:
     1000), in integers."""
     num, den = ns.as_integer_ratio()
     return -(-num * 1000 // den)
-
-
-def _blocks(a: np.ndarray) -> list[np.ndarray]:
-    """Views of a in order, _BLOCK values each (the last one shorter). numpy
-    draws values one after another, so drawing a block at a time gives the
-    values of one call with O(block) temporaries."""
-    return [a[lo:lo + _BLOCK] for lo in range(0, a.size, _BLOCK)]
-
-
-def _deadtime_filter(times_ps: np.ndarray, dead_ps: int) -> np.ndarray:
-    """Non-paralyzable dead time on sorted int64 ps: drop events less than
-    dead_ps after the last accepted one; dropped events do not extend the
-    dead window.
-
-    An event at least dead_ps after its predecessor is accepted whatever
-    came before, so it starts a cluster; one with no neighbour closer than
-    dead_ps is kept as it is. A cluster shorter than dead_ps keeps only its
-    start; the sequential rule runs only on the longer ones, on Python ints
-    so that t + dead_ps cannot overflow.
-    """
-    near = _near(times_ps, dead_ps - 1)
-    t = times_ps[near]
-    if t.size == 0:     # no event is near another, as always at dead_ps <= 0
-        return times_ps
-    starts, ends = _cluster_bounds(np.diff(t) >= dead_ps)
-    keep = np.zeros(t.size, dtype=bool)
-    keep[starts] = True
-    long = np.flatnonzero(t[ends - 1] - t[starts] >= dead_ps)
-    for start, end in zip(starts[long].tolist(), ends[long].tolist()):
-        cluster = t[start:end].tolist()
-        i = 0
-        while i < len(cluster):
-            keep[start + i] = True
-            i = bisect.bisect_left(cluster, cluster[i] + dead_ps, i + 1)
-    kept = ~near
-    kept[near] = keep
-    return times_ps[kept]
 
 
 def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
@@ -334,6 +295,8 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
     the expected pair count exceeds the largest Poisson mean numpy can
     sample (about 9.2e18).
     """
+    import numpy as np
+    from .events import EventStream, _blocks, _deadtime_filter
     n_rate = pair_rate(source).hz
     e1, e2 = chain.arm_efficiencies
     d = run.duration_s
@@ -445,6 +408,7 @@ def sample_pair_spectrum(source: SourceConfig, count: int,
     """
     if count < 0:
         raise ConfigError(f"sample count must be >= 0, got {count}")
+    import numpy as np
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     sigma = source.spectral_fwhm_nm / _FWHM_SIGMA
     signal_nm = rng.normal(source.spectral_center.nm, sigma, int(count))

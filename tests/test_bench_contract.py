@@ -1,8 +1,10 @@
 """perfbench's library pass runs against the library as it stands, so a
 library change that breaks the benchmark fails here, in the test suite."""
 
+import ast
 import contextlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -49,3 +51,23 @@ def test_traced_cli_functions_exist():
     # the tracer wraps these two by name for its events.write/read layers
     assert callable(cli.read_event_file)
     assert callable(cli.write_event_file)
+
+
+@pytest.mark.parametrize("module", ["pairsim", "pairsim.cli"])
+def test_setup_code_loads_no_numpy(workloads, module):
+    """setup_s times perfbench's SETUP_CODE in a fresh interpreter; the
+    calls it makes read configs and the Sellmeier model, which need no
+    numpy."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(
+        encoding="utf-8"))
+    setup_code, = (ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets]
+                   == ["SETUP_CODE"])
+    proc = subprocess.run(
+        [sys.executable, "-c", setup_code.format(module=module)
+         + "import sys\nprint('numpy' in sys.modules)\n"],
+        capture_output=True, text=True, timeout=120, cwd=ROOT,
+        env=workloads.cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -581,10 +581,10 @@ MALFORMED_V2 = {
     "events with leading zero": (
         v2_file([10, 20], [1, 2]).replace(b"= 2\n", b"= 02\n"), 55,
         "events is not an integer in ASCII"),
-    # rates over a run of 0 ps are undefined, so the reader refuses it
+    # rates over a run of 0 ps are undefined, so EventStream refuses it
     "duration 0": (
         v2_file([], [], head=b"# pairsim-events v2\n# duration_ps = 0\n"), 51,
-        "duration_ps must be > 0"),
+        "duration must be a whole number of ps in [1, "),
     # RunConfig's seeds end at 2**64 - 1
     "seed above 2**64 - 1": (
         v2_file([10], [1], head=b"# pairsim-events v2\n# duration_ps = 1000\n"
@@ -843,6 +843,46 @@ def test_count_of_binary_file_loads_only_its_layers(tmp_path):
     modules = set(proc.stdout.splitlines()[-1].split())
     assert {"pairsim.events", "pairsim.counting"} <= modules
     assert not {"pairsim.source", "pairsim.qpm", "pairsim.estimator"} & modules
+
+
+@pytest.mark.parametrize("argv, file, code", [
+    (["simulate", "--from-manifest", "{config}", "--out", "{tmp}/sim.events"],
+     "old.manifest", 1),
+    (_SIMULATE, "mu1_2.txt", 1),
+    (_SIMULATE, "mu1_x.txt", 2),
+], ids=["marked-1 manifest", "mu1 = 2", "mu1 = x"])
+def test_refused_simulate_loads_no_numpy(tmp_path, argv, file, code):
+    """A simulate that fails its manifest or config check, in a fresh
+    interpreter, exits with its code before numpy or the event layer
+    loads."""
+    config = keyvalue._bundled(
+        "reference_run_config.txt").read_text(encoding="utf-8")
+    files = {"mu1_2.txt": config.replace("mu1 = 0.2\n", "mu1 = 2\n"),
+             "mu1_x.txt": config.replace("mu1 = 0.2\n", "mu1 = x\n"),
+             "old.manifest": "".join(f"config.{line}" for line
+                                     in config.splitlines(keepends=True)
+                                     if not line.startswith("#"))
+                             + "duration_s = 0.001\nseed = 3\n"
+                               "resolution_ps = 1\nformat = binary\n"
+                               "rng_scheme = marked-1\n"}
+    assert files[file] != config
+    (tmp_path / file).write_text(files[file], encoding="utf-8")
+    argv = [a.format(config=tmp_path / file, tmp=tmp_path) for a in argv]
+    src_dir = Path(pairsim.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pairsim.cli\n"
+         f"code = pairsim.cli.main({argv!r})\n"
+         "print(*sys.modules)\n"
+         "sys.exit(code)"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src_dir)))
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    modules = set(proc.stdout.splitlines()[-1].split())
+    assert "pairsim.source" in modules
+    assert not {"numpy", "pairsim.events"} & modules
+    assert not (tmp_path / "sim.events").exists()
 
 
 _ESTIMATE = ("estimate --s1=1e5 --s2=1e5 --rc=1e3 --power=1e-3 "

@@ -1,7 +1,10 @@
 import dataclasses
 import importlib.util
+import os
 import shutil
+import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -92,3 +95,28 @@ def test_renamed_tree_reads_its_own_data(tmp_path):
         for name in [name for name in sys.modules
                      if name.split(".")[0] == "pairsim_twin"]:
             del sys.modules[name]
+
+
+def test_zipped_package_reads_its_bundled_data(tmp_path):
+    # from a zip on sys.path a bundled file has no file path of its own
+    package = Path(pairsim.__file__).parent
+    archive = tmp_path / "pairsim.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in sorted(package.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(package.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import dataclasses, pairsim, pairsim.cli\n"
+         f"assert pairsim.__file__.startswith({str(archive)!r})\n"
+         "print(dataclasses.astuple(pairsim.reference_chain()))\n"
+         "print(dataclasses.astuple(pairsim.default_sellmeier_model()))\n"
+         "raise SystemExit(pairsim.cli.main(['table1']))"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(archive)))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == [
+        str(dataclasses.astuple(pairsim.reference_chain())),
+        str(dataclasses.astuple(pairsim.default_sellmeier_model()))]
+    assert any(line.startswith("QPM-PPSF guided") for line in lines[2:])

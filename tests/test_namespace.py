@@ -120,6 +120,30 @@ def test_import_loads_no_submodule_until_used():
         "[] False", "['pairsim.core'] False", "False"]
 
 
+def test_configs_and_closed_form_rates_load_no_numpy():
+    """Configs, closed-form rates and the bundled models run on plain
+    floats: numpy, the event layer and hashlib load with the first draw."""
+    src_dir = Path(pairsim.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pairsim\n"
+         "from pairsim import keyvalue, source\n"
+         "s, c = pairsim.reference_source(), pairsim.reference_chain()\n"
+         "pairsim.default_sellmeier_model()\n"
+         "assert pairsim.expected_rates(s, c)[2].hz > 0\n"
+         "path = keyvalue._bundled('reference_run_config.txt')\n"
+         "assert source.config_from_mapping("
+         "keyvalue.read_keyvalue(path)) == (s, c)\n"
+         "print(sorted({'numpy', 'pairsim.events', 'hashlib'}"
+         " & set(sys.modules)))\n"
+         "stream, _ = pairsim.simulate_run(s, c, pairsim.RunConfig(1e-3, 1))\n"
+         "print(stream.n_events > 0, 'numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src_dir)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True True"]
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

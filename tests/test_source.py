@@ -373,7 +373,7 @@ class TestSimulateRun:
         assert abs(summary.net_coincidences.hz - rc.hz) < 4.0 * sigma_c
 
     def test_dead_time_filter_matches_reference_loop(self):
-        from pairsim.source import _deadtime_filter
+        from pairsim.events import _deadtime_filter
 
         def reference(times, dead):
             out, last = [], None
@@ -393,7 +393,7 @@ class TestSimulateRun:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(dead_time_chains())
     def test_dead_time_filter_matches_sequential_oracle(self, chain):
-        from pairsim.source import _deadtime_filter
+        from pairsim.events import _deadtime_filter
         times, dead = chain
         got = _deadtime_filter(times, dead)
         assert got.dtype == times.dtype
@@ -756,13 +756,13 @@ BAD_LIBRARY_INPUTS = {
                      "detector index must be 1 or 2, got 3"),
     "net_summary of a zero duration": (
         lambda: net_summary(EventStream([], [], 0)),
-        "stream duration is zero; rates are undefined"),
+        "duration must be a whole number of ps in \\[1, "),
     "count_coincidences of a zero duration": (
         lambda: count_coincidences(EventStream([], [], 0)),
-        "stream duration is zero; rates are undefined"),
+        "duration must be a whole number of ps in \\[1, "),
     "estimate_accidentals of a zero duration": (
         lambda: estimate_accidentals(EventStream([], [], 0)),
-        "stream duration is zero; rates are undefined"),
+        "duration must be a whole number of ps in \\[1, "),
     "negative sample count": (
         lambda: sample_pair_spectrum(reference_source(), -1, seed=1),
         "sample count must be >= 0, got -1"),
