@@ -9,6 +9,7 @@ Conversions to and from SI base units happen only at the boundaries
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import _EXPORTS
@@ -40,11 +41,29 @@ class MemoryBudgetError(ConfigError):
     """A simulation request would exceed the configured event budget."""
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return value
+def _real(value: object, rule: str, ok=None) -> float:
+    """value as a float when it is a finite real number (int, float or numpy
+    scalar; no bool) that passes ok, if given; else ConfigError '<rule>, got
+    <value>', value shown as the float it converts to (by repr if none)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:       # an int beyond the float range
+            pass
+        else:
+            if math.isfinite(value) and (ok is None or ok(value)):
+                return value
+    raise ConfigError(f"{rule}, got {value!r}")
+
+
+def _whole(value: object, rule: str, ok) -> int:
+    """value as an int when it is a real number (no bool) equal to a whole
+    number that passes ok (int() would run 1.9 as 1), else as _real."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        value = (int if isinstance(value, numbers.Integral) else float)(value)
+        if value % 1 == 0 and ok(int(value)):   # inf and nan fail the %
+            return int(value)
+    raise ConfigError(f"{rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,10 +73,8 @@ class Wavelength:
     nm: float
 
     def __post_init__(self) -> None:
-        nm = _require_finite("wavelength", self.nm)
-        if nm <= 0.0:
-            raise ConfigError(f"wavelength must be > 0 nm, got {nm}")
-        object.__setattr__(self, "nm", nm)
+        object.__setattr__(self, "nm", _real(
+            self.nm, "wavelength must be > 0 nm", lambda nm: nm > 0.0))
 
     @property
     def um(self) -> float:
@@ -69,7 +86,7 @@ class Wavelength:
 
     @classmethod
     def from_meters(cls, value: float) -> "Wavelength":
-        return cls(float(value) * 1e9)
+        return cls(_real(value, "wavelength in m must be finite") * 1e9)
 
 
 @dataclass(frozen=True)
@@ -79,10 +96,8 @@ class OpticalPower:
     watts: float
 
     def __post_init__(self) -> None:
-        watts = _require_finite("optical power", self.watts)
-        if watts < 0.0:
-            raise ConfigError(f"optical power must be >= 0 W, got {watts}")
-        object.__setattr__(self, "watts", watts)
+        object.__setattr__(self, "watts", _real(
+            self.watts, "optical power must be >= 0 W", lambda w: w >= 0.0))
 
 
 @dataclass(frozen=True)
@@ -92,10 +107,8 @@ class Rate:
     hz: float
 
     def __post_init__(self) -> None:
-        hz = _require_finite("rate", self.hz)
-        if hz < 0.0:
-            raise ConfigError(f"rate must be >= 0 Hz, got {hz}")
-        object.__setattr__(self, "hz", hz)
+        object.__setattr__(self, "hz", _real(
+            self.hz, "rate must be >= 0 Hz", lambda hz: hz >= 0.0))
 
 
 @dataclass(frozen=True)
@@ -105,10 +118,9 @@ class Efficiency:
     value: float
 
     def __post_init__(self) -> None:
-        value = _require_finite("efficiency", self.value)
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"efficiency must lie in [0, 1], got {value}")
-        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "value", _real(
+            self.value, "efficiency must lie in [0, 1]",
+            lambda v: 0.0 <= v <= 1.0))
 
 
 def photon_flux(power: OpticalPower, wavelength: Wavelength) -> Rate:

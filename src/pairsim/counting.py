@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, Rate
+from .core import Rate, _real
 from .events import (_BLOCK, EventStream, _cluster_bounds, _merge_sorted,
                      _near)
 from . import _EXPORTS
@@ -41,15 +41,13 @@ class WindowConfig:
     accidental_delay_ns: float = 100.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.coincidence_window_ns)
-                and self.coincidence_window_ns > 0.0):
-            raise ConfigError("coincidence window must be > 0 ns, got "
-                              f"{self.coincidence_window_ns}")
-        if not (math.isfinite(self.accidental_delay_ns)
-                and self.accidental_delay_ns > 10.0 * self.coincidence_window_ns):
-            raise ConfigError(
-                f"accidental delay ({self.accidental_delay_ns} ns) must exceed "
-                f"10x the window ({self.coincidence_window_ns} ns)")
+        window = _real(self.coincidence_window_ns,
+                       "coincidence window must be > 0 ns", lambda w: w > 0.0)
+        object.__setattr__(self, "coincidence_window_ns", window)
+        object.__setattr__(self, "accidental_delay_ns", _real(
+            self.accidental_delay_ns,
+            f"accidental delay must exceed 10x the window ({window} ns)",
+            lambda ns: ns > 10.0 * window))
 
     @property
     def half_window_ps(self) -> float:

@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (ConfigError, DataFormatError, Efficiency, InferenceError,
-                   OpticalPower, Rate, Wavelength, _require_finite,
-                   photon_flux)
+                   OpticalPower, Rate, Wavelength, _real, photon_flux)
 from . import _EXPORTS, keyvalue
 
 __all__ = [*_EXPORTS["estimator"]]
@@ -44,6 +43,9 @@ class EstimateInput:
     pump_wavelength: Wavelength | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.splitter_correction, bool):
+            raise ConfigError("splitter_correction must be True or False, "
+                              f"got {self.splitter_correction!r}")
         smaller = min(self.s1_net.hz, self.s2_net.hz)
         if self.rc_net.hz > smaller:
             raise ConfigError(
@@ -139,9 +141,8 @@ def estimate(inp: EstimateInput,
     sigma_n = None
     sigma_eta = None
     if duration_s is not None:
-        duration_s = _require_finite("duration_s", duration_s)
-        if duration_s <= 0.0:
-            raise ConfigError(f"duration_s must be > 0, got {duration_s}")
+        duration_s = _real(duration_s, "duration_s must be > 0",
+                           lambda s: s > 0.0)
         counts = (inp.s1_net.hz * duration_s, inp.s2_net.hz * duration_s,
                   inp.rc_net.hz * duration_s)
         if min(counts) < 1.0:
@@ -261,10 +262,9 @@ def compare_sources(records: list[SourceRecord] | None = None,
     than max_deviation_factor (in either direction). Discrepancies are
     reported, never raised; a factor below 1 or not finite is a
     ConfigError."""
-    if not 1.0 <= _require_finite("max_deviation_factor",
-                                  max_deviation_factor):
-        raise ConfigError("max_deviation_factor must be >= 1, got "
-                          f"{max_deviation_factor}")
+    max_deviation_factor = _real(max_deviation_factor,
+                                 "max_deviation_factor must be >= 1",
+                                 lambda f: f >= 1.0)
     if records is None:
         records = load_source_records()
     rows = []

@@ -26,15 +26,13 @@ must ascend; the writer/reader round trip is bit exact.
 from __future__ import annotations
 
 import bisect
-import math
-import numbers
 import os
 from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
 
-from .core import ConfigError, DataFormatError
+from .core import ConfigError, DataFormatError, _whole
 from . import _EXPORTS
 
 __all__ = [*_EXPORTS["events"]]
@@ -108,6 +106,15 @@ def _deadtime_filter(times_ps: np.ndarray, dead_ps: int) -> np.ndarray:
     return times_ps[kept]
 
 
+def _decode_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(times, detectors) of uint64 event keys 2t + k, decoded in place:
+    int64 times t (a view of keys) and uint8 detector indices k + 1."""
+    det = np.bitwise_and(keys, 1, dtype=np.uint8, casting="unsafe")
+    det += 1
+    keys >>= 1
+    return keys.view(np.int64), det
+
+
 def _merge_sorted(t1: np.ndarray, t2: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """(times, detectors) of sorted int64 t1, t2 >= 0 merged, t1 first at
@@ -121,10 +128,7 @@ def _merge_sorted(t1: np.ndarray, t2: np.ndarray
     np.left_shift(t2.view(np.uint64), 1, out=keys[t1.size:])
     keys[t1.size:] |= 1
     keys.sort(kind="stable")
-    det = np.bitwise_and(keys, 1, dtype=np.uint8, casting="unsafe")
-    det += 1
-    keys >>= 1
-    return keys.view(np.int64), det
+    return _decode_keys(keys)
 
 
 def _cast_exact(values, dtype: type, name: str, what: str) -> np.ndarray:
@@ -166,24 +170,19 @@ class EventStream:
         if det.size and not 1 <= det.min() <= det.max() <= 2:
             bad = det[(det - 1) > 1]    # uint8: detector 0 wraps to 255
             raise ConfigError(f"detector index must be 1 or 2, got {bad[0]}")
-        # RunConfig's rule, and no bool: whole numbers in range, kept as int
-        # (int() would run 10.7 as 10; a seed of -1 or '7' would not read back)
-        bounds = {  # name: (lowest, first too high, the rule)
-            "duration_ps": (1, 2**63, "duration must be a whole number of "
-                                      "ps in [1, 2**63)"),
-            "resolution_ps": (1, math.inf, "timestamp resolution must be a "
-                                           "whole number of ps >= 1"),
-            "seed": (0, 2**64, "seed must be at most 2**64 - 1 (None or a "
-                               "whole number >= 0)")}
-        for name, (lo, end, rule) in bounds.items():
+        # RunConfig's rule: whole numbers in range, kept as int (a seed of
+        # -1 or '7' would not read back)
+        bounds = {  # name: (the rule, test)
+            "duration_ps": ("duration must be a whole number of ps in "
+                            "[1, 2**63)", lambda n: 1 <= n < 2**63),
+            "resolution_ps": ("timestamp resolution must be a whole number "
+                              "of ps >= 1", lambda n: n >= 1),
+            "seed": ("seed must be at most 2**64 - 1 (None or a whole number "
+                     ">= 0)", lambda n: 0 <= n < 2**64)}
+        for name, (rule, ok) in bounds.items():
             value = getattr(self, name)
-            if name == "seed" and value is None:
-                continue
-            if not (isinstance(value, numbers.Real)
-                    and not isinstance(value, bool) and lo <= value < end
-                    and value % 1 == 0):    # inf and nan fail before the %
-                raise ConfigError(f"{rule}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            if not (name == "seed" and value is None):
+                object.__setattr__(self, name, _whole(value, rule, ok))
         if t.size:
             # in blocks, as _near, not one n-byte mask; np.diff can overflow
             for lo in range(0, t.size - 1, _BLOCK):
@@ -260,7 +259,7 @@ def read_event_file(path: str | os.PathLike) -> EventStream:
 def _read_binary(path: str | os.PathLike, fh) -> EventStream:
     """The rest of a v2 file after its magic line: header lines up to
     '# events = <n>', then one np.fromfile per column. EventStream checks
-    every value; errors name the byte offset where the file is bad."""
+    every value, the header's first; errors name the byte where it is bad."""
     src, header = str(path), {}
 
     def fail(pos: int, message: str) -> NoReturn:
@@ -289,6 +288,10 @@ def _read_binary(path: str | os.PathLike, fh) -> EventStream:
                            f"{text!r}")
             meta[key] = int(text)
     n = meta.pop("events")
+    try:    # the header's values alone, so that their errors name its end
+        EventStream([], [], **meta)
+    except ConfigError as exc:
+        fail(body, str(exc))
     size = os.fstat(fh.fileno()).st_size
     if size != body + 9 * n:
         fail(min(size, body + 9 * n), f"'# events = {n}' needs {9 * n} body "

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .core import ConfigError, SolverError, Wavelength, idler_wavelength
+from .core import (ConfigError, SolverError, Wavelength, _real, _whole,
+                   idler_wavelength)
 from . import _EXPORTS, keyvalue
 
 __all__ = [*_EXPORTS["qpm"]]
@@ -99,16 +100,17 @@ def default_sellmeier_model() -> SellmeierModel:
     return load_sellmeier_file(keyvalue._bundled("cln_ne_sellmeier.txt"))
 
 
-def _check_grating(poling_period_um: float | None, qpm_order: int) -> None:
-    """ConfigError unless the QPM order is an odd positive integer and the
-    poling period, when given, is finite and positive."""
-    if not (qpm_order >= 1 and qpm_order % 2 == 1):
-        raise ConfigError(
-            f"QPM order must be an odd positive integer, got {qpm_order}")
-    if poling_period_um is not None and not (
-            math.isfinite(poling_period_um) and poling_period_um > 0.0):
-        raise ConfigError("poling period must be finite and > 0 um, got "
-                          f"{poling_period_um}")
+def _check_grating(poling_period_um: float | None, qpm_order: int
+                   ) -> tuple[float | None, int]:
+    """(period as a float, order as an int), or ConfigError unless the QPM
+    order is an odd positive integer and the poling period, when given, is
+    finite and positive."""
+    order = _whole(qpm_order, "QPM order must be an odd positive integer",
+                   lambda m: m >= 1 and m % 2 == 1)
+    if poling_period_um is not None:
+        poling_period_um = _real(poling_period_um, "poling period must be "
+                                 "finite and > 0 um", lambda um: um > 0.0)
+    return poling_period_um, order
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,9 @@ class QpmPoint:
     qpm_order: int = 1
 
     def __post_init__(self) -> None:
-        _check_grating(self.poling_period_um, self.qpm_order)
+        period, order = _check_grating(self.poling_period_um, self.qpm_order)
+        object.__setattr__(self, "poling_period_um", period)
+        object.__setattr__(self, "qpm_order", order)
         lhs = 1.0 / self.signal.nm + 1.0 / self.idler.nm
         rhs = 1.0 / self.pump.nm
         if abs(lhs - rhs) > ENERGY_RTOL * rhs:
@@ -194,7 +198,7 @@ def solve_poling_period(pump: Wavelength, signal: Wavelength,
     Period = m / (n_p/lp - n_s/ls - n_i/li). Raises SolverError when the
     denominator is not positive (no forward QPM solution).
     """
-    _check_grating(None, qpm_order)
+    _, qpm_order = _check_grating(None, qpm_order)
     model = model or default_sellmeier_model()
     idler = idler_wavelength(pump, signal)
     d = _index_sum_per_m(pump, signal, idler, temperature_c, model)
@@ -263,7 +267,7 @@ def solve_temperature(pump: Wavelength, signal: Wavelength,
     |phase_mismatch| < 1e-6 rad/m. Raises SolverError when the mismatch
     does not change sign over the interval.
     """
-    _check_grating(poling_period_um, qpm_order)
+    poling_period_um, qpm_order = _check_grating(poling_period_um, qpm_order)
     model = model or default_sellmeier_model()
     idler = idler_wavelength(pump, signal)
     grating = qpm_order / (poling_period_um * 1e-6)
@@ -336,7 +340,7 @@ def solve_signal_wavelength(pump: Wavelength, poling_period_um: float,
     floating-point convergence. Raises SolverError when no sign change exists
     (temperature on the wrong side of degeneracy for this period).
     """
-    _check_grating(poling_period_um, qpm_order)
+    poling_period_um, qpm_order = _check_grating(poling_period_um, qpm_order)
     model = model or default_sellmeier_model()
     grating = qpm_order / (poling_period_um * 1e-6)
     lo_nm = 2.0 * pump.nm
@@ -381,7 +385,7 @@ def temperature_tuning_curve(pump: Wavelength, poling_period_um: float,
                              qpm_order: int = 1) -> list[QpmPoint]:
     """Phase-matched points over a temperature sweep; temperatures with no
     solution are skipped."""
-    _check_grating(poling_period_um, qpm_order)
+    poling_period_um, qpm_order = _check_grating(poling_period_um, qpm_order)
     points = []
     for t in temperatures_c:
         try:

@@ -33,13 +33,12 @@ digest run on plain floats; numpy and the event layer load with a draw.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import astuple, dataclass
 from functools import lru_cache
 from typing import Mapping
 
 from .core import (ConfigError, Efficiency, MemoryBudgetError, OpticalPower,
-                   Rate, Wavelength, photon_flux)
+                   Rate, Wavelength, _real, _whole, photon_flux)
 from . import _EXPORTS, keyvalue
 
 __all__ = [*_EXPORTS["source"], "config_to_mapping", "config_from_mapping"]
@@ -78,14 +77,12 @@ class SourceConfig:
     spectral_fwhm_nm: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.conversion_efficiency)
-                and 0.0 <= self.conversion_efficiency <= 1.0):
-            raise ConfigError("conversion_efficiency must lie in [0, 1], got "
-                              f"{self.conversion_efficiency}")
-        if not (math.isfinite(self.spectral_fwhm_nm)
-                and self.spectral_fwhm_nm > 0.0):
-            raise ConfigError(
-                f"spectral_fwhm_nm must be > 0, got {self.spectral_fwhm_nm}")
+        object.__setattr__(self, "conversion_efficiency", _real(
+            self.conversion_efficiency, "conversion_efficiency must lie in "
+            "[0, 1]", lambda v: 0.0 <= v <= 1.0))
+        object.__setattr__(self, "spectral_fwhm_nm", _real(
+            self.spectral_fwhm_nm, "spectral_fwhm_nm must be > 0",
+            lambda nm: nm > 0.0))
         degenerate = 2.0 * self.pump_wavelength.nm
         if abs(self.spectral_center.nm - degenerate) > 0.01 * degenerate:
             raise ConfigError(
@@ -119,11 +116,12 @@ class DetectionChainConfig:
     jitter_ps: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.dead_time_ns) and self.dead_time_ns >= 0.0):
-            raise ConfigError(
-                f"dead_time_ns must be >= 0, got {self.dead_time_ns}")
-        if not (math.isfinite(self.jitter_ps) and self.jitter_ps >= 0.0):
-            raise ConfigError(f"jitter_ps must be >= 0, got {self.jitter_ps}")
+        if not isinstance(self.splitter_present, bool):
+            raise ConfigError("splitter_present must be True or False, got "
+                              f"{self.splitter_present!r}")
+        for name in ("dead_time_ns", "jitter_ps"):
+            object.__setattr__(self, name, _real(getattr(self, name),
+                               f"{name} must be >= 0", lambda v: v >= 0.0))
 
     @property
     def arm_efficiencies(self) -> tuple[float, float]:
@@ -141,20 +139,16 @@ class RunConfig:
     timestamp_resolution_ps: int = 1
 
     def __post_init__(self) -> None:
-        # duration_ps rounds to a whole count in [1, 2^63); NaN fails too
-        if not (isinstance(self.duration_s, numbers.Real)
-                and 0.5 < self.duration_s * 1e12 < 2.0**63):
-            raise ConfigError("duration_s must round to 1 .. 2^63 - 1 ps, "
-                              f"got {self.duration_s!r}")
+        # duration_ps rounds to a whole count in [1, 2^63)
+        object.__setattr__(self, "duration_s", _real(
+            self.duration_s, "duration_s must round to 1 .. 2^63 - 1 ps",
+            lambda s: 0.5 < s * 1e12 < 2.0**63))
         bounds = {"seed": (0, 2**64 - 1),
                   "timestamp_resolution_ps": (1, self.duration_ps)}
         for name, (lo, hi) in bounds.items():
-            value = getattr(self, name)     # int() would run 1.9 as 1
-            if not (isinstance(value, numbers.Real) and lo <= value <= hi
-                    and value % 1 == 0):    # inf and nan fail before the %
-                raise ConfigError(f"{name} must be an integer in {lo} .. "
-                                  f"{hi}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _whole(
+                getattr(self, name), f"{name} must be an integer in {lo} .. "
+                f"{hi}", lambda n: lo <= n <= hi))
 
     @property
     def duration_ps(self) -> int:
@@ -296,7 +290,7 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
     sample (about 9.2e18).
     """
     import numpy as np
-    from .events import EventStream, _blocks, _deadtime_filter
+    from .events import EventStream, _blocks, _deadtime_filter, _decode_keys
     n_rate = pair_rate(source).hz
     e1, e2 = chain.arm_efficiencies
     d = run.duration_s
@@ -380,13 +374,11 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
 
     # the stable sort merges the two sorted halves of a dead-time run
     keys.sort(kind="stable" if dead_ps else "quicksort")
-    keys = keys[:np.searchsorted(keys, np.uint64(2 * duration_ps))]
-    detectors = np.bitwise_and(keys, 1, dtype=np.uint8, casting="unsafe")
-    detectors += 1
-    keys >>= 1
+    times, detectors = _decode_keys(
+        keys[:np.searchsorted(keys, np.uint64(2 * duration_ps))])
     stream = EventStream(
         detectors=detectors,
-        times_ps=keys.view(np.int64),
+        times_ps=times,
         duration_ps=duration_ps,
         resolution_ps=run.timestamp_resolution_ps,
         seed=int(run.seed),
@@ -406,12 +398,12 @@ def sample_pair_spectrum(source: SourceConfig, count: int,
     configured FWHM; each idler follows from energy conservation against the
     pump, so every sampled pair satisfies it to float precision.
     """
-    if count < 0:
-        raise ConfigError(f"sample count must be >= 0, got {count}")
+    count = _whole(count, "sample count must be >= 0", lambda n: n >= 0)
+    seed = _whole(seed, "seed must be a whole number >= 0", lambda n: n >= 0)
     import numpy as np
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     sigma = source.spectral_fwhm_nm / _FWHM_SIGMA
-    signal_nm = rng.normal(source.spectral_center.nm, sigma, int(count))
+    signal_nm = rng.normal(source.spectral_center.nm, sigma, count)
     inv_pump = 1.0 / source.pump_wavelength.nm
     if np.any(signal_nm * inv_pump <= 1.0):
         raise ConfigError("sampled signal wavelength at or below the pump; "

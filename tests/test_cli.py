@@ -590,6 +590,16 @@ MALFORMED_V2 = {
         v2_file([10], [1], head=b"# pairsim-events v2\n# duration_ps = 1000\n"
                 b"# seed = 18446744073709551616\n"), 84,
         "seed must be at most 2**64 - 1"),
+    # a bad header value names the end of the header even when the body is
+    # bad too
+    "resolution 0 with times out of order": (
+        v2_file([20, 10], [1, 2], head=b"# pairsim-events v2\n"
+                b"# duration_ps = 1000\n# resolution_ps = 0\n"), 74,
+        "resolution must be"),
+    "seed 2**64 with detector 3": (
+        v2_file([10], [3], head=b"# pairsim-events v2\n# duration_ps = 1000\n"
+                b"# seed = 18446744073709551616\n"), 84,
+        "seed must be at most 2**64 - 1"),
 }
 
 

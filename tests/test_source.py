@@ -16,6 +16,8 @@ from pairsim import (ConfigError, DetectionChainConfig, Efficiency,
                      read_event_file, reference_chain, reference_source,
                      sample_pair_spectrum, simulate_run, write_event_file)
 from pairsim import keyvalue, source as source_mod
+from pairsim import (EstimateInput, estimate, solve_degeneracy_temperature,
+                     solve_poling_period)
 
 FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -786,6 +788,53 @@ BAD_LIBRARY_INPUTS = {
                       "duration must be a whole number"),
     "resolution 2.5 ps": (lambda: _stream(resolution_ps=2.5),
                           "resolution must be a whole number"),
+    # a number field takes a real number, not a bool, str or None, and a
+    # flag takes only a bool (a non-empty string is truthy)
+    "Rate('5')": (lambda: Rate("5"), "rate must be >= 0 Hz, got '5'$"),
+    "Rate(True)": (lambda: Rate(True), "rate must be >= 0 Hz, got True$"),
+    "Efficiency(None)": (lambda: Efficiency(None),
+                         "efficiency must lie in \\[0, 1\\], got None$"),
+    "conversion_efficiency '0.1'": (
+        lambda: dataclasses.replace(reference_source(),
+                                    conversion_efficiency="0.1"),
+        "conversion_efficiency must lie in \\[0, 1\\], got '0.1'$"),
+    "dead_time_ns '5'": (
+        lambda: dataclasses.replace(reference_chain(), dead_time_ns="5"),
+        "dead_time_ns must be >= 0, got '5'$"),
+    "jitter_ps True": (
+        lambda: dataclasses.replace(reference_chain(), jitter_ps=True),
+        "jitter_ps must be >= 0, got True$"),
+    "splitter_present 'no'": (
+        lambda: dataclasses.replace(reference_chain(),
+                                    splitter_present="no"),
+        "splitter_present must be True or False, got 'no'$"),
+    "WindowConfig('1')": (lambda: WindowConfig("1"),
+                          "coincidence window must be > 0 ns, got '1'$"),
+    "RunConfig(True, 1)": (lambda: RunConfig(True, 1),
+                           "duration_s must round to .*, got True$"),
+    "RunConfig(1.0, True)": (lambda: RunConfig(1.0, True),
+                             "seed must be an integer in .*, got True$"),
+    "estimate duration_s 'x'": (
+        lambda: estimate(EstimateInput(Rate(100), Rate(100), Rate(10)),
+                         duration_s="x"),
+        "duration_s must be > 0, got 'x'$"),
+    "splitter_correction 'false'": (
+        lambda: EstimateInput(Rate(100), Rate(100), Rate(10),
+                              splitter_correction="false"),
+        "splitter_correction must be True or False, got 'false'$"),
+    "qpm_order True": (
+        lambda: solve_poling_period(Wavelength(657.0), Wavelength(1314.0),
+                                    100.0, qpm_order=True),
+        "QPM order must be an odd positive integer, got True$"),
+    "degeneracy period '12'": (
+        lambda: solve_degeneracy_temperature(Wavelength(657.0), "12"),
+        "poling period must be finite and > 0 um, got '12'$"),
+    "sample count 1.5": (
+        lambda: sample_pair_spectrum(reference_source(), 1.5, 1),
+        "sample count must be >= 0, got 1.5$"),
+    "Wavelength.from_meters('x')": (
+        lambda: Wavelength.from_meters("x"),
+        "wavelength in m must be finite, got 'x'$"),
 }
 
 
