@@ -148,6 +148,15 @@ def _cast_exact(values, dtype: type, name: str, what: str) -> np.ndarray:
     return out
 
 
+class _EventError(ConfigError):
+    """A broken stream rule, with the column ('times_ps' or 'detectors')
+    and index of the first event that breaks it."""
+
+    def __init__(self, message: str, column: str, index: int) -> None:
+        super().__init__(message)
+        self.column, self.index = column, int(index)
+
+
 @dataclass(frozen=True)
 class EventStream:
     """Sorted detection events from two detectors over one run."""
@@ -168,8 +177,9 @@ class EventStream:
             raise ConfigError("detectors and times_ps must be 1-d arrays of "
                               "equal length")
         if det.size and not 1 <= det.min() <= det.max() <= 2:
-            bad = det[(det - 1) > 1]    # uint8: detector 0 wraps to 255
-            raise ConfigError(f"detector index must be 1 or 2, got {bad[0]}")
+            i = np.argmax((det - 1) > 1)    # uint8: detector 0 wraps to 255
+            raise _EventError(f"detector index must be 1 or 2, got {det[i]}",
+                              "detectors", i)
         # RunConfig's rule: whole numbers in range, kept as int (a seed of
         # -1 or '7' would not read back)
         bounds = {  # name: (the rule, test)
@@ -188,10 +198,15 @@ class EventStream:
             for lo in range(0, t.size - 1, _BLOCK):
                 block = t[lo:lo + _BLOCK + 1]
                 if np.any(block[1:] < block[:-1]):
-                    raise ConfigError("timestamps must be non-decreasing")
+                    i = lo + 1 + np.argmax(block[1:] < block[:-1])
+                    raise _EventError("timestamps must be non-decreasing",
+                                      "times_ps", i)
             if t[0] < 0 or t[-1] >= self.duration_ps:
-                raise ConfigError(
-                    f"timestamps must lie in [0, {self.duration_ps}) ps")
+                # sorted, so the first bad event is t[0] or the first late one
+                i = 0 if t[0] < 0 else np.searchsorted(t, self.duration_ps)
+                raise _EventError(
+                    f"timestamps must lie in [0, {self.duration_ps}) ps",
+                    "times_ps", i)
         object.__setattr__(self, "detectors", det)
         object.__setattr__(self, "times_ps", t)
 
@@ -205,8 +220,8 @@ class EventStream:
 
     def times_for(self, detector: int) -> np.ndarray:
         """Sorted timestamps (ps) of one detector."""
-        if detector not in (1, 2):
-            raise ConfigError(f"detector index must be 1 or 2, got {detector}")
+        detector = _whole(detector, "detector index must be 1 or 2",
+                          lambda k: k in (1, 2))
         return self.times_ps[self.detectors == detector]
 
     def counts(self) -> tuple[int, int]:
@@ -301,10 +316,7 @@ def _read_binary(path: str | os.PathLike, fh) -> EventStream:
     try:
         return EventStream(dets, times, **meta,
                            config_digest=header.get("config_digest", ""))
-    except ConfigError as exc:      # name the first event it rejects, if any
-        bad_t = ((times < 0) | (times >= meta["duration_ps"])
-                 | np.append(False, times[1:] < times[:-1]))
-        at = np.concatenate((       # uint8: detector 0 wraps to 255
-            body + 8 * n + np.flatnonzero((dets - 1) > 1),
-            body + 8 * np.flatnonzero(bad_t), [body]))
-        fail(int(at[0]), str(exc))
+    except _EventError as exc:      # name the event that breaks the rule
+        start, size = ((body + 8 * n, 1) if exc.column == "detectors"
+                       else (body, 8))
+        fail(start + size * exc.index, str(exc))

@@ -24,7 +24,7 @@ __all__ = [*_EXPORTS["qpm"]]
 # energy-conservation tolerance for a QpmPoint (relative, on 1/lambda)
 ENERGY_RTOL = 1e-9
 
-_DEFAULT_T_RANGE = (20.0, 200.0)
+_TEMPERATURE_RULE = "temperature must be a finite number of C"
 
 
 @dataclass(frozen=True)
@@ -47,17 +47,20 @@ class SellmeierModel:
     wavelength_range_um: tuple[float, float]
     temperature_range_c: tuple[float, float]
 
-    def check_range(self, wavelength: Wavelength, temperature_c: float) -> None:
+    def check_range(self, wavelength: Wavelength, temperature_c: float) -> float:
+        """temperature_c as a float, or ConfigError outside the window."""
         lo, hi = self.wavelength_range_um
         if not lo <= wavelength.um <= hi:
             raise ConfigError(
                 f"wavelength {wavelength.um:g} um outside validity "
                 f"[{lo:g}, {hi:g}] um of model {self.name!r}")
+        temperature_c = _real(temperature_c, _TEMPERATURE_RULE)
         tlo, thi = self.temperature_range_c
         if not tlo <= temperature_c <= thi:
             raise ConfigError(
                 f"temperature {temperature_c:g} C outside validity "
                 f"[{tlo:g}, {thi:g}] C of model {self.name!r}")
+        return temperature_c
 
     def _index_at(self, temperature_c: float):
         """The index as a function of one squared wavelength in um^2 at one
@@ -132,6 +135,8 @@ class QpmPoint:
         period, order = _check_grating(self.poling_period_um, self.qpm_order)
         object.__setattr__(self, "poling_period_um", period)
         object.__setattr__(self, "qpm_order", order)
+        object.__setattr__(self, "temperature_c",
+                           _real(self.temperature_c, _TEMPERATURE_RULE))
         lhs = 1.0 / self.signal.nm + 1.0 / self.idler.nm
         rhs = 1.0 / self.pump.nm
         if abs(lhs - rhs) > ENERGY_RTOL * rhs:
@@ -147,7 +152,7 @@ def refractive_index(model: SellmeierModel, wavelength: Wavelength,
     Raises ConfigError when either argument falls outside the model's
     declared validity range.
     """
-    model.check_range(wavelength, temperature_c)
+    temperature_c = model.check_range(wavelength, temperature_c)
     return model._index_at(temperature_c)(wavelength.um * wavelength.um)
 
 
@@ -155,7 +160,7 @@ def _index_sum_per_m(pump: Wavelength, signal: Wavelength, idler: Wavelength,
                      temperature_c: float, model: SellmeierModel) -> float:
     """n_p/lp - n_s/ls - n_i/li in 1/m, with range checks."""
     for wavelength in (pump, signal, idler):
-        model.check_range(wavelength, temperature_c)
+        temperature_c = model.check_range(wavelength, temperature_c)
     return _mismatch_at(model, temperature_c, pump, 0.0)(
         _signal_terms(pump.nm, signal.nm, idler.nm))
 
@@ -258,14 +263,14 @@ def solve_temperature(pump: Wavelength, signal: Wavelength,
                       poling_period_um: float,
                       model: SellmeierModel | None = None,
                       qpm_order: int = 1,
-                      temperature_range_c: tuple[float, float] = _DEFAULT_T_RANGE,
+                      temperature_range_c: tuple[float, float] | None = None,
                       ) -> QpmPoint:
     """Temperature at which a fixed period phase-matches a pump/signal pair.
 
-    Bisection over the given interval, run to floating-point convergence
-    (far below the 0.01 C contract), so the returned point reproduces
-    |phase_mismatch| < 1e-6 rad/m. Raises SolverError when the mismatch
-    does not change sign over the interval.
+    Bisection over temperature_range_c (default: the model's validity
+    window) to floating-point convergence, far below the 0.01 C contract,
+    so the returned point reproduces |phase_mismatch| < 1e-6 rad/m. Raises
+    SolverError when the mismatch does not change sign over the interval.
     """
     poling_period_um, qpm_order = _check_grating(poling_period_um, qpm_order)
     model = model or default_sellmeier_model()
@@ -275,7 +280,8 @@ def solve_temperature(pump: Wavelength, signal: Wavelength,
     def mismatch(t: float) -> float:
         return _index_sum_per_m(pump, signal, idler, t, model) - grating
 
-    lo, hi = temperature_range_c
+    window = temperature_range_c or model.temperature_range_c
+    lo, hi = (_real(t, _TEMPERATURE_RULE) for t in window)
     f_lo, f_hi = mismatch(lo), mismatch(hi)
     root = _first_root(mismatch, (lo, hi), (f_lo, f_hi))
     if root is None:
@@ -288,9 +294,7 @@ def solve_temperature(pump: Wavelength, signal: Wavelength,
 
 def solve_degeneracy_temperature(pump: Wavelength, poling_period_um: float,
                                  model: SellmeierModel | None = None,
-                                 qpm_order: int = 1,
-                                 temperature_range_c: tuple[float, float] = _DEFAULT_T_RANGE,
-                                 ) -> float:
+                                 qpm_order: int = 1) -> float:
     """Temperature at which a period produces the degenerate pair (2 lp, 2 lp).
 
     Returns degrees Celsius. See solve_temperature for the root-finding
@@ -299,7 +303,7 @@ def solve_degeneracy_temperature(pump: Wavelength, poling_period_um: float,
     degenerate = Wavelength(2.0 * pump.nm)
     try:
         point = solve_temperature(pump, degenerate, poling_period_um, model,
-                                  qpm_order, temperature_range_c)
+                                  qpm_order)
     except SolverError as exc:
         raise SolverError(str(exc).replace("phase-matching",
                                            "degeneracy")) from None
@@ -350,7 +354,7 @@ def solve_signal_wavelength(pump: Wavelength, poling_period_um: float,
         hi_nm = math.nextafter(hi_nm, 0.0)    # keep the last scan point inside
     if hi_nm <= lo_nm:
         raise SolverError("degenerate wavelength sits at the model's validity edge")
-    model.check_range(pump, temperature_c)
+    temperature_c = model.check_range(pump, temperature_c)
     mismatch = _mismatch_at(model, temperature_c, pump, grating)
     grid, terms = _signal_grid(pump.nm, hi_nm)
     # Each operation rounds monotonically, so along the grid the signal
@@ -390,7 +394,7 @@ def temperature_tuning_curve(pump: Wavelength, poling_period_um: float,
     for t in temperatures_c:
         try:
             points.append(solve_signal_wavelength(
-                pump, poling_period_um, float(t), model, qpm_order))
+                pump, poling_period_um, t, model, qpm_order))
         except SolverError:
             continue
     return points

@@ -77,6 +77,7 @@ class SourceConfig:
     spectral_fwhm_nm: float
 
     def __post_init__(self) -> None:
+        _check_units(self)
         object.__setattr__(self, "conversion_efficiency", _real(
             self.conversion_efficiency, "conversion_efficiency must lie in "
             "[0, 1]", lambda v: 0.0 <= v <= 1.0))
@@ -116,9 +117,7 @@ class DetectionChainConfig:
     jitter_ps: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.splitter_present, bool):
-            raise ConfigError("splitter_present must be True or False, got "
-                              f"{self.splitter_present!r}")
+        _check_units(self)
         for name in ("dead_time_ns", "jitter_ps"):
             object.__setattr__(self, name, _real(getattr(self, name),
                                f"{name} must be >= 0", lambda v: v >= 0.0))
@@ -211,6 +210,18 @@ _CONFIG_FIELDS = {
                          None),
     "jitter_s": (DetectionChainConfig, "jitter_ps", None, 1e12),
 }
+
+
+def _check_units(config: SourceConfig | DetectionChainConfig) -> None:
+    """ConfigError unless each field of config that _CONFIG_FIELDS gives a
+    unit class holds an instance of it (a flag: True or False)."""
+    for cls, field, unit, _ in _CONFIG_FIELDS.values():
+        if isinstance(config, cls) and unit is not None:
+            value = getattr(config, field)
+            if not isinstance(value, unit):
+                what = ("True or False" if unit is bool
+                        else f"of type {unit.__name__}")
+                raise ConfigError(f"{field} must be {what}, got {value!r}")
 
 
 def config_to_mapping(source: SourceConfig,

@@ -154,6 +154,35 @@ class TestQpm:
         signal = keyvalue.get_float(parse_out(out), "signal_wavelength_m")
         assert 1314e-9 < signal < 1.63e-6
 
+    @pytest.mark.parametrize("unknown", [[], ["--signal", "1320e-9"]],
+                             ids=["degeneracy", "signal"])
+    def test_temperature_solve_searches_the_model_window(self, capsys,
+                                                         tmp_path, unknown):
+        text = keyvalue._bundled(
+            "cln_ne_sellmeier.txt").read_text(encoding="utf-8")
+        path = tmp_path / "model.txt"
+        path.write_text(text.replace("temperature_min_c = 20.0",
+                                     "temperature_min_c = 25.0")
+                        .replace("temperature_max_c = 250.0",
+                                 "temperature_max_c = 180.0"),
+                        encoding="utf-8")
+        assert "_c = 25.0\ntemperature_max_c = 180.0" in path.read_text(
+            encoding="utf-8")
+        code, out, err = run_cli(capsys, "qpm", "--sellmeier", str(path),
+                                 "--pump", "657e-9", "--period", "12.4e-6",
+                                 *unknown)
+        assert code == 0, err
+        t = keyvalue.get_float(parse_out(out), "temperature_c")
+        assert 25.0 <= t <= 180.0
+
+    def test_reference_device_period_solves_above_200_c(self, capsys):
+        # the bundled model is valid to 250 C, and the search is its window
+        code, out, err = run_cli(capsys, "qpm", "--pump", "657e-9",
+                                 "--period", "12.1e-6")
+        assert code == 0, err
+        t = keyvalue.get_float(parse_out(out), "temperature_c")
+        assert 200.0 < t < 205.0
+
     def test_tuning_curve_csv(self, capsys):
         code, out, _ = run_cli(capsys, "qpm", "--pump", "657e-9",
                                "--signal", "1314e-9", "--temp", "100")
@@ -526,6 +555,9 @@ MALFORMED_V2 = {
     "unsorted times": (v2_file([20, 10], [1, 2]), 62, "non-decreasing"),
     "time at duration": (v2_file([10, 1000], [1, 2]), 62, "lie in"),
     "negative time": (v2_file([-5, 10], [1, 2]), 54, "lie in"),
+    # the order rule is checked first, so its event is named: the 3
+    "negative time then a descent": (v2_file([-5, 10, 3], [1, 2, 1]), 70,
+                                     "non-decreasing"),
     "events line missing": (
         v2_file([10, 20], [1, 2]).replace(b"# events = 2\n", b""), 41,
         "# events = <n>"),

@@ -185,19 +185,29 @@ class TestDegeneracyTemperature:
 
     def test_published_12p1_period_against_bulk_model(self):
         # with bulk dispersion the 12.1 um degeneracy point falls just above
-        # the default 200 C search ceiling; the default interval reports the
-        # documented error and a wider interval finds the root
+        # 200 C; the search window is the model's (20-250 C for the bundled
+        # fit), so it finds the root, and a model narrowed to 20-200 C
+        # reports the documented error
+        from dataclasses import replace
         pump = Wavelength(657.0)
         with pytest.raises(SolverError, match="no degeneracy temperature"):
-            solve_degeneracy_temperature(pump, 12.1)
-        t_star = solve_degeneracy_temperature(
-            pump, 12.1, temperature_range_c=(20.0, 250.0))
+            solve_degeneracy_temperature(pump, 12.1, replace(
+                MODEL, temperature_range_c=(20.0, 200.0)))
+        t_star = solve_degeneracy_temperature(pump, 12.1)
         assert 200.0 < t_star < 205.0
         deg = Wavelength(1314.0)
         residual = phase_mismatch(QpmPoint(
             poling_period_um=12.1, temperature_c=t_star, pump=pump,
             signal=deg, idler=deg))
         assert abs(residual) < 1e-6
+
+    def test_float32_window_bisects_in_float(self):
+        # the window's bounds take the number rule, so a numpy float32
+        # window finds the root that the same float window finds
+        pump, deg = Wavelength(657.0), Wavelength(1314.0)
+        window = (np.float32(20.0), np.float32(250.0))
+        assert (solve_temperature(pump, deg, 12.4, temperature_range_c=window)
+                == solve_temperature(pump, deg, 12.4))
 
     def test_no_sign_change_is_an_error(self):
         with pytest.raises(SolverError, match="no degeneracy temperature"):

@@ -16,8 +16,10 @@ from pairsim import (ConfigError, DetectionChainConfig, Efficiency,
                      read_event_file, reference_chain, reference_source,
                      sample_pair_spectrum, simulate_run, write_event_file)
 from pairsim import keyvalue, source as source_mod
-from pairsim import (EstimateInput, estimate, solve_degeneracy_temperature,
-                     solve_poling_period)
+from pairsim import (EstimateInput, QpmPoint, estimate,
+                     solve_degeneracy_temperature, solve_poling_period,
+                     solve_signal_wavelength, solve_temperature,
+                     temperature_tuning_curve)
 
 FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -756,6 +758,9 @@ BAD_LIBRARY_INPUTS = {
                     "1-d arrays of equal length"),
     "times_for(3)": (lambda: EventStream([1, 2], [1, 2], 10).times_for(3),
                      "detector index must be 1 or 2, got 3"),
+    "times_for(True)": (
+        lambda: EventStream([1, 2], [1, 2], 10).times_for(True),
+        "detector index must be 1 or 2, got True$"),
     "net_summary of a zero duration": (
         lambda: net_summary(EventStream([], [], 0)),
         "duration must be a whole number of ps in \\[1, "),
@@ -835,6 +840,33 @@ BAD_LIBRARY_INPUTS = {
     "Wavelength.from_meters('x')": (
         lambda: Wavelength.from_meters("x"),
         "wavelength in m must be finite, got 'x'$"),
+    # a field whose unit is a class takes an instance of it, not a number
+    "mu1 0.2": (lambda: dataclasses.replace(reference_chain(), mu1=0.2),
+                "mu1 must be of type Efficiency, got 0.2$"),
+    "dark2 0.0": (lambda: dataclasses.replace(reference_chain(), dark2=0.0),
+                  "dark2 must be of type Rate, got 0.0$"),
+    "pump_power 1e-3": (
+        lambda: dataclasses.replace(reference_source(), pump_power=1e-3),
+        "pump_power must be of type OpticalPower, got 0.001$"),
+    # a QPM temperature takes the number rule
+    "period solve at temperature '100'": (
+        lambda: solve_poling_period(Wavelength(657.0), Wavelength(1314.0),
+                                    "100"),
+        "temperature must be a finite number of C, got '100'$"),
+    "signal solve at temperature None": (
+        lambda: solve_signal_wavelength(Wavelength(657.0), 12.4, None),
+        "temperature must be a finite number of C, got None$"),
+    "tuning curve over ['x']": (
+        lambda: temperature_tuning_curve(Wavelength(657.0), 12.4, ["x"]),
+        "temperature must be a finite number of C, got 'x'$"),
+    "temperature window (20, 'x')": (
+        lambda: solve_temperature(Wavelength(657.0), Wavelength(1314.0), 12.4,
+                                  temperature_range_c=(20.0, "x")),
+        "temperature must be a finite number of C, got 'x'$"),
+    "QpmPoint temperature 'x'": (
+        lambda: QpmPoint(12.4, "x", Wavelength(657.0), Wavelength(1314.0),
+                         Wavelength(1314.0)),
+        "temperature must be a finite number of C, got 'x'$"),
 }
 
 
