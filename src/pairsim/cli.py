@@ -6,8 +6,9 @@ SI base units (meters, watts, hertz, seconds); temperatures are degrees
 Celsius. Whenever a command writes an output file it also writes a
 ``<output>.manifest`` key-value file carrying the fully resolved
 configuration, the seed, and the output digest; ``simulate --from-manifest``
-re-runs a manifest and reproduces the event file bit-exactly. ``simulate``
-writes binary (v2) event files, the one format ``count`` reads.
+re-runs a manifest and writes the event file only if it reproduces that
+digest bit for bit (exit 2 otherwise). ``simulate`` writes binary (v2)
+event files, the one format ``count`` reads.
 
 Exit codes: 0 success, 1 usage/config error, 2 data/parse error,
 3 inference/solver error.
@@ -203,11 +204,35 @@ def _cmd_qpm(args) -> int:
 # ----------------------------------------------------------- simulate ----
 
 def _simulate_one(src_cfg, chain_cfg, run_cfg, out_path: Path,
-                  manifest_extra: dict[str, object]) -> dict[str, object]:
+                  manifest_extra: dict[str, object],
+                  expect: tuple[str, str] | None = None) -> dict[str, object]:
+    """Simulate one run and write its event file and manifest. expect, the
+    (output_sha256, numpy version) of a manifest being re-run, makes the
+    write a checked reproduction: the file goes to a sibling temporary and
+    replaces out_path only if its sha256 matches; otherwise the temporary
+    is removed, out_path and its manifest are left as they were, and a
+    DataFormatError names both hashes."""
+    import numpy
     from . import source
     stream, truth = source.simulate_run(src_cfg, chain_cfg, run_cfg)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_event_file(stream, out_path)
+    if expect is None:
+        write_event_file(stream, out_path)
+    else:
+        # named here, not by mkstemp, so that the file gets the umask's mode
+        tmp = out_path.with_name(f".{out_path.name}.{os.getpid()}.tmp")
+        try:
+            write_event_file(stream, tmp)
+            got = _sha256_file(tmp)
+            if got != expect[0]:
+                raise DataFormatError(
+                    f"{out_path}: re-run sha256 {got} (numpy "
+                    f"{numpy.__version__}) differs from the manifest's "
+                    f"output_sha256 {expect[0]} (numpy {expect[1]}); the file "
+                    "and its manifest are left as they were")
+            os.replace(tmp, out_path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     fields: dict[str, object] = {
         f"config.{k}": v
@@ -216,6 +241,7 @@ def _simulate_one(src_cfg, chain_cfg, run_cfg, out_path: Path,
     fields["seed"] = run_cfg.seed
     fields["resolution_ps"] = run_cfg.timestamp_resolution_ps
     fields["rng_scheme"] = source.RNG_SCHEME
+    fields["numpy"] = numpy.__version__
     fields["format"] = "binary"
     fields.update(manifest_extra)
     _write_manifest(out_path, "simulate", fields)
@@ -246,6 +272,9 @@ def _cmd_simulate(args) -> int:
     if args.from_manifest:
         _given_alone("--from-manifest", args, "config", "duration", "seed",
                      "resolution_ps")
+        if args.jobs != 1:
+            raise _UsageError("--from-manifest re-runs one seed; --jobs must "
+                              f"be 1, got {args.jobs}")
         kv = keyvalue.read_keyvalue(args.from_manifest)
         src_txt = args.from_manifest
         scheme = kv.get("rng_scheme", "<missing>")
@@ -266,6 +295,8 @@ def _cmd_simulate(args) -> int:
         if fmt != "binary":
             raise DataFormatError(f"{src_txt}: key 'format' is not 'binary': "
                                   f"{fmt!r}")
+        expect = (keyvalue.get_str(kv, "output_sha256", src_txt),
+                  kv.get("numpy", "<missing>"))
     else:
         if args.config is None or args.duration is None or args.seed is None:
             raise _UsageError("simulate needs --config, --duration, and "
@@ -278,6 +309,7 @@ def _cmd_simulate(args) -> int:
         resolution = 1 if args.resolution_ps is None else args.resolution_ps
         out = args.out
         config_path = args.config
+        expect = None
 
     # every run is validated before the first one writes a file
     runs = [source.RunConfig(duration, seed + k, resolution)
@@ -288,7 +320,7 @@ def _cmd_simulate(args) -> int:
 
     if args.jobs == 1:
         summaries = [_simulate_one(src_cfg, chain_cfg, runs[0], outputs[0],
-                                   extra)]
+                                   extra, expect)]
     else:
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(

@@ -77,9 +77,10 @@ def _blocks(a: np.ndarray) -> list[np.ndarray]:
 
 
 def _deadtime_filter(times_ps: np.ndarray, dead_ps: int) -> np.ndarray:
-    """Non-paralyzable dead time on sorted int64 ps: drop events less than
-    dead_ps after the last accepted one; dropped events do not extend the
-    dead window.
+    """Mask of the events that non-paralyzable dead time drops from sorted
+    integer ps: those less than dead_ps after the last accepted one;
+    dropped events do not extend the dead window. No time is copied but
+    the clustered ones.
 
     An event at least dead_ps after its predecessor is accepted whatever
     came before, so it starts a cluster; one with no neighbour closer than
@@ -90,7 +91,7 @@ def _deadtime_filter(times_ps: np.ndarray, dead_ps: int) -> np.ndarray:
     near = _near(times_ps, dead_ps - 1)
     t = times_ps[near]
     if t.size == 0:     # no event is near another, as always at dead_ps <= 0
-        return times_ps
+        return near
     starts, ends = _cluster_bounds(np.diff(t) >= dead_ps)
     keep = np.zeros(t.size, dtype=bool)
     keep[starts] = True
@@ -101,9 +102,8 @@ def _deadtime_filter(times_ps: np.ndarray, dead_ps: int) -> np.ndarray:
         while i < len(cluster):
             keep[start + i] = True
             i = bisect.bisect_left(cluster, cluster[i] + dead_ps, i + 1)
-    kept = ~near
-    kept[near] = keep
-    return times_ps[kept]
+    near[near] = ~keep
+    return near
 
 
 def _decode_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

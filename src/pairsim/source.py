@@ -23,7 +23,9 @@ memory scale with the detected events, which are checked against a budget
 before generation. Each detector adds an independent Poisson dark-count
 process. Times are whole picoseconds: photons pick up optional Gaussian
 jitter rounded to whole ps, and the dead time acts as its exact ceiling in
-whole ps. Both detectors fill one uint64 key buffer, sorted once. Fixed seed
+whole ps. Both detectors fill one uint64 key buffer, sorted once in place;
+events that dead time or the run edges drop become keys past the run, so
+nothing is copied or compacted. Fixed seed
 gives a bit-identical stream; each physical process draws from its own
 named substream, so changing e.g. a dark rate does not shift the photon
 draws. RNG_SCHEME versions the draws. Configs, closed-form rates and the
@@ -278,6 +280,27 @@ def _ceil_ps(ns: float) -> int:
     return -(-num * 1000 // den)
 
 
+def _add_jitter(photons: list[np.ndarray], jitter_ps: float,
+                rng: np.random.Generator) -> None:
+    """Add Gaussian jitter of sd jitter_ps, rounded to whole ps, to each
+    int64 array of photon times in place: the values of one
+    rng.normal(0.0, jitter_ps, n) call over them all, since normal(0, sd)
+    is sd * standard_normal, drawn into one reused block. The jitter is
+    clipped so that the cast is defined, and the sum is exact mod 2**64, so
+    as uint64 a photon stays in the run exactly when it lies below the
+    duration."""
+    import numpy as np
+    from .events import _BLOCK, _blocks
+    buf = np.empty(min(max(p.size for p in photons), _BLOCK))
+    for part in (b for p in photons for b in _blocks(p)):
+        z = rng.standard_normal(out=buf[:part.size])
+        with np.errstate(over="ignore"):    # inf, clipped below
+            z *= jitter_ps
+        np.rint(z, out=z)
+        np.clip(z, -2.0**62, 2.0**62, out=z)
+        np.add(part, z, out=part, dtype=np.int64, casting="unsafe")
+
+
 def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
                  run: RunConfig,
                  max_events: int = 50_000_000) -> tuple[EventStream, TrueCounts]:
@@ -288,17 +311,18 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
     uniform integer ps, jitter is rounded to whole ps, and an event less
     than ceil(dead time in ps) after the last kept one on its detector is
     dropped. Both detectors write into one uint64 key buffer (2t for
-    detector 1, 2t + 1 for detector 2) that is sorted once. Pair times,
-    darks and jitter are drawn 2^16 values at a time, straight into the
-    buffer. The traced peak is about 9.1 bytes per detected event at the
-    reference point over 10 s and 14.7 with dead time and jitter (the
-    stream holds 9). With dead time the sort is a stable merge whose
-    buffer, up to 4 bytes per key, tracemalloc does not see; at the dense
-    point it reuses freed memory, and the peak RSS rise equals the traced
-    peak (0.5 s, 0.86M events). Raises MemoryBudgetError before generating
-    anything when the expected detected-event count exceeds max_events or
-    the expected pair count exceeds the largest Poisson mean numpy can
-    sample (about 9.2e18).
+    detector 1, 2t + 1 for detector 2) that is sorted once, in place. Pair
+    times, darks and jitter are drawn 2^16 values at a time, straight into
+    the buffer. An event that dead time drops, or a photon jittered out of
+    the run, becomes the uint64 max key, which the sort puts past the run:
+    each detector holds one 1-byte mask of them, and no times are copied.
+    The traced peak is about 9.1 bytes per detected event at the reference
+    point over 10 s and 10.7 with dead time and jitter (the dense point,
+    0.5 s, 0.86M events; the stream holds 9), and the peak RSS rise equals
+    it: the quicksort takes no buffer. Raises MemoryBudgetError before
+    generating anything when the expected detected-event count exceeds
+    max_events or the expected pair count exceeds the largest Poisson mean
+    numpy can sample (about 9.2e18).
     """
     import numpy as np
     from .events import EventStream, _blocks, _deadtime_filter, _decode_keys
@@ -355,36 +379,30 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
         for part in _blocks(half[n:]):
             part[:] = rng.integers(0, duration_ps, part.size)
 
-    rng_jitter = _substream(run.seed, _SUB_JITTER)
+    if chain.jitter_ps > 0.0:
+        _add_jitter([half[:n].view(np.int64)
+                     for half, n in zip(halves, n_photons)],
+                    chain.jitter_ps, _substream(run.seed, _SUB_JITTER))
     dead_ps = _ceil_ps(chain.dead_time_ns)
-    for k, (half, n) in enumerate(zip(halves, n_photons)):
-        t = half.view(np.int64)
-        if chain.jitter_ps > 0.0:
-            # photons only, clipped so that the cast is defined; the sum is
-            # exact mod 2**64, so as uint64 a photon stays in the run exactly
-            # when it lies below duration_ps
-            for part in _blocks(t[:n]):
-                part += np.clip(np.rint(rng_jitter.normal(
-                    0.0, chain.jitter_ps, part.size)),
-                    -2.0**62, 2.0**62).astype(np.int64)
+    for k, half in enumerate(halves):
         if dead_ps:
-            half.sort()     # as uint64, photons jittered out of the run last
-            kept = _deadtime_filter(
-                t[:np.searchsorted(half, np.uint64(duration_ps))], dead_ps)
-            t[:kept.size] = kept
-            cut = slice(kept.size, None)
-            del kept
+            # as uint64, photons jittered out of the run sort after every
+            # event in it, so the dead time they see cannot change its events
+            half.sort()
+            cut = _deadtime_filter(half, dead_ps)
+            cut[np.searchsorted(half, np.uint64(duration_ps)):] = True
         else:
             cut = half >= duration_ps if chain.jitter_ps > 0.0 else slice(0)
         if run.timestamp_resolution_ps > 1:
+            t = half.view(np.int64)
             t //= run.timestamp_resolution_ps
             t *= run.timestamp_resolution_ps
         half <<= 1
         half |= k
         half[cut] = np.iinfo(np.uint64).max     # above every 2t + k, cut below
+        del cut     # before the next detector's mask is built
 
-    # the stable sort merges the two sorted halves of a dead-time run
-    keys.sort(kind="stable" if dead_ps else "quicksort")
+    keys.sort()
     times, detectors = _decode_keys(
         keys[:np.searchsorted(keys, np.uint64(2 * duration_ps))])
     stream = EventStream(

@@ -257,6 +257,59 @@ class TestSimulate:
         assert code == 0
         assert sha(first) == sha(second)
 
+    def test_from_manifest_checks_the_hash_it_reproduces(self, capsys,
+                                                          tmp_path,
+                                                          small_config):
+        run = tmp_path / "run.events"
+        manifest = Path(str(run) + ".manifest")
+        run_cli(capsys, "simulate", "--config", str(small_config),
+                "--duration", "0.2", "--seed", "11", "--out", str(run))
+        before = {p: p.read_bytes() for p in (run, manifest)}
+        # a re-run in place that reproduces the file leaves both as they were
+        code, _, _ = run_cli(capsys, "simulate", "--from-manifest",
+                             str(manifest))
+        assert code == 0
+        assert {p: p.read_bytes() for p in (run, manifest)} == before
+        # one hex digit of output_sha256 edited: exit 2, nothing rewritten
+        kv = keyvalue.read_keyvalue(manifest)
+        good = kv["output_sha256"]
+        bad = good[:-1] + ("0" if good[-1] != "0" else "1")
+        manifest.write_bytes(before[manifest].replace(good.encode(),
+                                                      bad.encode()))
+        edited = manifest.read_bytes()
+        code, _, err = run_cli(capsys, "simulate", "--from-manifest",
+                               str(manifest))
+        assert code == 2
+        assert good in err and bad in err and "numpy" in err
+        assert "Traceback" not in err
+        assert run.read_bytes() == before[run]
+        assert manifest.read_bytes() == edited
+        assert sorted(tmp_path.iterdir()) == sorted(
+            [small_config, run, manifest])
+
+    def test_from_manifest_without_output_sha256_is_data_error(
+            self, capsys, tmp_path, small_config):
+        first = tmp_path / "first.events"
+        run_cli(capsys, "simulate", "--config", str(small_config),
+                "--duration", "0.1", "--seed", "11", "--out", str(first))
+        manifest = keyvalue.read_keyvalue(str(first) + ".manifest")
+        del manifest["output_sha256"]
+        edited = tmp_path / "edited.manifest"
+        keyvalue.write_keyvalue(edited, manifest)
+        second = tmp_path / "second.events"
+        code, _, err = run_cli(capsys, "simulate", "--from-manifest",
+                               str(edited), "--out", str(second))
+        assert code == 2 and "'output_sha256'" in err
+        assert not second.exists()
+
+    def test_manifest_records_numpy_version(self, capsys, tmp_path,
+                                            small_config):
+        out = tmp_path / "x.events"
+        run_cli(capsys, "simulate", "--config", str(small_config),
+                "--duration", "0.1", "--seed", "5", "--out", str(out))
+        manifest = keyvalue.read_keyvalue(str(out) + ".manifest")
+        assert manifest["numpy"] == np.__version__
+
     def test_from_manifest_refuses_other_rng_scheme(self, capsys, tmp_path,
                                                     small_config):
         first = tmp_path / "first.events"
@@ -1065,6 +1118,9 @@ BAD_CLI_INPUTS = {
         "simulate --from-manifest={tmp}/run.manifest --resolution-ps=2 "
         "--out={tmp}/sim.events", None, 1,
         "--from-manifest cannot be given with --resolution-ps"),
+    "from-manifest with --jobs": (
+        "simulate --from-manifest={tmp}/run.manifest --jobs=2", None, 1,
+        "--from-manifest re-runs one seed; --jobs must be 1, got 2"),
     "summary with rates": (
         "estimate --summary={tmp}/summary.csv --s1=2e5 --s2=2e5 --rc=2e3",
         None, 1, "--summary cannot be given with --s1, --s2, --rc"),

@@ -391,7 +391,7 @@ class TestSimulateRun:
         for _ in range(50):
             times = np.sort(rng.integers(0, 10**9, rng.integers(0, 400)))
             dead = int(rng.integers(0, 5 * 10**7))
-            got = _deadtime_filter(times, dead)
+            got = times[~_deadtime_filter(times, dead)]
             assert got.tolist() == reference(times.tolist(), dead)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
@@ -399,9 +399,10 @@ class TestSimulateRun:
     def test_dead_time_filter_matches_sequential_oracle(self, chain):
         from pairsim.events import _deadtime_filter
         times, dead = chain
-        got = _deadtime_filter(times, dead)
-        assert got.dtype == times.dtype
-        assert got.tolist() == deadtime_sequential(times, dead).tolist()
+        dropped = _deadtime_filter(times, dead)
+        assert dropped.dtype == bool and dropped.shape == times.shape
+        assert times[~dropped].tolist() \
+            == deadtime_sequential(times, dead).tolist()
 
     def test_dead_time_acts_in_whole_ps(self):
         # at unit efficiency with the splitter, half the pairs put both
@@ -638,6 +639,47 @@ class TestBlockGoldenStreams:
                                     for lo in range(0, n, 1 << 16)])
             assert np.array_equal(whole, parts)
         assert one.integers(0, 2**63) == chunked.integers(0, 2**63)
+        # the jitter: normal(0, sd) from one call equals sd * standard_normal
+        # drawn a block at a time into a reused buffer, once both are
+        # rounded, clipped and cast as simulate_run does; at 1e308 ps some
+        # products overflow to inf, which the clip holds at 2^62
+        for sd in (300.0, 1e308):
+            one, chunked = (source_mod._substream(7, 5) for _ in range(2))
+            with np.errstate(over="ignore"):
+                whole = np.clip(np.rint(one.normal(0.0, sd, n)),
+                                -2.0**62, 2.0**62).astype(np.int64)
+            parts = np.zeros(n, dtype=np.int64)
+            source_mod._add_jitter([parts[:n // 3], parts[n // 3:]], sd,
+                                   chunked)
+            assert np.array_equal(whole, parts)
+            assert (np.abs(whole) == 2**62).any() == (sd > 1e300)
+
+
+class TestDeadTimeResolutionGoldenStreams:
+    """TestBlockGoldenStreams' dense-0.2 run at coarse timestamp
+    resolutions, pinned bit for bit: the dead time acts on whole ps before
+    the times are quantised, and the detectors' keys are sorted after."""
+
+    @pytest.mark.parametrize("resolution, times_sha256, detectors_sha256", [
+        (100,
+         "f82c3dc947ff7589c7e748aa4a65379ff124dc376818bb16a82ba29ebd66b49a",
+         "248c858c4e9a6dad95ba4d5213513452487c60b6a904ea7a558a4aa888e6b2c7"),
+        (7,
+         "89401d93f97def330743844653d522d08da0bcb37c79f132473f882bb8b75f4b",
+         "49fab5e44bf279670666c7a6a7d1fcd6ec38384ce0fb6068109842edef3c1227"),
+    ])
+    def test_stream_digest(self, resolution, times_sha256, detectors_sha256):
+        pair_hz, chain, duration = TestBlockGoldenStreams.RUNS["dense-0.2"]
+        stream, _ = simulate_run(
+            make_source(pair_hz), make_chain(**chain),
+            RunConfig(duration, seed=20261019,
+                      timestamp_resolution_ps=resolution))
+        assert stream.counts() == (172003, 172375)
+        assert not np.any(stream.times_ps % resolution)
+        assert hashlib.sha256(stream.times_ps.astype("<i8").tobytes()) \
+            .hexdigest() == times_sha256
+        assert hashlib.sha256(stream.detectors.tobytes()).hexdigest() \
+            == detectors_sha256
 
 
 def traced_peak(call):
@@ -656,17 +698,21 @@ class TestAllocationBudget:
     """Peak allocations per byte of the returned stream (9 bytes an event):
     the simulate -> count path works in place, with no per-arm photon copies,
     at most one full-size temporary beyond the stream at a time, and a merge
-    that holds only its output. The reference budgets are the measured
-    ratios at these sizes plus about 10 %. tracemalloc does not see the
-    buffer of numpy's stable sort, up to 4 bytes per sorted key (peak RSS
-    rise 4.0 bytes per key for two merged runs), so the budgets leave out
-    the merge in the delayed count and simulate's with dead time."""
+    that holds only its output. simulate's dead time and jitter cut hold one
+    1-byte mask per arm and sort its key buffer in place. The reference
+    budgets are the measured ratios at these sizes plus about 10 %.
+    tracemalloc does not see the buffer of numpy's stable sort, up to 4
+    bytes per sorted key (peak RSS rise 4.0 bytes per key for two merged
+    runs), so the budgets leave out the merge in the delayed count, the one
+    stable sort left on this path."""
 
     # the case ids are the names these cases have always run under
     @pytest.mark.parametrize("point, duration, budget, net_budget", [
         pytest.param("reference", 1.0, 1.45, 0.35, id="reference-1.0-3.0"),
-        # the dead-time filter and the jitter edge cut copy one arm each
+        # 2^16-value block temporaries weigh against a 1.6 MB stream
         pytest.param("dense", 0.1, 4.5, 3.0, id="dense-0.1-4.5"),
+        # the key buffer, one arm's mask and the dead-time clusters: 1.19x
+        pytest.param("dense", 0.5, 1.45, 3.0, id="dense-0.5-1.45"),
     ])
     def test_simulate_and_net_summary_peaks(self, point, duration, budget,
                                             net_budget):
