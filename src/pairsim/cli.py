@@ -203,78 +203,11 @@ def _cmd_qpm(args) -> int:
 
 # ----------------------------------------------------------- simulate ----
 
-def _simulate_one(src_cfg, chain_cfg, run_cfg, out_path: Path,
-                  manifest_extra: dict[str, object],
-                  expect: tuple[str, str] | None = None) -> dict[str, object]:
-    """Simulate one run and write its event file and manifest. expect, the
-    (output_sha256, numpy version) of a manifest being re-run, makes the
-    write a checked reproduction: the file goes to a sibling temporary and
-    replaces out_path only if its sha256 matches; otherwise the temporary
-    is removed, out_path and its manifest are left as they were, and a
-    DataFormatError names both hashes."""
-    import numpy
-    from . import source
-    stream, truth = source.simulate_run(src_cfg, chain_cfg, run_cfg)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    if expect is None:
-        write_event_file(stream, out_path)
-    else:
-        # named here, not by mkstemp, so that the file gets the umask's mode
-        tmp = out_path.with_name(f".{out_path.name}.{os.getpid()}.tmp")
-        try:
-            write_event_file(stream, tmp)
-            got = _sha256_file(tmp)
-            if got != expect[0]:
-                raise DataFormatError(
-                    f"{out_path}: re-run sha256 {got} (numpy "
-                    f"{numpy.__version__}) differs from the manifest's "
-                    f"output_sha256 {expect[0]} (numpy {expect[1]}); the file "
-                    "and its manifest are left as they were")
-            os.replace(tmp, out_path)
-        finally:
-            tmp.unlink(missing_ok=True)
-
-    fields: dict[str, object] = {
-        f"config.{k}": v
-        for k, v in source.config_to_mapping(src_cfg, chain_cfg).items()}
-    fields["duration_s"] = run_cfg.duration_s
-    fields["seed"] = run_cfg.seed
-    fields["resolution_ps"] = run_cfg.timestamp_resolution_ps
-    fields["rng_scheme"] = source.RNG_SCHEME
-    fields["numpy"] = numpy.__version__
-    fields["format"] = "binary"
-    fields.update(manifest_extra)
-    _write_manifest(out_path, "simulate", fields)
-
-    n1, n2 = stream.counts()
-    return {
-        "output": str(out_path),
-        "seed": run_cfg.seed,
-        "events_written": stream.n_events,
-        "singles_1": n1,
-        "singles_2": n2,
-        "pairs_emitted": truth.pairs_emitted,
-        "pairs_detected_coincident": truth.pairs_detected_coincident,
-        "darks_emitted_1": truth.darks_emitted[0],
-        "darks_emitted_2": truth.darks_emitted[1],
-    }
-
-
-def _worker_count(jobs: int) -> int:
-    """Process-pool size for --jobs seeds: no more workers than CPUs."""
-    return min(jobs, os.cpu_count() or 1)
-
-
 def _cmd_simulate(args) -> int:
     from . import source
-    if args.jobs < 1:
-        raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
     if args.from_manifest:
         _given_alone("--from-manifest", args, "config", "duration", "seed",
                      "resolution_ps")
-        if args.jobs != 1:
-            raise _UsageError("--from-manifest re-runs one seed; --jobs must "
-                              f"be 1, got {args.jobs}")
         kv = keyvalue.read_keyvalue(args.from_manifest)
         src_txt = args.from_manifest
         scheme = kv.get("rng_scheme", "<missing>")
@@ -311,27 +244,53 @@ def _cmd_simulate(args) -> int:
         config_path = args.config
         expect = None
 
-    # every run is validated before the first one writes a file
-    runs = [source.RunConfig(duration, seed + k, resolution)
-            for k in range(args.jobs)]
-    outputs = ([Path(out)] if args.jobs == 1
-               else [Path(f"{out}.seed{run.seed}") for run in runs])
-    extra = {"config_file": config_path} if config_path else {}
+    run = source.RunConfig(duration, seed, resolution)
+    import numpy
+    stream, truth = source.simulate_run(src_cfg, chain_cfg, run)
+    # The file goes to a sibling temporary that replaces the output only
+    # once it is whole (and, re-running a manifest, only if its sha256 is
+    # the manifest's), so a failed run leaves the output and its manifest as
+    # they were. Named here, not by mkstemp, so it gets the umask's mode.
+    out_path = Path(out)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out_path.with_name(f".{out_path.name}.{os.getpid()}.tmp")
+    try:
+        write_event_file(stream, tmp)
+        if expect is not None and (got := _sha256_file(tmp)) != expect[0]:
+            raise DataFormatError(
+                f"{out_path}: re-run sha256 {got} (numpy "
+                f"{numpy.__version__}) differs from the manifest's "
+                f"output_sha256 {expect[0]} (numpy {expect[1]}); the file "
+                "and its manifest are left as they were")
+        os.replace(tmp, out_path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
-    if args.jobs == 1:
-        summaries = [_simulate_one(src_cfg, chain_cfg, runs[0], outputs[0],
-                                   extra, expect)]
-    else:
-        import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=_worker_count(args.jobs)) as pool:
-            futures = [pool.submit(_simulate_one, src_cfg, chain_cfg, run,
-                                   path, extra)
-                       for run, path in zip(runs, outputs)]
-            summaries = [f.result() for f in futures]
+    fields: dict[str, object] = {
+        f"config.{k}": v
+        for k, v in source.config_to_mapping(src_cfg, chain_cfg).items()}
+    fields["duration_s"] = run.duration_s
+    fields["seed"] = run.seed
+    fields["resolution_ps"] = run.timestamp_resolution_ps
+    fields["rng_scheme"] = source.RNG_SCHEME
+    fields["numpy"] = numpy.__version__
+    fields["format"] = "binary"
+    if config_path:
+        fields["config_file"] = config_path
+    _write_manifest(out_path, "simulate", fields)
 
-    for summary in summaries:
-        sys.stdout.write(_mapping_report(summary, csv=False))
+    n1, n2 = stream.counts()
+    sys.stdout.write(_mapping_report({
+        "output": str(out_path),
+        "seed": run.seed,
+        "events_written": stream.n_events,
+        "singles_1": n1,
+        "singles_2": n2,
+        "pairs_emitted": truth.pairs_emitted,
+        "pairs_detected_coincident": truth.pairs_detected_coincident,
+        "darks_emitted_1": truth.darks_emitted[0],
+        "darks_emitted_2": truth.darks_emitted[1],
+    }, csv=False))
     return EXIT_OK
 
 
@@ -466,8 +425,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--resolution-ps", type=int,
                    help="timestamp resolution [ps] (default 1)")
     p.add_argument("--out", help="event file to write")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="run N consecutive seeds in parallel, one file each")
     p.add_argument("--from-manifest", help="re-run a previous manifest")
     p.set_defaults(func=_cmd_simulate)
 

@@ -1,5 +1,5 @@
-"""perfbench's library pass runs against the library as it stands, so a
-library change that breaks the benchmark fails here, in the test suite."""
+"""perfbench's library and CLI passes run against pairsim as it stands, so
+a change that breaks the benchmark fails here, in the test suite."""
 
 import ast
 import contextlib
@@ -45,6 +45,17 @@ def test_library_pass_meets_the_benchmark_checks(workloads, name, seed):
         == summary.coincidence_count
     assert round(pairsim.estimate_accidentals(stream, window).hz * d) \
         == summary.accidental_count
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_cli_pass_meets_the_benchmark_checks(workloads, tmp_path, seed):
+    """The cli_pipeline workload's four commands, run in this process."""
+    wl = workloads.WORKLOADS["cli_pipeline"].scaled(0.02)
+    steps = workloads.cli_steps(wl, seed, tmp_path,
+                                workloads.cli_config_file(wl, tmp_path))
+    codes, stdout = workloads.cli_inprocess_pass(cli, steps,
+                                                 contextlib.nullcontext)
+    assert workloads.cli_output(wl, tmp_path, codes, stdout)[1] == []
 
 
 def test_traced_cli_functions_exist():

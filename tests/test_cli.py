@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import os
 import subprocess
@@ -247,6 +248,29 @@ class TestSimulate:
             assert code == 0
         assert sha(a) == sha(b)
 
+    def test_failed_write_leaves_the_previous_run(self, capsys, monkeypatch,
+                                                  tmp_path, small_config):
+        run = tmp_path / "run.events"
+        manifest = Path(str(run) + ".manifest")
+        argv = ["simulate", "--config", str(small_config), "--duration",
+                "0.1", "--seed", "5", "--out", str(run)]
+        assert run_cli(capsys, *argv)[0] == 0
+        assert sorted(tmp_path.iterdir()) == sorted(
+            [small_config, run, manifest])
+        before = {p: p.read_bytes() for p in (run, manifest)}
+
+        def header_then_disk_full(stream, path):
+            Path(path).write_bytes(b"# pairsim-events v2\n")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(cli, "write_event_file", header_then_disk_full)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert os.strerror(errno.ENOSPC) in err and "Traceback" not in err
+        assert {p: p.read_bytes() for p in (run, manifest)} == before
+        assert sorted(tmp_path.iterdir()) == sorted(
+            [small_config, run, manifest])
+
     def test_from_manifest_reproduces(self, capsys, tmp_path, small_config):
         first = tmp_path / "first.events"
         run_cli(capsys, "simulate", "--config", str(small_config),
@@ -354,25 +378,8 @@ class TestSimulate:
                                    str(small_config), "--duration", "0.1",
                                    "--seed", "1", "--out",
                                    str(tmp_path / "x.events"), "--jobs", jobs)
-            assert code == 1 and "--jobs" in err
-
-    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        assert cli._worker_count(1) == 1
-        assert cli._worker_count(8) == 2
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        assert cli._worker_count(8) == 1
-
-    def test_jobs_write_one_file_per_seed(self, capsys, tmp_path,
-                                          small_config):
-        out = tmp_path / "multi.events"
-        code, stdout, _ = run_cli(capsys, "simulate", "--config",
-                                  str(small_config), "--duration", "0.1",
-                                  "--seed", "20", "--out", str(out),
-                                  "--jobs", "2")
-        assert code == 0
-        assert (tmp_path / "multi.events.seed20").exists()
-        assert (tmp_path / "multi.events.seed21").exists()
+            assert code == 1 and "unrecognized arguments: --jobs" in err
+            assert not (tmp_path / "x.events").exists()
 
     def test_zero_duration_is_usage_error(self, capsys, tmp_path,
                                           small_config):
@@ -409,14 +416,6 @@ class TestSimulate:
         assert code == 1 and "resolution" in err
         assert "Traceback" not in err
         assert not out.exists()
-
-    def test_bad_seed_stops_every_job(self, capsys, tmp_path, small_config):
-        code, _, err = run_cli(capsys, "simulate", "--config",
-                               str(small_config), "--duration", "0.1",
-                               "--seed", str(2**64 - 1), "--jobs", "2",
-                               "--out", str(tmp_path / "x.events"))
-        assert code == 1 and "seed" in err
-        assert list(tmp_path.glob("x.events*")) == []
 
     def test_missing_args_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "simulate")
@@ -478,22 +477,6 @@ class TestSimulate:
                                str(tmp_path / "second.events"))
         assert code == 2 and "'csv'" in err
         assert not (tmp_path / "second.events").exists()
-
-    def test_jobs_write_binary_files_that_count_reads(self, capsys, tmp_path,
-                                                      small_config):
-        out = tmp_path / "multi.events"
-        code, _, _ = run_cli(capsys, "simulate", "--config",
-                             str(small_config), "--duration", "0.1",
-                             "--seed", "20", "--out", str(out), "--jobs", "2")
-        assert code == 0
-        for seed in (20, 21):
-            path = tmp_path / f"multi.events.seed{seed}"
-            assert path.read_bytes().startswith(b"# pairsim-events v2\n")
-            manifest = keyvalue.read_keyvalue(str(path) + ".manifest")
-            assert manifest["format"] == "binary"
-            code, out_text, _ = run_cli(capsys, "count", str(path))
-            assert code == 0
-            assert keyvalue.get_int(parse_out(out_text), "s1_count") > 0
 
 
 class TestCount:
@@ -886,12 +869,9 @@ _SIMULATE = ["simulate", "--config", "{config}", "--duration", "0.05",
     (_SIMULATE, {"pairsim.source", "pairsim.events"},
      {"pairsim.qpm", "pairsim.counting", "pairsim.estimator",
       "concurrent.futures"}),
-    (_SIMULATE + ["--jobs", "2"], {"concurrent.futures", "pairsim.source"},
-     {"pairsim.qpm", "pairsim.counting"}),
     (["count", "{tmp}/tiny.events"], {"pairsim.counting", "pairsim.events"},
      {"pairsim.source", "pairsim.qpm", "pairsim.estimator"}),
-], ids=["import", "estimate", "table1", "qpm", "simulate", "simulate-jobs",
-        "count"])
+], ids=["import", "estimate", "table1", "qpm", "simulate", "count"])
 def test_command_loads_only_its_layers(tmp_path, small_config, argv, loaded,
                                        unloaded):
     """In a fresh interpreter, main(argv) exits 0 having imported loaded and
@@ -913,9 +893,6 @@ def test_command_loads_only_its_layers(tmp_path, small_config, argv, loaded,
     assert proc.returncode == 0, proc.stderr
     modules = set(proc.stdout.splitlines()[-1].split())
     assert loaded <= modules and not unloaded & modules
-    if argv is not None and "--jobs" in argv:
-        assert {p.name for p in tmp_path.glob("sim.events.seed?")} \
-            == {"sim.events.seed1", "sim.events.seed2"}
 
 
 def test_count_of_binary_file_loads_only_its_layers(tmp_path):
@@ -1073,6 +1050,18 @@ BAD_CLI_INPUTS = {
     "simulate without out": (
         "simulate --config={tmp}/ref.txt --duration=0.01 --seed=1", None, 1,
         "simulate needs --out"),
+    # simulate runs one seed; parallel seeds are separate invocations
+    "simulate with --jobs": (
+        "simulate --config={tmp}/ref.txt --duration=0.01 --seed=1 "
+        "--out={tmp}/sim.events --jobs=2", None, 1,
+        "unrecognized arguments: --jobs=2"),
+    "seed above 2**64 - 1": (
+        "simulate --config={tmp}/ref.txt --duration=0.01 "
+        "--seed=18446744073709551616 --out={tmp}/sim.events", None, 1,
+        "seed must be an integer"),
+    "negative seed": (
+        "simulate --config={tmp}/ref.txt --duration=0.01 --seed=-1 "
+        "--out={tmp}/sim.events", None, 1, "seed must be an integer"),
     "negative dead time": (
         "simulate --config={tmp}/dead_time.txt --duration=0.01 --seed=1 "
         "--out={tmp}/sim.events", None, 1, "dead_time_ns must be >= 0"),
@@ -1120,7 +1109,7 @@ BAD_CLI_INPUTS = {
         "--from-manifest cannot be given with --resolution-ps"),
     "from-manifest with --jobs": (
         "simulate --from-manifest={tmp}/run.manifest --jobs=2", None, 1,
-        "--from-manifest re-runs one seed; --jobs must be 1, got 2"),
+        "unrecognized arguments: --jobs=2"),
     "summary with rates": (
         "estimate --summary={tmp}/summary.csv --s1=2e5 --s2=2e5 --rc=2e3",
         None, 1, "--summary cannot be given with --s1, --s2, --rc"),
