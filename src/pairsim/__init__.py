@@ -19,7 +19,7 @@ keeps its own list).
 
 import importlib
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 # submodule -> the public names it owns, in __all__ order
 _EXPORTS = {

@@ -73,14 +73,32 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_path: Path, command: str,
-                    fields: dict[str, object]) -> None:
-    manifest = {"command": command, "version": __version__}
-    manifest.update(fields)
-    manifest["output"] = str(out_path)
-    manifest["output_sha256"] = _sha256_file(out_path)
-    mpath = Path(str(out_path) + ".manifest")
-    keyvalue.write_keyvalue(mpath, manifest, header=["pairsim run manifest"])
+def _write_whole(out_path: Path, write, command: str,
+                 fields: dict[str, object], check=None) -> None:
+    """Write an output file and its ``<output>.manifest`` whole or not at
+    all: write(tmp) fills a sibling temporary, check(sha256), if given, may
+    refuse it, the manifest (fields, then the output's name and sha256)
+    goes to a second temporary, and only then do both replace their files.
+    A failed or refused write leaves both files as they were. The
+    temporaries are named here, not by mkstemp, so they get the umask's
+    mode."""
+    mpath = Path(f"{out_path}.manifest")
+    tmps = [p.with_name(f".{p.name}.{os.getpid()}.tmp")
+            for p in (out_path, mpath)]
+    try:
+        write(tmps[0])
+        sha = _sha256_file(tmps[0])
+        if check is not None:
+            check(sha)
+        manifest = {"command": command, "version": __version__, **fields,
+                    "output": str(out_path), "output_sha256": sha}
+        keyvalue.write_keyvalue(tmps[1], manifest,
+                                header=["pairsim run manifest"])
+        os.replace(tmps[0], out_path)
+        os.replace(tmps[1], mpath)
+    finally:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
 
 
 def _emit(text: str, out: str | None, command: str,
@@ -89,17 +107,17 @@ def _emit(text: str, out: str | None, command: str,
     if out is None:
         sys.stdout.write(text)
         return
-    path = Path(out)
-    path.write_text(text, encoding="utf-8")
-    _write_manifest(path, command, manifest_fields)
+    _write_whole(Path(out), lambda tmp: tmp.write_text(text, encoding="utf-8"),
+                 command, manifest_fields)
 
 
 def read_event_file(path):
-    """events.read_event_file, imported on first call. The event-file
-    functions stay attributes of this module so that a tracer can wrap the
-    ones the commands call."""
-    from .events import read_event_file
-    return read_event_file(path)
+    """events._open_event_file, imported on first call: the event file with
+    its header read and checked, whose body the counter then reads block by
+    block. The event-file functions stay attributes of this module so that
+    a tracer can wrap the ones the commands call."""
+    from .events import _open_event_file
+    return _open_event_file(path)
 
 
 def write_event_file(stream, path) -> None:
@@ -246,25 +264,16 @@ def _cmd_simulate(args) -> int:
 
     run = source.RunConfig(duration, seed, resolution)
     import numpy
-    stream, truth = source.simulate_run(src_cfg, chain_cfg, run)
-    # The file goes to a sibling temporary that replaces the output only
-    # once it is whole (and, re-running a manifest, only if its sha256 is
-    # the manifest's), so a failed run leaves the output and its manifest as
-    # they were. Named here, not by mkstemp, so it gets the umask's mode.
+    draw = source._Draw(src_cfg, chain_cfg, run)
     out_path = Path(out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out_path.with_name(f".{out_path.name}.{os.getpid()}.tmp")
-    try:
-        write_event_file(stream, tmp)
-        if expect is not None and (got := _sha256_file(tmp)) != expect[0]:
+
+    def check(sha: str) -> None:
+        if expect is not None and sha != expect[0]:
             raise DataFormatError(
-                f"{out_path}: re-run sha256 {got} (numpy "
+                f"{out_path}: re-run sha256 {sha} (numpy "
                 f"{numpy.__version__}) differs from the manifest's "
                 f"output_sha256 {expect[0]} (numpy {expect[1]}); the file "
                 "and its manifest are left as they were")
-        os.replace(tmp, out_path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
     fields: dict[str, object] = {
         f"config.{k}": v
@@ -277,15 +286,20 @@ def _cmd_simulate(args) -> int:
     fields["format"] = "binary"
     if config_path:
         fields["config_file"] = config_path
-    _write_manifest(out_path, "simulate", fields)
+    # the slabs are drawn as the file is written, so the run is never held
+    # whole; a failed or refused run leaves the output and its manifest as
+    # they were
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    _write_whole(out_path, lambda tmp: write_event_file(draw, tmp),
+                 "simulate", fields, check)
 
-    n1, n2 = stream.counts()
+    truth = draw.truth
     sys.stdout.write(_mapping_report({
         "output": str(out_path),
         "seed": run.seed,
-        "events_written": stream.n_events,
-        "singles_1": n1,
-        "singles_2": n2,
+        "events_written": sum(draw.counts),
+        "singles_1": draw.counts[0],
+        "singles_2": draw.counts[1],
         "pairs_emitted": truth.pairs_emitted,
         "pairs_detected_coincident": truth.pairs_detected_coincident,
         "darks_emitted_1": truth.darks_emitted[0],
@@ -297,23 +311,40 @@ def _cmd_simulate(args) -> int:
 # -------------------------------------------------------------- count ----
 
 def _cmd_count(args) -> int:
+    from fractions import Fraction
     from . import counting
-    stream = read_event_file(args.events)
-    window = counting.WindowConfig(
-        coincidence_window_ns=args.window * 1e9,
-        accidental_delay_ns=args.delay * 1e9)
+    try:
+        window_s = float(args.window)
+    except ValueError:
+        raise _UsageError(f"argument --window: invalid float value: "
+                          f"{args.window!r}") from None
+    events = read_event_file(args.events)
+    try:
+        window = counting.WindowConfig(
+            coincidence_window_ns=window_s * 1e9,
+            accidental_delay_ns=args.delay * 1e9)
+    except ConfigError:
+        events._check()     # a bad body is named before a bad option
+        raise
+    # the half window in whole ps from the exact text, not from its float
+    try:
+        exact = Fraction(args.window)
+    except ValueError:      # a spelling float takes and Fraction does not
+        exact = Fraction(window_s)
+    summary = counting._summary(events, math.floor(exact * 500_000_000_000),
+                                window.delay_ps,
+                                (Rate(args.dark1), Rate(args.dark2)))
     # the delayed times wrap inside the run: the 10-window rule applies to
-    # the delay's distance from the nearest multiple of the duration
-    d = stream.duration_ps
+    # the delay's distance from the nearest multiple of the duration; it is
+    # checked once the body has been read, so a bad body is named first
+    d = events.duration_ps
     if min(window.delay_ps % d, -window.delay_ps % d) \
             <= 10.0 * window.coincidence_window_ns * 1e3:
         raise _UsageError(f"--delay {args.delay} s wraps to within 10 windows "
-                          f"of zero in a {stream.duration_s} s run")
-    summary = counting.net_summary(
-        stream, window, (Rate(args.dark1), Rate(args.dark2)))
+                          f"of zero in a {events.duration_s} s run")
     _emit(_mapping_report(summary.to_mapping(), args.csv), args.out, "count", {
         "events_file": args.events,
-        "window_s": args.window,
+        "window_s": window_s,
         "delay_s": args.delay,
         "dark1_hz": args.dark1,
         "dark2_hz": args.dark2,
@@ -430,7 +461,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("count", help="count singles/coincidences in a stream")
     p.add_argument("events", help="event file from simulate")
-    p.add_argument("--window", type=float, default=1e-9,
+    # read as text, so that the half window is taken in exact whole ps
+    p.add_argument("--window", default="1e-9",
                    help="coincidence window, full width [s]")
     p.add_argument("--delay", type=float, default=1e-7,
                    help="accidental-estimate delay [s]")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -50,8 +51,10 @@ class WindowConfig:
             lambda ns: ns > 10.0 * window))
 
     @property
-    def half_window_ps(self) -> float:
-        return self.coincidence_window_ns * 1e3 / 2.0
+    def half_window_ps(self) -> int:
+        """The half window in whole ps: the floor of the exact rational
+        value of coincidence_window_ns * 500, as timestamps are whole ps."""
+        return math.floor(Fraction(self.coincidence_window_ns) * 500)
 
     @property
     def delay_ps(self) -> int:
@@ -160,23 +163,25 @@ def _match_count(times: np.ndarray, det: np.ndarray, half_window: int,
     return matches, times[split:].copy(), det[split:].copy()
 
 
-def _block_counts(stream: EventStream, window: WindowConfig
-                  ) -> tuple[int, int]:
-    """net_summary's (raw, delayed) match counts of a stream, walked in
-    fixed blocks of _BLOCK events with one gap pass per block. Both counts
-    give _match_count the whole-ps half window and detector indices.
+def _block_counts(source, half: int, delay_ps: int) -> tuple[int, int, int]:
+    """net_summary's (raw, delayed) match counts and the detector-2 count
+    of a block source, an EventStream or an event file opened for block
+    reads (events._EventReader), walked in fixed blocks of _BLOCK events
+    with one gap pass per block. Both counts give _match_count the whole-ps
+    half window half and detector indices.
 
     The delayed count matches detector 1 against detector 2 delayed by
     shift = delay mod duration and wrapped: u + shift for u < duration -
     shift, and u - (duration - shift) for the wrap zone at the end of the
-    run, which is gathered first because its times come first. Delaying
-    moves a detector-2 time by at most shift, so an event can match only if
-    an adjacent event lies within reach = shift + half window, or it lies in
-    the head zone t <= reach where wrapped times land, or in the wrap zone;
-    any other event is more than a half window from every event of the
-    other detector. The gap pass keeps these candidates. They contain the
-    raw count's, and two of them adjacent within a half window were
-    adjacent in the stream, so the raw count runs on them as well.
+    run, which is gathered first (source._tail) because its times come
+    first. Delaying moves a detector-2 time by at most shift, so an event
+    can match only if an adjacent event lies within reach = shift + half
+    window, or it lies in the head zone t <= reach where wrapped times
+    land, or in the wrap zone; any other event is more than a half window
+    from every event of the other detector. The gap pass keeps these
+    candidates. They contain the raw count's, and two of them adjacent
+    within a half window were adjacent in the stream, so the raw count runs
+    on them as well.
 
     A block's delayed segment is its detector-1 candidates merged with the
     pending delayed detector-2 candidates that fall before the next block's
@@ -193,26 +198,32 @@ def _block_counts(stream: EventStream, window: WindowConfig
     event (3 s reference stream). The merge's sort buffer adds up to 4 bytes
     per merged key that tracemalloc does not see.
     """
-    t, det, d = stream.times_ps, stream.detectors, stream.duration_ps
-    half = min(math.floor(window.half_window_ps), 2**63 - 1)
-    shift = window.delay_ps % d
+    d = source.duration_ps
+    half = min(half, 2**63 - 1)
+    shift = delay_ps % d
     reach, wrap = min(shift + half, 2**63 - 1), d - shift
-    k = int(np.searchsorted(t, wrap))
-    pending = np.compress(det[k:] == 2, t[k:])
+    t, det = source._tail(wrap)
+    pending = np.compress(det == 2, t)
     pending -= wrap
-    raw = acc = 0
-    raw_t, raw_d, acc_t, acc_d = t[:0], det[:0], t[:0], det[:0]
-    for lo in range(0, t.size, _BLOCK):
-        hi = min(lo + _BLOCK, t.size)
-        after = t[hi] if hi < t.size else None      # the next block's start
-        edge = max(lo - 1, 0)
-        keep = _near(t[edge:hi + 1], reach)[lo - edge:hi - edge]
-        tb = t[lo:hi]
+    del t, det
+    raw = acc = n2 = edge = 0
+    raw_t = acc_t = np.empty(0, np.int64)
+    raw_d = acc_d = np.empty(0, np.uint8)
+    for t, db in source._blocks(_BLOCK):
+        # t holds the block's times after the previous block's last time
+        # (from the second block on, edge = 1) and before the next block's
+        # first time, if any
+        size = db.size
+        after = int(t[-1]) if t.size > edge + size else None
+        keep = _near(t, reach)[edge:edge + size]
+        tb = t[edge:edge + size]
+        edge = 1
         keep[:np.searchsorted(tb, reach, "right")] = True   # head zone
         keep[np.searchsorted(tb, wrap):] = True             # wrap zone
         at = np.flatnonzero(keep)
         del keep        # each del frees a temporary before the next one
-        tb, db = tb.take(at), det[lo:hi].take(at)
+        n2 += size - int(np.count_nonzero(db == 1))
+        tb, db = tb.take(at), db.take(at)
         del at
 
         n, raw_t, raw_d = _match_count(np.concatenate((raw_t, tb)),
@@ -238,7 +249,7 @@ def _block_counts(stream: EventStream, window: WindowConfig
                                        after)
         acc += n
         del times, dets
-    return raw, acc
+    return raw, acc, n2
 
 
 def count_coincidences(stream: EventStream,
@@ -273,9 +284,18 @@ def net_summary(stream: EventStream, window: WindowConfig = WindowConfig(),
     Both counts come from one blocked pass, so the traced peak does not grow
     with the stream: 0.19 bytes per event above the stream at the 10 s
     reference point and 2.0 at the 0.5 s dense one (the stream holds 9)."""
-    duration_s = stream.duration_s
-    n1, n2 = stream.counts()
-    rc_count, acc_count = _block_counts(stream, window)
+    return _summary(stream, window.half_window_ps, window.delay_ps,
+                    dark_rates)
+
+
+def _summary(source, half: int, delay_ps: int,
+             dark_rates: tuple[Rate, Rate]) -> CountSummary:
+    """net_summary of a block source (_block_counts) at a whole-ps half
+    window and delay; `pairsim count` passes an event file opened for block
+    reads, so that it never holds the stream."""
+    duration_s = source.duration_s
+    rc_count, acc_count, n2 = _block_counts(source, half, delay_ps)
+    n1 = source.n_events - n2
 
     nets = {"s1_net": n1 / duration_s - dark_rates[0].hz,
             "s2_net": n2 / duration_s - dark_rates[1].hz,

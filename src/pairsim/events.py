@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 import os
+import shutil
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -40,8 +41,8 @@ __all__ = [*_EXPORTS["events"]]
 FILE_MAGIC = "# pairsim-events v2"
 
 # events per block of the passes that walk a stream (the order check, the
-# gap passes, the counter) and values per draw in simulate_run: each holds
-# O(block) temporaries, not O(stream)
+# gap passes, the counter, the file reader's reads): each holds O(block)
+# temporaries, not O(stream)
 _BLOCK = 1 << 16
 
 
@@ -69,18 +70,13 @@ def _near(times: np.ndarray, limit: int) -> np.ndarray:
     return keep
 
 
-def _blocks(a: np.ndarray) -> list[np.ndarray]:
-    """Views of a in order, _BLOCK values each (the last one shorter). numpy
-    draws values one after another, so drawing a block at a time gives the
-    values of one call with O(block) temporaries."""
-    return [a[lo:lo + _BLOCK] for lo in range(0, a.size, _BLOCK)]
-
-
-def _deadtime_filter(times_ps: np.ndarray, dead_ps: int) -> np.ndarray:
+def _deadtime_filter(times_ps: np.ndarray, dead_ps: int,
+                     last: int | None = None) -> np.ndarray:
     """Mask of the events that non-paralyzable dead time drops from sorted
     integer ps: those less than dead_ps after the last accepted one;
-    dropped events do not extend the dead window. No time is copied but
-    the clustered ones.
+    dropped events do not extend the dead window. last is the last time
+    accepted before these (None: none), whose window drops the first ones
+    it covers. No time is copied but the clustered ones.
 
     An event at least dead_ps after its predecessor is accepted whatever
     came before, so it starts a cluster; one with no neighbour closer than
@@ -88,6 +84,12 @@ def _deadtime_filter(times_ps: np.ndarray, dead_ps: int) -> np.ndarray:
     start; the sequential rule runs only on the longer ones, on Python ints
     so that t + dead_ps cannot overflow.
     """
+    if last is not None:
+        skip = int(np.searchsorted(times_ps, min(last + dead_ps, 2**63 - 1)))
+        if skip:
+            dropped = np.ones(times_ps.size, dtype=bool)
+            dropped[skip:] = _deadtime_filter(times_ps[skip:], dead_ps)
+            return dropped
     near = _near(times_ps, dead_ps - 1)
     t = times_ps[near]
     if t.size == 0:     # no event is near another, as always at dead_ps <= 0
@@ -228,6 +230,19 @@ class EventStream:
         n2 = int(self.detectors.sum(dtype=np.int64)) - self.n_events
         return self.n_events - n2, n2
 
+    def _blocks(self, size: int):
+        """The stream as the counter walks it: (times, detectors) views of
+        each run of size events, the times with the event before the run
+        and the one after it, where they exist."""
+        t, det = self.times_ps, self.detectors
+        for lo in range(0, t.size, size):
+            yield t[max(lo - 1, 0):lo + size + 1], det[lo:lo + size]
+
+    def _tail(self, wrap: int) -> tuple[np.ndarray, np.ndarray]:
+        """(times, detectors) views of the events at or after time wrap."""
+        k = int(np.searchsorted(self.times_ps, wrap))
+        return self.times_ps[k:], self.detectors[k:]
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventStream):
             return NotImplemented
@@ -239,30 +254,65 @@ class EventStream:
                 and np.array_equal(self.times_ps, other.times_ps))
 
 
+def _header(stream, n: int) -> bytes:
+    """The v2 header of a stream's metadata and n events."""
+    lines = [FILE_MAGIC, f"# duration_ps = {stream.duration_ps}",
+             f"# resolution_ps = {stream.resolution_ps}"]
+    if stream.seed is not None:
+        lines.append(f"# seed = {stream.seed}")
+    if stream.config_digest:
+        lines.append(f"# config_digest = {stream.config_digest}")
+    return "\n".join([*lines, f"# events = {n}", ""]).encode("utf-8")
+
+
 def write_event_file(stream: EventStream, path: str | os.PathLike) -> None:
     """Write a stream as a v2 file: the header, then the packed timestamp
-    and detector columns (the round trip is bit exact)."""
-    header = [f"# duration_ps = {stream.duration_ps}",
-              f"# resolution_ps = {stream.resolution_ps}"]
-    if stream.seed is not None:
-        header.append(f"# seed = {stream.seed}")
-    if stream.config_digest:
-        header.append(f"# config_digest = {stream.config_digest}")
-    with open(path, "wb") as fh:
-        fh.write("\n".join([FILE_MAGIC, *header,
-                            f"# events = {stream.n_events}", ""])
-                 .encode("utf-8"))
-        stream.times_ps.astype("<i8", copy=False).tofile(fh)
-        stream.detectors.tofile(fh)
+    and detector columns (the round trip is bit exact).
+
+    stream may also be a run still being drawn (source._Draw): an object
+    with EventStream's metadata whose iteration yields (times, detectors)
+    slabs in time order. Its columns go to the sibling files
+    '<path>.times' and '<path>.detectors' as the slabs come, and are then
+    copied behind the header, whose event count is known only then."""
+    if isinstance(stream, EventStream):
+        with open(path, "wb") as fh:
+            fh.write(_header(stream, stream.n_events))
+            stream.times_ps.astype("<i8", copy=False).tofile(fh)
+            stream.detectors.tofile(fh)
+        return
+    columns = [f"{os.fspath(path)}.{name}" for name in ("times", "detectors")]
+    try:
+        n = 0
+        with open(columns[0], "wb") as ft, open(columns[1], "wb") as fd:
+            for times, detectors in stream:
+                times.astype("<i8", copy=False).tofile(ft)
+                detectors.tofile(fd)
+                n += detectors.size
+                del times, detectors    # one slab is held at a time
+        with open(path, "wb") as fh:
+            fh.write(_header(stream, n))
+            for column in columns:
+                with open(column, "rb") as fc:
+                    shutil.copyfileobj(fc, fh, 1 << 16)
+    finally:
+        for column in columns:
+            if os.path.exists(column):
+                os.unlink(column)
 
 
 def read_event_file(path: str | os.PathLike) -> EventStream:
     """Read a v2 event file; a malformed file raises DataFormatError naming
     where it is bad."""
+    return _open_event_file(path).read()
+
+
+def _open_event_file(path: str | os.PathLike) -> _EventReader:
+    """The v2 event file at path with its header read and checked (see
+    _EventReader); any other file raises DataFormatError."""
     with open(path, "rb") as fh:
         magic = fh.readline(64)
         if magic == (FILE_MAGIC + "\n").encode():
-            return _read_binary(path, fh)
+            return _EventReader(path, fh)
     if magic in (b"# pairsim-events v1\n", b"# pairsim-events v1\r\n"):
         raise DataFormatError(
             f"{path}:1: a v1 text event file, which pairsim 0.1.0 wrote; "
@@ -271,52 +321,119 @@ def read_event_file(path: str | os.PathLike) -> EventStream:
                           f"(expected {FILE_MAGIC!r})")
 
 
-def _read_binary(path: str | os.PathLike, fh) -> EventStream:
-    """The rest of a v2 file after its magic line: header lines up to
-    '# events = <n>', then one np.fromfile per column. EventStream checks
-    every value, the header's first; errors name the byte where it is bad."""
-    src, header = str(path), {}
+class _EventReader:
+    """A v2 file, read whole (read) or a block at a time as the counter
+    walks it (_blocks, _tail), so that counting holds one block whatever
+    the file's size.
 
-    def fail(pos: int, message: str) -> NoReturn:
-        raise DataFormatError(f"{src}: byte {pos}: {message}")
+    Opening reads the header lines after the magic line up to
+    '# events = <n>' and checks their values and the file size. A block is
+    two np.fromfile reads, its times (with the events before and after it)
+    and its detectors; each block is checked for order, including across
+    its seams, the time range and the detector range. A block that breaks
+    a rule hands the file to read, which raises the DataFormatError that
+    read_event_file raises: it names the byte of the first event
+    EventStream reports."""
 
-    while "events" not in header:
-        pos, line = fh.tell(), fh.readline(1 << 12)
-        if line[:1] != b"#" or b"=" not in line or line[-1:] != b"\n":
-            fail(pos, "expected a '# key = value' header line (the header "
-                      "ends with '# events = <n>')")
+    def __init__(self, path: str | os.PathLike, fh) -> None:
+        self.path, header = path, {}
+        while "events" not in header:
+            pos, line = fh.tell(), fh.readline(1 << 12)
+            if line[:1] != b"#" or b"=" not in line or line[-1:] != b"\n":
+                self._fail(pos, "expected a '# key = value' header line "
+                                "(the header ends with '# events = <n>')")
+            try:
+                key, _, value = line[1:].decode("utf-8").partition("=")
+            except UnicodeDecodeError as exc:
+                self._fail(pos + 1 + exc.start, "not UTF-8 text")
+            header[key.strip()] = value.strip()
+        body, meta = fh.tell(), {"resolution_ps": 1, "seed": None}
+        if "duration_ps" not in header:
+            self._fail(body, "header is missing duration_ps")
+        for key in ("events", "duration_ps", "resolution_ps", "seed"):
+            if key in header:
+                text = header[key]
+                if not (text.isascii() and text.isdigit()) or (
+                        text[0] == "0" and text != "0"):
+                    self._fail(body, f"{key} is not an integer in ASCII "
+                               f"digits ({key} must be >= 0, with no sign or "
+                               f"leading zero): {text!r}")
+                meta[key] = int(text)
+        n = meta.pop("events")
+        try:    # the header's values alone, so that their errors name its end
+            EventStream([], [], **meta)
+        except ConfigError as exc:
+            self._fail(body, str(exc))
+        size = os.fstat(fh.fileno()).st_size
+        if size != body + 9 * n:
+            self._fail(min(size, body + 9 * n), f"'# events = {n}' needs "
+                       f"{9 * n} body bytes after the header, the file has "
+                       f"{size - body}")
+        self.body, self.n_events, self.meta = body, n, meta
+        self.duration_ps = meta["duration_ps"]
+        self.config_digest = header.get("config_digest", "")
+
+    @property
+    def duration_s(self) -> float:
+        return self.duration_ps * 1e-12
+
+    def _fail(self, pos: int, message: str) -> NoReturn:
+        raise DataFormatError(f"{self.path}: byte {pos}: {message}")
+
+    def read(self) -> EventStream:
+        """The whole file as an EventStream, one np.fromfile per column;
+        EventStream checks every value, and errors name the byte of the
+        event that breaks a rule."""
+        n, body = self.n_events, self.body
+        times = np.fromfile(self.path, "<i8", count=n, offset=body)
+        dets = np.fromfile(self.path, np.uint8, count=n, offset=body + 8 * n)
         try:
-            key, _, value = line[1:].decode("utf-8").partition("=")
-        except UnicodeDecodeError as exc:
-            fail(pos + 1 + exc.start, "not UTF-8 text")
-        header[key.strip()] = value.strip()
-    body, meta = fh.tell(), {"resolution_ps": 1, "seed": None}
-    if "duration_ps" not in header:
-        fail(body, "header is missing duration_ps")
-    for key in ("events", "duration_ps", "resolution_ps", "seed"):
-        if key in header:
-            text = header[key]
-            if not (text.isascii() and text.isdigit()) or (
-                    text[0] == "0" and text != "0"):
-                fail(body, f"{key} is not an integer in ASCII digits ({key} "
-                           f"must be >= 0, with no sign or leading zero): "
-                           f"{text!r}")
-            meta[key] = int(text)
-    n = meta.pop("events")
-    try:    # the header's values alone, so that their errors name its end
-        EventStream([], [], **meta)
-    except ConfigError as exc:
-        fail(body, str(exc))
-    size = os.fstat(fh.fileno()).st_size
-    if size != body + 9 * n:
-        fail(min(size, body + 9 * n), f"'# events = {n}' needs {9 * n} body "
-             f"bytes after the header, the file has {size - body}")
-    times = np.fromfile(path, "<i8", count=n, offset=body)
-    dets = np.fromfile(path, np.uint8, count=n, offset=body + 8 * n)
-    try:
-        return EventStream(dets, times, **meta,
-                           config_digest=header.get("config_digest", ""))
-    except _EventError as exc:      # name the event that breaks the rule
-        start, size = ((body + 8 * n, 1) if exc.column == "detectors"
-                       else (body, 8))
-        fail(start + size * exc.index, str(exc))
+            return EventStream(dets, times, **self.meta,
+                               config_digest=self.config_digest)
+        except _EventError as exc:      # name the event that breaks the rule
+            start, size = ((body + 8 * n, 1) if exc.column == "detectors"
+                           else (body, 8))
+            self._fail(start + size * exc.index, str(exc))
+
+    def _read(self, start: int, lo: int, hi: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """(times from event start to hi, and event hi if there is one;
+        detectors of events lo to hi), checked."""
+        n, body = self.n_events, self.body
+        t = np.fromfile(self.path, "<i8", count=min(hi + 1, n) - start,
+                        offset=body + 8 * start)
+        det = np.fromfile(self.path, np.uint8, count=hi - lo,
+                          offset=body + 8 * n + lo)
+        if det.size != hi - lo or (det.size and not (
+                1 <= det.min() and det.max() <= 2 and 0 <= t[0]
+                and t[-1] < self.duration_ps
+                and not np.any(t[1:] < t[:-1]))):
+            self.read()     # raises the error read_event_file raises
+            raise DataFormatError(f"{self.path}: changed while being read")
+        return t, det
+
+    def _check(self) -> None:
+        """Read every block, so that a bad body raises its error."""
+        for _ in self._blocks(_BLOCK):
+            pass
+
+    def _blocks(self, size: int):
+        """As EventStream._blocks, read from the file."""
+        for lo in range(0, self.n_events, size):
+            yield self._read(max(lo - 1, 0), lo, min(lo + size,
+                                                     self.n_events))
+
+    def _tail(self, wrap: int) -> tuple[np.ndarray, np.ndarray]:
+        """As EventStream._tail: a binary search of the times column (whose
+        order the block reads check), then one checked read of the events
+        from there to the end."""
+        lo, hi = 0, self.n_events
+        with open(self.path, "rb") as fh:
+            while lo < hi:
+                mid = (lo + hi) // 2
+                fh.seek(self.body + 8 * mid)
+                if int.from_bytes(fh.read(8), "little", signed=True) < wrap:
+                    lo = mid + 1
+                else:
+                    hi = mid
+        return self._read(lo, lo, self.n_events)

@@ -17,19 +17,20 @@ probability 1/2 (splitter) or to its own arm (no splitter) and detected with
 probability mu_arm eta_arm, so each pair falls in one of nine (photon a,
 photon b) fate classes over {arm 1, arm 2, lost}. By the marking theorem
 (Kingman, Poisson Processes, 1993) each class is an independent Poisson
-process, so a run draws the pair count, one multinomial over the classes,
-and emission times only for pairs with a detected photon: runtime and
-memory scale with the detected events, which are checked against a budget
-before generation. Each detector adds an independent Poisson dark-count
+process, and so is its restriction to each time slab. A run is cut into
+slabs whose length the config and the run alone fix (about 2^16 expected
+detected events); it draws every slab's pair count, one multinomial over
+the classes per slab and every slab's dark counts up front, then emission
+times slab by slab and only for pairs with a detected photon, so memory
+scales with one slab. Each detector adds an independent Poisson dark-count
 process. Times are whole picoseconds: photons pick up optional Gaussian
-jitter rounded to whole ps, and the dead time acts as its exact ceiling in
-whole ps. Both detectors fill one uint64 key buffer, sorted once in place;
-events that dead time or the run edges drop become keys past the run, so
-nothing is copied or compacted. Fixed seed
-gives a bit-identical stream; each physical process draws from its own
-named substream, so changing e.g. a dark rate does not shift the photon
-draws. RNG_SCHEME versions the draws. Configs, closed-form rates and the
-digest run on plain floats; numpy and the event layer load with a draw.
+jitter rounded to whole ps and clipped at 64 sigma, and the dead time acts
+as its exact ceiling in whole ps, carried across slabs. Fixed
+seed gives a bit-identical stream; each physical process draws from its
+own named substream, so changing e.g. a dark rate does not shift the photon
+draws as long as the slab length stays. RNG_SCHEME versions the draws.
+Configs, closed-form rates and the digest run on plain floats; numpy and
+the event layer load with a draw.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ __all__ = [*_EXPORTS["source"], "config_to_mapping", "config_from_mapping"]
 _FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 # version of the random-draw scheme of simulate_run; manifests record it
-RNG_SCHEME = "marked-2"
+RNG_SCHEME = "marked-3"
 
 # named substreams; toggling one physical process must not shift the others.
 # Indices 1 and 2 are retired rather than reused, so dark and jitter draws
@@ -58,6 +59,11 @@ _SUB_PAIRS, _SUB_DARK1, _SUB_DARK2, _SUB_JITTER = 0, 3, 4, 5
 
 # largest mean numpy's Generator.poisson accepts
 _POISSON_LAM_MAX = 2**63 - 1 - 10.0 * math.sqrt(2**63 - 1)
+
+# expected detected events a slab is sized for, and the most slabs a run
+# may have (their up-front counts take 96 bytes each)
+_SLAB_EVENTS = 1 << 16
+_MAX_SLABS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -280,25 +286,236 @@ def _ceil_ps(ns: float) -> int:
     return -(-num * 1000 // den)
 
 
-def _add_jitter(photons: list[np.ndarray], jitter_ps: float,
-                rng: np.random.Generator) -> None:
-    """Add Gaussian jitter of sd jitter_ps, rounded to whole ps, to each
-    int64 array of photon times in place: the values of one
-    rng.normal(0.0, jitter_ps, n) call over them all, since normal(0, sd)
-    is sd * standard_normal, drawn into one reused block. The jitter is
-    clipped so that the cast is defined, and the sum is exact mod 2**64, so
-    as uint64 a photon stays in the run exactly when it lies below the
-    duration."""
-    import numpy as np
-    from .events import _BLOCK, _blocks
-    buf = np.empty(min(max(p.size for p in photons), _BLOCK))
-    for part in (b for p in photons for b in _blocks(p)):
-        z = rng.standard_normal(out=buf[:part.size])
-        with np.errstate(over="ignore"):    # inf, clipped below
-            z *= jitter_ps
-        np.rint(z, out=z)
-        np.clip(z, -2.0**62, 2.0**62, out=z)
-        np.add(part, z, out=part, dtype=np.int64, casting="unsafe")
+def _slab_ps(source: SourceConfig, chain: DetectionChainConfig,
+             run: RunConfig) -> int:
+    """Slab length in whole ps, from the config and the run alone: the
+    timestamp resolution times the power of two nearest (on a log scale)
+    to _SLAB_EVENTS expected detected events, raised to at least 64 jitter
+    sigma; the whole run when that is longer."""
+    e1, e2 = chain.arm_efficiencies
+    rate_hz = ((e1 + e2) * pair_rate(source).hz
+               + chain.dark1.hz + chain.dark2.hz)
+    res, d = run.timestamp_resolution_ps, run.duration_ps
+    target = _SLAB_EVENTS * 1e12 / (rate_hz * res) if rate_hz > 0.0 \
+        else math.inf
+    least = 64.0 * chain.jitter_ps / res
+    if not (target < d / res and least < d / res):     # inf and NaN too
+        return d
+    m, e = math.frexp(target)       # target = m 2^e, 1/2 <= m < 1
+    units = max(2 ** max(e - (m < math.sqrt(0.5)), 0), math.ceil(least))
+    return min(units * res, d)
+
+
+class _Draw:
+    """One run drawn in time slabs: the one generator behind simulate_run
+    and `pairsim simulate`, which writes each slab as it comes.
+
+    Construction fixes the slab length (_slab_ps) and makes the up-front
+    draws: every slab's pair count (one vectorised poisson call on the
+    pair substream), their nine fate classes (one vectorised multinomial)
+    and each detector's dark counts (one poisson call on its substream).
+    So the ground truth `truth` and `capacity`, the number of events drawn,
+    are known before any time is. Iterating then draws each slab's times
+    from the same substreams, used in order, and yields each finished
+    region's (int64 times, uint8 detectors) once, in time order (iterate
+    once: the substreams move on); `counts` holds the events yielded per
+    detector. The object carries EventStream's metadata, so
+    write_event_file writes it.
+
+    Raises MemoryBudgetError before drawing anything when max_events is
+    given and the expected detected-event count exceeds it, when a slab's
+    expected pair or dark count exceeds the largest Poisson mean numpy can
+    sample (about 9.2e18), or when the run needs more than _MAX_SLABS
+    slabs.
+    """
+
+    def __init__(self, source: SourceConfig, chain: DetectionChainConfig,
+                 run: RunConfig, max_events: int | None = None) -> None:
+        import numpy as np
+        n_rate = pair_rate(source).hz
+        e1, e2 = chain.arm_efficiencies
+        darks = (chain.dark1.hz, chain.dark2.hz)
+        expected = run.duration_s * ((e1 + e2) * n_rate + sum(darks))
+        if max_events is not None and expected > max_events:
+            raise MemoryBudgetError(
+                f"expected {expected:.3e} detected events exceeds the "
+                f"budget of {max_events:.3e}; shorten the run or lower the "
+                "rates")
+        self.slab_ps = slab = _slab_ps(source, chain, run)
+        d = run.duration_ps
+        n_slabs = -(-d // slab)
+        for what, hz in (("emitted pairs", n_rate), ("dark counts", darks[0]),
+                         ("dark counts", darks[1])):
+            if not hz * slab * 1e-12 <= _POISSON_LAM_MAX:   # NaN too
+                raise MemoryBudgetError(
+                    f"expected {hz * slab * 1e-12:.3e} {what} per slab "
+                    "exceeds the largest Poisson mean the sampler accepts "
+                    f"({_POISSON_LAM_MAX:.3e}); shorten the run or lower "
+                    "the rates")
+        if n_slabs > _MAX_SLABS:
+            raise MemoryBudgetError(
+                f"the run needs {n_slabs} slabs of {slab} ps, more than "
+                f"{_MAX_SLABS}; shorten the run or lower the rates")
+        self.duration_ps, self.resolution_ps = d, run.timestamp_resolution_ps
+        self.seed = int(run.seed)
+        self.config_digest = config_digest(source, chain)
+        self._jitter_ps = chain.jitter_ps
+        self._dead_ps = _ceil_ps(chain.dead_time_ns)
+        # the jitter clip C in whole ps; at most L, and the int64 sum of a
+        # time and a clipped jitter cannot overflow
+        self.clip_ps = (min(math.ceil(min(64.0 * chain.jitter_ps, 2.0**62)),
+                            slab) if chain.jitter_ps > 0.0 else 0)
+
+        width_s = np.full(n_slabs, slab * 1e-12)
+        width_s[-1] = (d - (n_slabs - 1) * slab) * 1e-12
+        self._rng_pairs = _substream(run.seed, _SUB_PAIRS)
+        pairs = self._rng_pairs.poisson(n_rate * width_s)
+        # per-photon fate probabilities (arm 1, arm 2, lost): photon a
+        # leaves by port 1 and photon b by port 2 unless the splitter sends
+        # it across
+        cross = 0.5 if chain.splitter_present else 0.0
+        fate_a = [(1.0 - cross) * e1, cross * e2]
+        fate_b = [cross * e1, (1.0 - cross) * e2]
+        fate_a.append(1.0 - sum(fate_a))
+        fate_b.append(1.0 - sum(fate_b))
+        # class (i, j) = (fate of a, fate of b) at flat index 3 i + j; the
+        # undetected class (lost, lost) comes last and gets no emission time
+        self._classes = self._rng_pairs.multinomial(
+            pairs, np.outer(fate_a, fate_b).ravel())
+        grid = self._classes.reshape(n_slabs, 3, 3)
+        # arm k sees class (k, j) through photon a and (i, k) through
+        # photon b, so the (k, k) class counts twice
+        self._photons = [grid[:, k].sum(1) + grid[:, :, k].sum(1)
+                         for k in (0, 1)]
+        self._rng_darks = [_substream(run.seed, s)
+                           for s in (_SUB_DARK1, _SUB_DARK2)]
+        self._darks = [rng.poisson(hz * width_s)
+                       for rng, hz in zip(self._rng_darks, darks)]
+        self.truth = TrueCounts(
+            pairs_emitted=int(pairs.sum()),
+            pairs_detected_coincident=int(self._classes[:, 1].sum()
+                                          + self._classes[:, 3].sum()),
+            darks_emitted=tuple(int(n.sum()) for n in self._darks))
+        self.capacity = int(sum(n.sum() for n in self._photons + self._darks))
+        self.counts = [0, 0]
+
+    def __iter__(self):
+        """Slab j covers [lo_j, hi_j), lo_j = j L. Jitter is clipped at
+        +-C, C = 64 sigma rounded up to whole ps (0 without jitter, and at
+        most L), a model bound numpy's normal never reaches: its tail
+        sampler stops below 13.8 sigma. So no photon of a later slab lands
+        before hi_j - C, and once slab j is drawn every drawn time below
+        it is final: that region is finished (_finish) and yielded, and
+        the in-run times at or above it stay pending for the next slab.
+        Only one slab's arrays are alive at a time."""
+        import numpy as np
+        pending = [np.empty(0, np.int64)] * 2  # drawn, not final (at most C)
+        last = [None, None]     # each detector's last kept time
+        rng_jitter = _substream(self.seed, _SUB_JITTER)
+        n_slabs = self._classes.shape[0]
+        for j in range(n_slabs):
+            buf, halves = self._slab(j, rng_jitter, pending)
+            final = (self.duration_ps if j == n_slabs - 1
+                     else max((j + 1) * self.slab_ps - self.clip_ps, 0))
+            times, detectors = self._finish(buf, halves, final, pending,
+                                            last)
+            del buf, halves
+            n2 = int(np.count_nonzero(detectors == 2))
+            self.counts[0] += detectors.size - n2
+            self.counts[1] += n2
+            yield times, detectors
+            del times, detectors    # before the next slab's buffer
+
+    def _slab(self, j: int, rng_jitter, pending: list
+              ) -> tuple[np.ndarray, list]:
+        """(buffer, its two halves) of int64 times: each detector's pending
+        times, then slab j's photons and darks. The pair classes draw their
+        emission times with integers(lo_j, hi_j) in class order, both
+        photons of a pair sharing one; then each detector's darks; then,
+        with jitter, standard_normal times sigma for detector 1's photons
+        and then detector 2's, rounded to whole ps and clipped at +-C.
+        Zero counts draw nothing."""
+        import numpy as np
+        lo = j * self.slab_ps
+        hi = min(lo + self.slab_ps, self.duration_ps)
+        n_photons = [int(n[j]) for n in self._photons]
+        sizes = [p.size + n + int(darks[j]) for p, n, darks
+                 in zip(pending, n_photons, self._darks)]
+        buf = np.empty(sum(sizes), dtype=np.int64)
+        halves = np.split(buf, [sizes[0]])
+        for half, p in zip(halves, pending):
+            half[:p.size] = p
+        filled = [p.size for p in pending]
+        classes = self._classes[j]
+        for c in np.flatnonzero(classes[:-1]).tolist():
+            count = int(classes[c])
+            pair_t = self._rng_pairs.integers(lo, hi, count)
+            for k in (c // 3, c % 3):
+                if k < 2:
+                    halves[k][filled[k]:filled[k] + count] = pair_t
+                    filled[k] += count
+            del pair_t
+        for half, at, rng in zip(halves, filled, self._rng_darks):
+            if half.size > at:
+                half[at:] = rng.integers(lo, hi, half.size - at)
+        sd = self._jitter_ps
+        for half, p, n in zip(halves, pending, n_photons):
+            if sd > 0.0 and n:
+                z = rng_jitter.standard_normal(n)
+                with np.errstate(over="ignore"):    # inf, clipped
+                    z *= sd
+                np.rint(z, out=z)
+                np.clip(z, -self.clip_ps, self.clip_ps, out=z)
+                # exact mod 2^64: as uint64 a photon stays in the run
+                # exactly when it lies below the duration
+                photons = half[p.size:p.size + n]
+                np.add(photons, z, out=photons, dtype=np.int64,
+                       casting="unsafe")
+        return buf, halves
+
+    def _finish(self, buf: np.ndarray, halves: list, final: int,
+                pending: list, last: list) -> tuple[np.ndarray, np.ndarray]:
+        """(times, detectors) of the region below final, from buf and its
+        detector halves; each detector's in-run times at or above final
+        become its pending ones. Dead time acts on each detector's whole-ps
+        times, from its last kept time in the previous region (last,
+        updated here); then times are floored to the resolution, and both
+        detectors' uint64 keys 2t + k are sorted once, in place. Times
+        that dead time drops or that are not final become the uint64 max
+        key, which the sort puts past the region."""
+        import numpy as np
+        from .events import _deadtime_filter, _decode_keys
+        d, dead, res = self.duration_ps, self._dead_ps, self.resolution_ps
+        for k, half in enumerate(halves):
+            u = half.view(np.uint64)    # jittered out of the run: >= 2^63
+            stop = half.size
+            if dead or self.clip_ps:
+                u.sort()
+            if self.clip_ps:
+                end = int(np.searchsorted(u, np.uint64(d)))
+                stop = int(np.searchsorted(u[:end], np.uint64(final)))
+                pending[k] = half[stop:end].copy()
+            region = half[:stop]
+            if dead:
+                cut = _deadtime_filter(region, dead, last[k])
+                if not cut.all():
+                    last[k] = int(region[cut.size - 1
+                                         - int(np.argmin(cut[::-1]))])
+            if res > 1:
+                region //= res
+                region *= res
+            key = u[:stop]
+            key <<= 1
+            key |= k
+            if dead:
+                key[cut] = np.iinfo(np.uint64).max
+                del cut
+            u[stop:] = np.iinfo(np.uint64).max
+        keys = buf.view(np.uint64)
+        keys.sort()
+        if dead or self.clip_ps:
+            keys = keys[:np.searchsorted(keys, np.uint64(2 * d))]
+        return _decode_keys(keys)
 
 
 def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
@@ -310,113 +527,39 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
     Deterministic for a fixed (config, seed). Pair and dark times are
     uniform integer ps, jitter is rounded to whole ps, and an event less
     than ceil(dead time in ps) after the last kept one on its detector is
-    dropped. Both detectors write into one uint64 key buffer (2t for
-    detector 1, 2t + 1 for detector 2) that is sorted once, in place. Pair
-    times, darks and jitter are drawn 2^16 values at a time, straight into
-    the buffer. An event that dead time drops, or a photon jittered out of
-    the run, becomes the uint64 max key, which the sort puts past the run:
-    each detector holds one 1-byte mask of them, and no times are copied.
-    The traced peak is about 9.1 bytes per detected event at the reference
-    point over 10 s and 10.7 with dead time and jitter (the dense point,
-    0.5 s, 0.86M events; the stream holds 9), and the peak RSS rise equals
-    it: the quicksort takes no buffer. Raises MemoryBudgetError before
-    generating anything when the expected detected-event count exceeds
-    max_events or the expected pair count exceeds the largest Poisson mean
-    numpy can sample (about 9.2e18).
+    dropped. The run is drawn in time slabs (_Draw), each copied into
+    arrays sized from the up-front counts and trimmed in place to the
+    events kept at the end. So the traced peak is the drawn events' 9 bytes
+    each plus one slab's working set, about 10.5 bytes per slab event at
+    the reference point and 17 with dead time and jitter: 9.1 bytes per
+    event over the 10 s reference run and 10.6 at the 0.5 s dense point
+    (the stream holds 9). Raises MemoryBudgetError before generating
+    anything when the expected detected-event count exceeds max_events, or
+    as _Draw does.
     """
     import numpy as np
-    from .events import EventStream, _blocks, _deadtime_filter, _decode_keys
-    n_rate = pair_rate(source).hz
-    e1, e2 = chain.arm_efficiencies
-    d = run.duration_s
-    expected_events = d * (e1 * n_rate + e2 * n_rate
-                           + chain.dark1.hz + chain.dark2.hz)
-    if expected_events > max_events:
-        raise MemoryBudgetError(
-            f"expected {expected_events:.3e} detected events exceeds the "
-            f"budget of {max_events:.3e}; shorten the run or lower the rates")
-    if n_rate * d > _POISSON_LAM_MAX:
-        raise MemoryBudgetError(
-            f"expected {n_rate * d:.3e} emitted pairs exceeds the largest "
-            f"Poisson mean the sampler accepts ({_POISSON_LAM_MAX:.3e}); "
-            "shorten the run or lower the pair rate")
-
-    rng_pairs = _substream(run.seed, _SUB_PAIRS)
-    n_pairs = int(rng_pairs.poisson(n_rate * d))
-
-    # per-photon fate probabilities (arm 1, arm 2, lost): photon a leaves by
-    # port 1 and photon b by port 2 unless the splitter sends it across
-    cross = 0.5 if chain.splitter_present else 0.0
-    fate_a = [(1.0 - cross) * e1, cross * e2]
-    fate_b = [cross * e1, (1.0 - cross) * e2]
-    fate_a.append(1.0 - sum(fate_a))
-    fate_b.append(1.0 - sum(fate_b))
-    # class (i, j) = (fate of a, fate of b) at flat index 3 i + j; the
-    # undetected class (lost, lost) comes last and gets no emission time
-    counts = rng_pairs.multinomial(n_pairs, np.outer(fate_a, fate_b).ravel())
-    grid = counts.reshape(3, 3)
-    n_photons = [int(grid[k].sum() + grid[:, k].sum()) for k in (0, 1)]
-    rng_darks = [_substream(run.seed, s) for s in (_SUB_DARK1, _SUB_DARK2)]
-    n_darks = [int(rng.poisson(rate.hz * d))
-               for rng, rate in zip(rng_darks, (chain.dark1, chain.dark2))]
-    keys = np.empty(sum(n_photons) + sum(n_darks), dtype=np.uint64)
-    halves = np.split(keys, [n_photons[0] + n_darks[0]])
-    # arm k sees class (k, j) through photon a and (i, k) through photon b,
-    # so the (k, k) class goes in twice; its darks follow its photons
-    filled = [0, 0]
-    duration_ps = run.duration_ps
-    for c, count in enumerate(counts[:-1].tolist()):
-        dests = []
-        for k in (c // 3, c % 3):
-            if k < 2:
-                dests.append(halves[k][filled[k]:filled[k] + count])
-                filled[k] += count
-        for parts in zip(*map(_blocks, dests)):
-            pair_t = rng_pairs.integers(0, duration_ps, parts[0].size)
-            for part in parts:
-                part[:] = pair_t
-    for half, n, rng in zip(halves, n_photons, rng_darks):
-        for part in _blocks(half[n:]):
-            part[:] = rng.integers(0, duration_ps, part.size)
-
-    if chain.jitter_ps > 0.0:
-        _add_jitter([half[:n].view(np.int64)
-                     for half, n in zip(halves, n_photons)],
-                    chain.jitter_ps, _substream(run.seed, _SUB_JITTER))
-    dead_ps = _ceil_ps(chain.dead_time_ns)
-    for k, half in enumerate(halves):
-        if dead_ps:
-            # as uint64, photons jittered out of the run sort after every
-            # event in it, so the dead time they see cannot change its events
-            half.sort()
-            cut = _deadtime_filter(half, dead_ps)
-            cut[np.searchsorted(half, np.uint64(duration_ps)):] = True
-        else:
-            cut = half >= duration_ps if chain.jitter_ps > 0.0 else slice(0)
-        if run.timestamp_resolution_ps > 1:
-            t = half.view(np.int64)
-            t //= run.timestamp_resolution_ps
-            t *= run.timestamp_resolution_ps
-        half <<= 1
-        half |= k
-        half[cut] = np.iinfo(np.uint64).max     # above every 2t + k, cut below
-        del cut     # before the next detector's mask is built
-
-    keys.sort()
-    times, detectors = _decode_keys(
-        keys[:np.searchsorted(keys, np.uint64(2 * duration_ps))])
+    from .events import EventStream
+    draw = _Draw(source, chain, run, max_events)
+    times = np.empty(draw.capacity, dtype=np.int64)
+    detectors = np.empty(draw.capacity, dtype=np.uint8)
+    n = 0
+    for t, det in draw:
+        times[n:n + t.size] = t
+        detectors[n:n + t.size] = det
+        n += t.size
+        del t, det      # so that one slab is held at a time
+    if n < draw.capacity:   # dead time or jitter cut some: trim in place
+        times.resize(n, refcheck=False)     # no view of either exists
+        detectors.resize(n, refcheck=False)
     stream = EventStream(
         detectors=detectors,
         times_ps=times,
-        duration_ps=duration_ps,
-        resolution_ps=run.timestamp_resolution_ps,
-        seed=int(run.seed),
-        config_digest=config_digest(source, chain),
+        duration_ps=draw.duration_ps,
+        resolution_ps=draw.resolution_ps,
+        seed=draw.seed,
+        config_digest=draw.config_digest,
     )
-    truth = TrueCounts(pairs_emitted=n_pairs,
-                       pairs_detected_coincident=int(counts[1] + counts[3]),
-                       darks_emitted=tuple(n_darks))
-    return stream, truth
+    return stream, draw.truth
 
 
 def sample_pair_spectrum(source: SourceConfig, count: int,

@@ -58,10 +58,23 @@ def test_cli_pass_meets_the_benchmark_checks(workloads, tmp_path, seed):
     assert workloads.cli_output(wl, tmp_path, codes, stdout)[1] == []
 
 
-def test_traced_cli_functions_exist():
-    # the tracer wraps these two by name for its events.write/read layers
-    assert callable(cli.read_event_file)
-    assert callable(cli.write_event_file)
+def test_traced_cli_functions_exist(workloads, tmp_path, monkeypatch):
+    """The tracer wraps these two by name for its events.write/read layers
+    and divides the file size by their time, so the in-process cli_pipeline
+    pass must call both."""
+    calls = []
+    for name in ("read_event_file", "write_event_file"):
+        def counted(*args, _name=name, _fn=getattr(cli, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    wl = workloads.WORKLOADS["cli_pipeline"].scaled(0.02)
+    steps = workloads.cli_steps(wl, 1, tmp_path,
+                                workloads.cli_config_file(wl, tmp_path))
+    codes, _ = workloads.cli_inprocess_pass(cli, steps,
+                                            contextlib.nullcontext)
+    assert codes == [0, 0, 0, 0]
+    assert sorted(set(calls)) == ["read_event_file", "write_event_file"]
 
 
 @pytest.mark.parametrize("module", ["pairsim", "pairsim.cli"])

@@ -1,5 +1,7 @@
+import contextlib
 import errno
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -8,12 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pairsim
-from pairsim import cli, keyvalue
+from pairsim import cli, counting, keyvalue
 from pairsim import source as source_mod
 from test_estimator import TABLE1_CSV_SHA256, TABLE1_TEXT_SHA256, sha256_text
-from test_source import make_chain, make_source
+from test_source import make_chain, make_source, traced_peak
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +104,38 @@ def test_manifest_output_sha256_is_the_file_written(capsys, tmp_path,
     assert manifest["command"] == argv.split()[0]
     assert manifest["output"] == str(out)
     assert manifest["output_sha256"] == sha(out)
+
+
+@pytest.mark.parametrize("failing", ["report", "manifest"])
+def test_failed_report_write_leaves_the_previous_report(capsys, monkeypatch,
+                                                        tmp_path, failing):
+    # the report and its manifest go to sibling temporaries that replace
+    # them only once both are written
+    report = tmp_path / "est.txt"
+    manifest = Path(f"{report}.manifest")
+    argv = ["estimate", "--s1", "1e5", "--s2", "1e5", "--rc", "1e3",
+            "--duration", "2", "--out", str(report)]
+    assert run_cli(capsys, *argv)[0] == 0
+    before = {p: p.read_bytes() for p in (report, manifest)}
+
+    def part_then_disk_full(path, text):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text[:20])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    if failing == "report":
+        monkeypatch.setattr(Path, "write_text", lambda self, text, **kw:
+                            part_then_disk_full(self, text))
+    else:
+        monkeypatch.setattr(keyvalue, "write_keyvalue",
+                            lambda path, mapping, header=():
+                            part_then_disk_full(path, keyvalue.format_keyvalue(
+                                mapping, header)))
+    code, out, err = run_cli(capsys, *argv[:6], "2e3", *argv[7:])
+    assert (code, out) == (2, "")
+    assert os.strerror(errno.ENOSPC) in err and "Traceback" not in err
+    assert {p: p.read_bytes() for p in (report, manifest)} == before
+    assert sorted(tmp_path.iterdir()) == sorted([report, manifest])
 
 
 class TestQpm:
@@ -368,7 +403,24 @@ class TestSimulate:
                                str(path), "--out",
                                str(tmp_path / "second.events"))
         assert code == 1
-        assert "'marked-1'" in err and "'marked-2'" in err
+        assert "'marked-1'" in err and repr(source_mod.RNG_SCHEME) in err
+        assert not (tmp_path / "second.events").exists()
+
+    def test_from_manifest_refuses_marked_2(self, capsys, tmp_path,
+                                            small_config):
+        # manifests written before slab simulation name marked-2, whose
+        # event files marked-3 does not reproduce
+        first = tmp_path / "first.events"
+        run_cli(capsys, "simulate", "--config", str(small_config),
+                "--duration", "0.2", "--seed", "11", "--out", str(first))
+        manifest = keyvalue.read_keyvalue(str(first) + ".manifest")
+        path = tmp_path / "old.manifest"
+        keyvalue.write_keyvalue(path, {**manifest, "rng_scheme": "marked-2"})
+        code, out, err = run_cli(capsys, "simulate", "--from-manifest",
+                                 str(path), "--out",
+                                 str(tmp_path / "second.events"))
+        assert (code, out) == (1, "")
+        assert "'marked-2'" in err and "'marked-3'" in err
         assert not (tmp_path / "second.events").exists()
 
     def test_jobs_below_one_is_usage_error(self, capsys, tmp_path,
@@ -669,6 +721,117 @@ MALFORMED_V2 = {
                 b"# seed = 18446744073709551616\n"), 84,
         "seed must be at most 2**64 - 1"),
 }
+
+
+class TestCountStreamed:
+    """count reads the event file block by block and takes the half window
+    in whole ps from the exact text of --window."""
+
+    @staticmethod
+    def rc_count(tmp_path, window, apart):
+        path = tmp_path / "pair.events"
+        path.write_bytes(v2_file([1000, 1000 + apart], [1, 2],
+                                 head=b"# pairsim-events v2\n"
+                                 b"# duration_ps = 1000000000000\n"))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["count", str(path), "--window", window,
+                             "--delay", "1e-3"])
+        assert code == 0
+        return keyvalue.get_int(parse_out(out.getvalue()), "rc_count")
+
+    def test_34_ps_window_counts_a_pair_17_ps_apart(self, tmp_path):
+        # 34e-12 * 1e9 * 1e3 / 2 is 16.999999999999996 in floats
+        assert self.rc_count(tmp_path, "34e-12", 17) == 1
+        assert self.rc_count(tmp_path, "34e-12", 18) == 0
+
+    @settings(derandomize=True, deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(half=st.integers(1, 100_000))
+    def test_pair_half_a_whole_ps_window_apart_is_counted(self, tmp_path,
+                                                          half):
+        window = f"{2 * half}e-12"
+        assert self.rc_count(tmp_path, window, half) == 1
+        assert self.rc_count(tmp_path, window, half + 1) == 0
+
+    def test_bad_byte_in_a_late_block_writes_nothing(self, capsys,
+                                                     monkeypatch, tmp_path):
+        # blocks of 2 events: the bad detector is read after three blocks
+        # have been counted
+        monkeypatch.setattr(counting, "_BLOCK", 2)
+        head = b"# pairsim-events v2\n# duration_ps = 1000000000\n"
+        path = tmp_path / "late.events"
+        path.write_bytes(v2_file([10, 20, 30, 40, 50, 60, 70],
+                                 [1, 2, 1, 2, 1, 2, 3], head=head))
+        body = len(head) + len(b"# events = 7\n")
+        report = tmp_path / "sum.csv"
+        code, out, err = run_cli(capsys, "count", str(path), "--csv",
+                                 "--out", str(report))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: byte {body + 8 * 7 + 6}: ")
+        assert "detector index" in err
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("option", ["--window=nan", "--delay=1e-9"])
+    def test_bad_body_is_named_before_a_bad_option(self, capsys, tmp_path,
+                                                   option):
+        # the body is read as it is counted, after the options are checked,
+        # yet its error still comes first (exit 2), as when it was read whole
+        path = tmp_path / "bad.events"
+        path.write_bytes(v2_file([10, 20, 30], [1, 255, 2]))
+        code, out, err = run_cli(capsys, "count", str(path), option)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: byte 79: ")
+
+    def test_simulate_writes_the_library_stream(self, capsys, tmp_path):
+        # several slabs, with dead time and jitter: the file simulate writes
+        # slab by slab is the stream simulate_run returns
+        src = make_source(2e6)
+        chain = make_chain(mu1=0.5, mu2=0.5, eta1=0.9, eta2=0.9, dark1=1e3,
+                           dark2=1e3, dead_time_ns=50.0, splitter=False,
+                           jitter_ps=300.0)
+        config, out = tmp_path / "dense.txt", tmp_path / "dense.events"
+        keyvalue.write_keyvalue(config, source_mod.config_to_mapping(src,
+                                                                     chain))
+        code, text, _ = run_cli(capsys, "simulate", "--config", str(config),
+                                "--duration", "0.1", "--seed", "4",
+                                "--resolution-ps", "7", "--out", str(out))
+        assert code == 0
+        src, chain = source_mod.config_from_mapping(
+            keyvalue.read_keyvalue(config))
+        stream, truth = source_mod.simulate_run(
+            src, chain, source_mod.RunConfig(0.1, 4, 7))
+        assert pairsim.read_event_file(out) == stream
+        report = parse_out(text)
+        assert [keyvalue.get_int(report, k) for k in (
+            "events_written", "singles_1", "singles_2", "pairs_emitted",
+            "darks_emitted_1")] == [stream.n_events, *stream.counts(),
+                                    truth.pairs_emitted,
+                                    truth.darks_emitted[0]]
+        assert sorted(tmp_path.iterdir()) == sorted(
+            [config, out, Path(f"{out}.manifest")])
+
+    def test_simulate_and_count_peaks_do_not_grow_with_the_run(
+            self, capsys, tmp_path):
+        config = keyvalue._bundled("reference_run_config.txt")
+
+        def peaks(duration):
+            out = tmp_path / f"{duration}.events"
+            got = []
+            for argv in (["simulate", f"--config={config}",
+                          f"--duration={duration}", "--seed=3",
+                          f"--out={out}"],
+                         ["count", str(out), "--csv",
+                          f"--out={tmp_path / 'sum.csv'}"]):
+                code, peak = traced_peak(lambda: cli.main(argv))
+                capsys.readouterr()
+                assert code == 0
+                got.append(peak)
+            return got
+
+        peaks(0.01)     # the first calls import what every run uses
+        one, three = peaks(1.0), peaks(3.0)
+        assert three[0] <= one[0] + 64 * 1024     # simulate
+        assert three[1] <= one[1] + 64 * 1024     # count
 
 
 class TestCountBinary:
@@ -1074,7 +1237,7 @@ BAD_CLI_INPUTS = {
     "out of memory": (
         "simulate --config={tmp}/ref.txt --duration=0.01 --seed=1 "
         "--out={tmp}/sim.events",
-        ("pairsim.source.simulate_run", _out_of_memory), 1, "out of memory"),
+        ("pairsim.source._Draw", _out_of_memory), 1, "out of memory"),
     "one-line summary": ("estimate --summary={tmp}/header.csv", None, 2,
                          "expected a CSV header and one row"),
     "ragged summary": ("estimate --summary={tmp}/ragged.csv", None, 2,

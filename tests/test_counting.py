@@ -1,4 +1,6 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pairsim import (ConfigError, EventStream, Rate, WindowConfig,
                      count_coincidences, estimate_accidentals, net_summary)
-from pairsim import counting
+from pairsim import counting, events
 from pairsim.counting import _match_count
 from pairsim.events import _merge_sorted
 
@@ -429,3 +431,27 @@ class TestSmallBlocks:
     def test_merged_kernel_cases(self, monkeypatch, block, t1, t2, matches):
         monkeypatch.setattr(counting, "_BLOCK", block)
         TestCountCoincidences().test_merged_kernel_cases(t1, t2, matches)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+class TestReaderBlocks:
+    """count's block reader over an event file gives net_summary's summary
+    of the stream read whole, in blocks of a few events, with delays that
+    wrap and wrap zones of many blocks."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(case=st.one_of(tied_streams(), sparse_streams()))
+    def test_reader_summary_equals_net_summary_property(self, block, case):
+        t1, t2, duration, window = case
+        darks = (Rate(3.0), Rate(5.0))
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as mp:
+            path = os.path.join(tmp, "case.events")
+            events.write_event_file(stream_from_times(t1, t2, duration),
+                                    path)
+            whole = net_summary(events.read_event_file(path), window, darks)
+            mp.setattr(counting, "_BLOCK", block)
+            read = counting._summary(events._open_event_file(path),
+                                     window.half_window_ps, window.delay_ps,
+                                     darks)
+        assert read == whole

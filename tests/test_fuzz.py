@@ -126,10 +126,11 @@ def test_fuzz_inputs_end_in_documented_exit_codes(capsys, tmp_path,
             assert (again.read_bytes() == mutated) == (not named), (
                 mutated[:body + 16], named)
 
-    # a mutated rate can ask for up to the default 5e7-event budget; a
-    # small budget keeps every run small and still takes the refusal path
-    simulate_run = source.simulate_run
-    monkeypatch.setattr(source, "simulate_run", lambda *a: simulate_run(
+    # a mutated rate can ask for any number of events, as simulate has no
+    # event budget; a small budget keeps every run small and still takes
+    # the refusal path
+    draw = source._Draw
+    monkeypatch.setattr(source, "_Draw", lambda *a: draw(
         *a, max_events=20_000))
     summary = tmp_path / "summary.csv"
     run_cli(capsys, "count", str(base), "--dark1", "22e3", "--dark2", "22e3",

@@ -523,14 +523,14 @@ class TestGoldenStream:
         return stream
 
     def test_stream_digest(self, stream):
-        assert source_mod.RNG_SCHEME == "marked-2"
-        assert stream.counts() == (43578, 43391)
+        assert source_mod.RNG_SCHEME == "marked-3"
+        assert stream.counts() == (43175, 43330)
         assert hashlib.sha256(stream.times_ps.astype("<i8").tobytes()) \
-            .hexdigest() == ("a432968c61c58f7ddddc2cac56b63fef"
-                             "364e922f7d9c703772f734cb9d1fa879")
+            .hexdigest() == ("7928bd19b2038f852248fe1e40dee3b3"
+                             "571ec9e65fe1737fe7db2eab7b81e8d9")
         assert hashlib.sha256(stream.detectors.tobytes()).hexdigest() \
-            == ("447009b54b72ff2c1157fab6294df742"
-                "755c1de353cab7af9f02b3a7c9a3c9b6")
+            == ("33f9d13abbb9a8c05b6507b2b6f1116f"
+                "8a9e67f7a7ab22bbcdef8ef38353a2d6")
 
     def test_binary_event_file_digest(self, stream, tmp_path):
         # the v2 bytes simulate writes by default: header, then packed columns
@@ -538,14 +538,14 @@ class TestGoldenStream:
         write_event_file(stream, path)
         assert path.stat().st_size == 186 + 9 * stream.n_events
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "1d8f6196e7607b7f7a79d15b3af086b854aab1c7c86edfdba75bcd422d50516a")
+            "e1da6bd1a7e7c1d49bf7dc339f1cb4cef4f1717312de5bcb3758af147bf9d3b6")
         assert read_event_file(path) == stream
 
     def test_net_summary_counts(self, stream):
-        for window, counts in ((WindowConfig(2.0, 100.0), (18938, 66)),
-                               (WindowConfig(100.0, 2000.0), (21295, 3681))):
+        for window, counts in ((WindowConfig(2.0, 100.0), (18782, 64)),
+                               (WindowConfig(100.0, 2000.0), (21072, 3638))):
             summary = net_summary(stream, window)
-            assert summary.singles_counts == (43578, 43391)
+            assert summary.singles_counts == (43175, 43330)
             assert (summary.coincidence_count,
                     summary.accidental_count) == counts
 
@@ -586,10 +586,11 @@ class TestReferenceGoldenStream:
 
 
 class TestBlockGoldenStreams:
-    """Per-seed output of runs whose draws each cross a 2^16-value block,
-    pinned bit for bit like TestGoldenStream: the dense point's pair
-    classes, photons per arm and jitter draws, 1 MHz darks, and a run
-    shorter than 2^32 ps, where numpy draws bounded 32-bit integers."""
+    """Per-seed output of runs that span several slabs and draw more than
+    2^16 values of one kind, pinned bit for bit like TestGoldenStream: the
+    dense point's pair classes, photons per arm and jitter draws (6 slabs),
+    1 MHz darks (3 slabs), and unit efficiency with jitter in 537 us slabs,
+    under 2^32 ps, where numpy draws bounded 32-bit integers (8 slabs)."""
 
     RUNS = {
         "dense-0.2": (2e6, dict(mu1=0.5, mu2=0.5, eta1=0.9, eta2=0.9,
@@ -601,16 +602,30 @@ class TestBlockGoldenStreams:
                                           jitter_ps=50.0), 0.004),
     }
 
+    # the case ids are the names these cases ran under when marked-2 pinned
+    # them; the digests are marked-3's
     @pytest.mark.parametrize("name, counts, times_sha256, detectors_sha256", [
-        ("dense-0.2", (172003, 172375),
-         "56617bb5c6170dcf771329f7e2fba4430f634dee2846a88124218688c8f0ad2e",
-         "40dbe9d5a462d65e77d4a6d68de4164d9466031ccc2ad08f65a85b6ae6d3deb5"),
-        ("darks-1mhz-0.1", (115220, 115555),
-         "6d4aa30b81018fc10c5057897f0e1e554a9891f8f71a07a40bc4b69724a556b1",
-         "2f9ba3e56b427d8250cca48068a38a612de24a7b18d44ed0a04f6e05c765d4e0"),
-        ("unit-efficiency-4ms", (199711, 199711),
-         "b6a708db5a6dd32f004908ac40bafc9722081dc62141bfbe2b1ba0e68d18ea8f",
-         "7879f1489ef280074cc680f3dd81898034791e7f48914b18c3208465447bd3c3"),
+        pytest.param(
+            "dense-0.2", (172210, 172452),
+            "5e1ae3524a736246a813200a9606acffc64de249a7859311cd70f1b970699f0f",
+            "596ffca0f29df28193057a8792aa366d2d601d766e35807b93a23d1f1064cd06",
+            id="dense-0.2-counts0-56617bb5c6170dcf771329f7e2fba4430f634dee2846"
+               "a88124218688c8f0ad2e-40dbe9d5a462d65e77d4a6d68de4164d9466031c"
+               "cc2ad08f65a85b6ae6d3deb5"),
+        pytest.param(
+            "darks-1mhz-0.1", (115165, 115456),
+            "7761752bb74299e94bfdc55407c97b5e9d38a87f98efe6d466e199fa6ea0ee69",
+            "cdb60820bc47d9481b65051b734d7c5727219f60c8402b065fb0a22d8fbc088b",
+            id="darks-1mhz-0.1-counts1-6d4aa30b81018fc10c5057897f0e1e554a9891"
+               "f8f71a07a40bc4b69724a556b1-2f9ba3e56b427d8250cca48068a38a612d"
+               "e24a7b18d44ed0a04f6e05c765d4e0"),
+        pytest.param(
+            "unit-efficiency-4ms", (199759, 199759),
+            "68c69ff85d52f72d08ab50857254a92bcba56fa8f1b79c600c5a5ff2b486d24b",
+            "e043c9eca996e7ee17b38e41873b559f3150a2521632c976d732a92b8fa444a2",
+            id="unit-efficiency-4ms-counts2-b6a708db5a6dd32f004908ac40bafc9722"
+               "081dc62141bfbe2b1ba0e68d18ea8f-7879f1489ef280074cc680f3dd8189"
+               "8034791e7f48914b18c3208465447bd3c3"),
     ])
     def test_stream_digest(self, name, counts, times_sha256,
                            detectors_sha256):
@@ -625,48 +640,49 @@ class TestBlockGoldenStreams:
         assert hashlib.sha256(stream.detectors.tobytes()).hexdigest() \
             == detectors_sha256
 
-    @pytest.mark.parametrize("high", [2**62 + 12345, 4_000_000_001])
-    def test_chunked_draws_equal_one_call(self, high):
-        # simulate_run draws 2^16 values at a time; numpy's integers (the
-        # 64-bit and the bounded 32-bit path) and normal must then give the
-        # values of one call, or every event file would change
+    @pytest.mark.parametrize("width", [2**62 + 12345, 4_000_000_001])
+    def test_slab_draws_depend_on_the_slab_width_alone(self, width):
+        # marked-3 draws a slab's times with integers(lo, lo + width): numpy
+        # gives the values of integers(0, width) shifted by lo, on the
+        # 64-bit and on the bounded 32-bit path, so every full slab draws
+        # alike wherever it lies in the run. Its jitter, sigma times
+        # standard_normal, is clipped at 64 sigma, a bound the sampler
+        # never reaches (its ziggurat tail ends below 13.8)
         n = 3 * (1 << 16) + 12345
-        one, chunked = (source_mod._substream(7, 0) for _ in range(2))
-        for draw in (lambda rng, k: rng.integers(0, high, k),
-                     lambda rng, k: rng.normal(0.0, 300.0, k)):
-            whole = draw(one, n)
-            parts = np.concatenate([draw(chunked, min(1 << 16, n - lo))
-                                    for lo in range(0, n, 1 << 16)])
-            assert np.array_equal(whole, parts)
-        assert one.integers(0, 2**63) == chunked.integers(0, 2**63)
-        # the jitter: normal(0, sd) from one call equals sd * standard_normal
-        # drawn a block at a time into a reused buffer, once both are
-        # rounded, clipped and cast as simulate_run does; at 1e308 ps some
-        # products overflow to inf, which the clip holds at 2^62
-        for sd in (300.0, 1e308):
-            one, chunked = (source_mod._substream(7, 5) for _ in range(2))
-            with np.errstate(over="ignore"):
-                whole = np.clip(np.rint(one.normal(0.0, sd, n)),
-                                -2.0**62, 2.0**62).astype(np.int64)
-            parts = np.zeros(n, dtype=np.int64)
-            source_mod._add_jitter([parts[:n // 3], parts[n // 3:]], sd,
-                                   chunked)
-            assert np.array_equal(whole, parts)
-            assert (np.abs(whole) == 2**62).any() == (sd > 1e300)
+        lo = 2**63 - 1 - width      # the last slab of the longest run
+        one, shifted = (source_mod._substream(7, 0) for _ in range(2))
+        assert np.array_equal(one.integers(lo, lo + width, n),
+                              lo + shifted.integers(0, width, n))
+        assert one.integers(0, 2**63) == shifted.integers(0, 2**63)
+        z = source_mod._substream(7, source_mod._SUB_JITTER).standard_normal(
+            1 << 22)
+        assert np.abs(z).max() < 13.8
 
 
 class TestDeadTimeResolutionGoldenStreams:
     """TestBlockGoldenStreams' dense-0.2 run at coarse timestamp
     resolutions, pinned bit for bit: the dead time acts on whole ps before
-    the times are quantised, and the detectors' keys are sorted after."""
+    the times are quantised, and the detectors' keys are sorted after. The
+    slab length is a multiple of the resolution, so each resolution draws
+    its own events."""
 
+    # the case ids are the names these cases ran under when marked-2 pinned
+    # them; the digests are marked-3's
     @pytest.mark.parametrize("resolution, times_sha256, detectors_sha256", [
-        (100,
-         "f82c3dc947ff7589c7e748aa4a65379ff124dc376818bb16a82ba29ebd66b49a",
-         "248c858c4e9a6dad95ba4d5213513452487c60b6a904ea7a558a4aa888e6b2c7"),
-        (7,
-         "89401d93f97def330743844653d522d08da0bcb37c79f132473f882bb8b75f4b",
-         "49fab5e44bf279670666c7a6a7d1fcd6ec38384ce0fb6068109842edef3c1227"),
+        pytest.param(
+            100,
+            "1229197989703aa7c09b076b57ac9dbdff5709fda304655e1b4f4e1cb1dce998",
+            "97c35b9290b7f691850631582f78ce6127834fbeb908c58c4afb4932434e7b2b",
+            id="100-f82c3dc947ff7589c7e748aa4a65379ff124dc376818bb16a82ba29ebd"
+               "66b49a-248c858c4e9a6dad95ba4d5213513452487c60b6a904ea7a558a4a"
+               "a888e6b2c7"),
+        pytest.param(
+            7,
+            "3e9fa384d2c59bcd855c890b43eb4e0eeb245f6209a851c81fd89c032e7e5f84",
+            "0afbf97da9f238a3d6ef047bf7d93cb7f6f9654e0598d70352066c772134d428",
+            id="7-89401d93f97def330743844653d522d08da0bcb37c79f132473f882bb8b7"
+               "5f4b-49fab5e44bf279670666c7a6a7d1fcd6ec38384ce0fb6068109842ed"
+               "ef3c1227"),
     ])
     def test_stream_digest(self, resolution, times_sha256, detectors_sha256):
         pair_hz, chain, duration = TestBlockGoldenStreams.RUNS["dense-0.2"]
@@ -674,12 +690,98 @@ class TestDeadTimeResolutionGoldenStreams:
             make_source(pair_hz), make_chain(**chain),
             RunConfig(duration, seed=20261019,
                       timestamp_resolution_ps=resolution))
-        assert stream.counts() == (172003, 172375)
+        assert stream.counts() == {100: (172284, 172541),
+                                   7: (172221, 172616)}[resolution]
         assert not np.any(stream.times_ps % resolution)
         assert hashlib.sha256(stream.times_ps.astype("<i8").tobytes()) \
             .hexdigest() == times_sha256
         assert hashlib.sha256(stream.detectors.tobytes()).hexdigest() \
             == detectors_sha256
+
+
+class TestSlabSeams:
+    """marked-3 draws a run in time slabs and finishes it region by region,
+    a region ending one jitter clip before each slab's end. With the slab
+    target patched down to 64 events, jitter of 1 us moves photons across
+    seams and a 2 us dead time spans region ends; the stream must equal a
+    whole-run construction from the same slab draws: one global sort, the
+    sequential dead-time loop, then the resolution floor."""
+
+    @pytest.mark.parametrize("resolution", [1, 7])
+    def test_stream_equals_whole_run_construction(self, monkeypatch,
+                                                  resolution):
+        draws = []
+        slab = source_mod._Draw._slab
+
+        def recorded(self, j, rng_jitter, pending):
+            # each half starts with the pending times of earlier slabs
+            carried = [p.size for p in pending]
+            buf, halves = slab(self, j, rng_jitter, pending)
+            draws.append([half[n:].copy() for half, n in zip(halves, carried)])
+            return buf, halves
+
+        monkeypatch.setattr(source_mod._Draw, "_slab", recorded)
+        monkeypatch.setattr(source_mod, "_SLAB_EVENTS", 64)
+        src = make_source(1e6)
+        chain = make_chain(mu1=0.5, mu2=0.5, eta1=0.9, eta2=0.9, dark1=2e4,
+                           dark2=2e4, dead_time_ns=2000.0, splitter=False,
+                           jitter_ps=1e6)
+        run = RunConfig(0.01, seed=11, timestamp_resolution_ps=resolution)
+        stream, _ = simulate_run(src, chain, run)
+        d, dead = run.duration_ps, 2_000_000
+        width = source_mod._slab_ps(src, chain, run)
+        assert width % resolution == 0 and width >= 64 * 1e6
+        assert len(draws) == -(-d // width) > 100
+        clip = source_mod._Draw(src, chain, run).clip_ps
+        assert clip == 64_000_000
+
+        merged = []
+        for k in (0, 1):
+            t = np.concatenate([slab_draws[k] for slab_draws in draws])
+            t = deadtime_sequential(np.sort(t[(t >= 0) & (t < d)]), dead)
+            merged.append(2 * (t // resolution * resolution) + k)
+            # photons crossed seams, and dead time reached across them
+            lo = np.repeat(np.arange(len(draws)) * width,
+                           [slab_draws[k].size for slab_draws in draws])
+            crossed = np.concatenate([slab_draws[k] for slab_draws in draws])
+            assert np.count_nonzero((crossed < lo)
+                                    | (crossed >= lo + width)) > 20
+            ends = np.arange(1, len(draws)) * width - clip
+            before = t[np.searchsorted(t, ends) - 1]
+            assert np.count_nonzero(ends - before < dead) > 20
+        keys = np.sort(np.concatenate(merged))
+        assert np.array_equal(stream.times_ps, keys >> 1)
+        assert np.array_equal(stream.detectors, (keys & 1) + 1)
+
+    def test_gaps_and_singles_across_seams_follow_poisson_laws(
+            self, monkeypatch):
+        """No splitter and no dead time: each detector's events are a
+        Poisson process. Checked across seams of 64-event slabs, in numpy
+        only, with critical values fixed before the first run: Bonferroni
+        over four checks at a 1 % family-wise level, so each check at
+        0.25 %. A one-sample Kolmogorov-Smirnov test of each detector's
+        gaps against the exponential law of its rate (sqrt(n) D below
+        sqrt(ln(2 / 0.0025) / 2) = 1.83), and each detector's singles
+        dispersion index var/mean over 200 seeds (within 3.03 standard
+        errors sqrt(2 / 199) of 1)."""
+        monkeypatch.setattr(source_mod, "_SLAB_EVENTS", 64)
+        src = make_source(2e5)
+        chain = make_chain(mu1=0.5, mu2=0.5, eta1=1.0, eta2=1.0, dark1=1e3,
+                           dark2=1e3, splitter=False)
+        rate_hz = 0.5 * 2e5 + 1e3
+        stream, _ = simulate_run(src, chain, RunConfig(0.2, seed=2026))
+        for k in (1, 2):
+            gaps = np.sort(np.diff(stream.times_for(k))) * 1e-12
+            n = gaps.size
+            cdf = -np.expm1(-rate_hz * gaps)
+            steps = np.arange(n + 1) / n
+            d_stat = max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1]))
+            assert n > 15_000 and math.sqrt(n) * d_stat < 1.83
+        counts = np.array([simulate_run(src, chain, RunConfig(
+            0.005, seed=seed))[0].counts() for seed in range(200)])
+        for singles in counts.T:
+            index = singles.var(ddof=1) / singles.mean()
+            assert abs(index - 1.0) < 3.03 * math.sqrt(2.0 / 199)
 
 
 def traced_peak(call):
