@@ -323,7 +323,14 @@ def _cmd_count(args) -> int:
         window = counting.WindowConfig(
             coincidence_window_ns=window_s * 1e9,
             accidental_delay_ns=args.delay * 1e9)
-    except ConfigError:
+        # the delayed times wrap inside the run: the 10-window rule applies
+        # to the delay's distance from the nearest multiple of the duration
+        d = events.duration_ps
+        if min(window.delay_ps % d, -window.delay_ps % d) \
+                <= 10.0 * window.coincidence_window_ns * 1e3:
+            raise _UsageError(f"--delay {args.delay} s wraps to within 10 "
+                              f"windows of zero in a {d * 1e-12} s run")
+    except (ConfigError, _UsageError):
         events._check()     # a bad body is named before a bad option
         raise
     # the half window in whole ps from the exact text, not from its float
@@ -334,14 +341,6 @@ def _cmd_count(args) -> int:
     summary = counting._summary(events, math.floor(exact * 500_000_000_000),
                                 window.delay_ps,
                                 (Rate(args.dark1), Rate(args.dark2)))
-    # the delayed times wrap inside the run: the 10-window rule applies to
-    # the delay's distance from the nearest multiple of the duration; it is
-    # checked once the body has been read, so a bad body is named first
-    d = events.duration_ps
-    if min(window.delay_ps % d, -window.delay_ps % d) \
-            <= 10.0 * window.coincidence_window_ns * 1e3:
-        raise _UsageError(f"--delay {args.delay} s wraps to within 10 windows "
-                          f"of zero in a {events.duration_s} s run")
     _emit(_mapping_report(summary.to_mapping(), args.csv), args.out, "count", {
         "events_file": args.events,
         "window_s": window_s,

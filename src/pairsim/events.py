@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import bisect
 import os
-import shutil
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -238,6 +237,9 @@ class EventStream:
         for lo in range(0, t.size, size):
             yield t[max(lo - 1, 0):lo + size + 1], det[lo:lo + size]
 
+    def _slabs(self) -> tuple[int, list]:   # as write_event_file takes them
+        return self.n_events, [(self.times_ps, self.detectors)]
+
     def _tail(self, wrap: int) -> tuple[np.ndarray, np.ndarray]:
         """(times, detectors) views of the events at or after time wrap."""
         k = int(np.searchsorted(self.times_ps, wrap))
@@ -269,35 +271,32 @@ def write_event_file(stream: EventStream, path: str | os.PathLike) -> None:
     """Write a stream as a v2 file: the header, then the packed timestamp
     and detector columns (the round trip is bit exact).
 
-    stream may also be a run still being drawn (source._Draw): an object
-    with EventStream's metadata whose iteration yields (times, detectors)
-    slabs in time order. Its columns go to the sibling files
-    '<path>.times' and '<path>.detectors' as the slabs come, and are then
-    copied behind the header, whose event count is known only then."""
-    if isinstance(stream, EventStream):
-        with open(path, "wb") as fh:
-            fh.write(_header(stream, stream.n_events))
-            stream.times_ps.astype("<i8", copy=False).tofile(fh)
-            stream.detectors.tofile(fh)
-        return
-    columns = [f"{os.fspath(path)}.{name}" for name in ("times", "detectors")]
-    try:
-        n = 0
-        with open(columns[0], "wb") as ft, open(columns[1], "wb") as fd:
-            for times, detectors in stream:
-                times.astype("<i8", copy=False).tofile(ft)
-                detectors.tofile(fd)
-                n += detectors.size
-                del times, detectors    # one slab is held at a time
-        with open(path, "wb") as fh:
-            fh.write(_header(stream, n))
-            for column in columns:
-                with open(column, "rb") as fc:
-                    shutil.copyfileobj(fc, fh, 1 << 16)
-    finally:
-        for column in columns:
-            if os.path.exists(column):
-                os.unlink(column)
+    stream may also be a run still being drawn (source._Draw). Each slab
+    of stream._slabs() is written in place, behind room for the header of
+    its capacity (an EventStream is one slab that fills it): times at body
+    + 8 n, detectors at body + 8 capacity + n. The columns then move down
+    to fit n events, front first in 64 KiB steps, behind their header."""
+    capacity, slabs = stream._slabs()
+    body, n = len(_header(stream, capacity)), 0
+    with open(path, "w+b") as fh:
+        for times, detectors in slabs:
+            fh.seek(body + 8 * n)
+            times.astype("<i8", copy=False).tofile(fh)
+            fh.seek(body + 8 * capacity + n)
+            detectors.tofile(fh)
+            n += detectors.size
+            del times, detectors    # one slab is held at a time
+        header = _header(stream, n)
+        for src, dst, size in ((body, len(header), 8 * n),
+                               (body + 8 * capacity, len(header) + 8 * n, n)):
+            for k in range(0, size, 1 << 16) if src != dst else ():
+                fh.seek(src + k)
+                chunk = fh.read(min(1 << 16, size - k))
+                fh.seek(dst + k)
+                fh.write(chunk)
+        fh.truncate(len(header) + 9 * n)
+        fh.seek(0)
+        fh.write(header)
 
 
 def read_event_file(path: str | os.PathLike) -> EventStream:

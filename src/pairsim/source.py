@@ -314,13 +314,13 @@ class _Draw:
     draws: every slab's pair count (one vectorised poisson call on the
     pair substream), their nine fate classes (one vectorised multinomial)
     and each detector's dark counts (one poisson call on its substream).
-    So the ground truth `truth` and `capacity`, the number of events drawn,
-    are known before any time is. Iterating then draws each slab's times
-    from the same substreams, used in order, and yields each finished
-    region's (int64 times, uint8 detectors) once, in time order (iterate
-    once: the substreams move on); `counts` holds the events yielded per
-    detector. The object carries EventStream's metadata, so
-    write_event_file writes it.
+    So the ground truth `truth` and `capacity`, the number of events drawn
+    (simulate_run's array size and write_event_file's room for them), are
+    known before any time is. Iterating then draws each slab's times from
+    the same substreams, used in order, and yields each finished region's
+    (int64 times, uint8 detectors) once, in time order (iterate once: the
+    substreams move on); `counts` holds the events yielded per detector.
+    With EventStream's metadata and _slabs(), write_event_file writes it.
 
     Raises MemoryBudgetError before drawing anything when max_events is
     given and the expected detected-event count exceeds it, when a slab's
@@ -398,6 +398,9 @@ class _Draw:
             darks_emitted=tuple(int(n.sum()) for n in self._darks))
         self.capacity = int(sum(n.sum() for n in self._photons + self._darks))
         self.counts = [0, 0]
+
+    def _slabs(self) -> tuple[int, _Draw]:     # as EventStream._slabs
+        return self.capacity, self
 
     def __iter__(self):
         """Slab j covers [lo_j, hi_j), lo_j = j L. Jitter is clipped at
@@ -548,9 +551,8 @@ def simulate_run(source: SourceConfig, chain: DetectionChainConfig,
         detectors[n:n + t.size] = det
         n += t.size
         del t, det      # so that one slab is held at a time
-    if n < draw.capacity:   # dead time or jitter cut some: trim in place
-        times.resize(n, refcheck=False)     # no view of either exists
-        detectors.resize(n, refcheck=False)
+    times.resize(n, refcheck=False)     # trim to the n kept (no view
+    detectors.resize(n, refcheck=False)     # exists; a no-op at capacity)
     stream = EventStream(
         detectors=detectors,
         times_ps=times,

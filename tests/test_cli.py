@@ -771,7 +771,9 @@ class TestCountStreamed:
         assert "detector index" in err
         assert sorted(tmp_path.iterdir()) == [path]
 
-    @pytest.mark.parametrize("option", ["--window=nan", "--delay=1e-9"])
+    # --delay=2e-8 wraps to 0 in the file's 1000 ps run
+    @pytest.mark.parametrize("option", ["--window=nan", "--delay=1e-9",
+                                        "--delay=2e-8"])
     def test_bad_body_is_named_before_a_bad_option(self, capsys, tmp_path,
                                                    option):
         # the body is read as it is counted, after the options are checked,
@@ -781,6 +783,25 @@ class TestCountStreamed:
         code, out, err = run_cli(capsys, "count", str(path), option)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path}: byte 79: ")
+
+    def test_wrapping_delay_is_refused_before_the_count(self, capsys,
+                                                        monkeypatch,
+                                                        tmp_path):
+        # a 2 s delay wraps to 0 in a 1 s run: refused before any block is
+        # counted
+        path = tmp_path / "good.events"
+        path.write_bytes(v2_file([10, 20, 30], [1, 2, 1],
+                                 head=b"# pairsim-events v2\n"
+                                 b"# duration_ps = 1000000000000\n"))
+
+        def counted(*args):
+            raise RuntimeError("counted before the options were checked")
+
+        monkeypatch.setattr(counting, "_summary", counted)
+        code, out, err = run_cli(capsys, "count", str(path), "--delay", "2.0")
+        assert (code, out) == (1, "")
+        assert err == ("error: --delay 2.0 s wraps to within 10 windows of "
+                       "zero in a 1.0 s run\n")
 
     def test_simulate_writes_the_library_stream(self, capsys, tmp_path):
         # several slabs, with dead time and jitter: the file simulate writes

@@ -205,6 +205,53 @@ class TestBinaryEventFile:
         assert read_event_file(path) == empty
 
 
+class SlabDraw:
+    """A run still being drawn, as write_event_file takes one (source._Draw):
+    a stream's metadata, a capacity and two slabs of its events; each slab
+    notes the names in the directory as it is drawn."""
+
+    def __init__(self, stream, capacity, directory):
+        self.stream, self.capacity = stream, capacity
+        self.directory = directory
+        self.duration_ps, self.resolution_ps = (stream.duration_ps,
+                                                stream.resolution_ps)
+        self.seed, self.config_digest = stream.seed, stream.config_digest
+        self.seen = []
+
+    def __iter__(self):
+        t, det = self.stream.times_ps, self.stream.detectors
+        for lo, hi in ((0, t.size // 3), (t.size // 3, t.size)):
+            self.seen.append(sorted(p.name for p in self.directory.iterdir()))
+            yield t[lo:hi], det[lo:hi]
+
+    def _slabs(self):
+        return self.capacity, iter(self)
+
+
+class TestSlabWrite:
+    """A run still being drawn is written in place, as an EventStream is:
+    room for the header of its capacity, each slab's times and detectors
+    at their offsets, then the columns moved down to fit the events that
+    came."""
+
+    # (capacity, events): nothing moves; the header loses a digit, so both
+    # columns move (in several 64 KiB steps at 100000); only the detectors
+    # move
+    @pytest.mark.parametrize("capacity, n", [(1000, 1000), (1000, 999),
+                                             (100_000, 99_999), (1200, 1100)])
+    def test_matches_the_stream_write(self, tmp_path, capacity, n):
+        rng = np.random.default_rng(n)
+        stream = small_stream(
+            detectors=rng.integers(1, 3, n).astype(np.uint8),
+            times_ps=np.sort(rng.integers(0, 10**9, n)), duration_ps=10**9)
+        draw = SlabDraw(stream, capacity, tmp_path)
+        write_event_file(draw, tmp_path / "draw.events")
+        assert draw.seen == [["draw.events"]] * 2  # no column file beside it
+        write_event_file(stream, tmp_path / "stream.events")
+        assert (tmp_path / "draw.events").read_bytes() \
+            == (tmp_path / "stream.events").read_bytes()
+
+
 V1_FILE = ("a v1 text event file, which pairsim 0.1.0 wrote; this version "
            "reads only '# pairsim-events v2'")
 NOT_EVENT_FILE = "not an event file (expected '# pairsim-events v2')"
