@@ -11,11 +11,11 @@ with f = 1/2 when the splitter is present (both photons of a pair exit the
 same port half of the time and can never produce a coincidence) and f = 1
 for deterministic separation.
 
-Monte Carlo model, per run: pair emission is a Poisson process of rate N;
-each photon of a pair is independently routed to arm 1 or 2 with
-probability 1/2 (splitter) or to its own arm (no splitter) and detected with
-probability mu_arm eta_arm, so each pair falls in one of nine (photon a,
-photon b) fate classes over {arm 1, arm 2, lost}. By the marking theorem
+Monte Carlo model, per run: pair emission is a Poisson process of rate N,
+and each pair falls in one of nine (photon a, photon b) fate classes over
+{arm 1, arm 2, lost}. _CLICKS and _fates are the model's one statement:
+each class's clicks per detector, and its probability, each photon split
+independently and detected with its arm's mu eta. By the marking theorem
 (Kingman, Poisson Processes, 1993) each class is an independent Poisson
 process, and so is its restriction to each time slab. A run is cut into
 slabs whose length the config and the run alone fix (about 2^16 expected
@@ -64,6 +64,15 @@ _POISSON_LAM_MAX = 2**63 - 1 - 10.0 * math.sqrt(2**63 - 1)
 # may have (their up-front counts take 96 bytes each)
 _SLAB_EVENTS = 1 << 16
 _MAX_SLABS = 1 << 20
+
+# the detection model, stated once here and in _fates: pair class (i, j) =
+# (fate of photon a, fate of photon b) over (arm 1, arm 2, lost) at flat
+# index 3 i + j, and its clicks per detector. Arm k sees (k, j) through
+# photon a and (i, k) through photon b, so (k, k) clicks twice; (lost,
+# lost) alone has no click, comes last and gets no emission time
+_CLICKS = ((2, 0), (1, 1), (1, 0),
+           (1, 1), (0, 2), (0, 1),
+           (1, 0), (0, 1), (0, 0))
 
 
 @dataclass(frozen=True)
@@ -167,7 +176,7 @@ class TrueCounts:
     """Ground truth of one simulated run, for round-trip tests.
 
     pairs_detected_coincident counts pairs with both photons detected, in
-    opposite arms (before dead-time filtering).
+    opposite arms, before dead time and before jitter's drops at run edges.
     """
 
     pairs_emitted: int
@@ -186,13 +195,26 @@ def pair_rate(source: SourceConfig) -> Rate:
     return Rate(source.conversion_efficiency * flux.hz)
 
 
+def _fates(chain: DetectionChainConfig) -> list[float]:
+    """The nine class probabilities of _CLICKS: photon a leaves by port 1
+    and photon b by port 2 unless the splitter sends it across."""
+    e1, e2 = chain.arm_efficiencies
+    cross = 0.5 if chain.splitter_present else 0.0
+    fate_a = [(1.0 - cross) * e1, cross * e2]
+    fate_b = [cross * e1, (1.0 - cross) * e2]
+    fate_a.append(1.0 - sum(fate_a))
+    fate_b.append(1.0 - sum(fate_b))
+    return [a * b for a in fate_a for b in fate_b]
+
+
 def expected_rates(source: SourceConfig,
                    chain: DetectionChainConfig) -> tuple[Rate, Rate, Rate]:
     """Closed-form net (S1, S2, Rc) for a source/chain combination."""
-    n = pair_rate(source).hz
-    e1, e2 = chain.arm_efficiencies
-    f = 0.5 if chain.splitter_present else 1.0
-    return Rate(e1 * n), Rate(e2 * n), Rate(f * e1 * e2 * n)
+    n, p = pair_rate(source).hz, _fates(chain)
+    s1, s2 = (n * sum(pc * clicks[k] for pc, clicks in zip(p, _CLICKS))
+              for k in (0, 1))
+    rc = n * sum(pc for pc, clicks in zip(p, _CLICKS) if all(clicks))
+    return Rate(s1), Rate(s2), Rate(rc)
 
 
 # config key -> (config class, field, unit type, SI -> field scale): the
@@ -292,9 +314,8 @@ def _slab_ps(source: SourceConfig, chain: DetectionChainConfig,
     timestamp resolution times the power of two nearest (on a log scale)
     to _SLAB_EVENTS expected detected events, raised to at least 64 jitter
     sigma; the whole run when that is longer."""
-    e1, e2 = chain.arm_efficiencies
-    rate_hz = ((e1 + e2) * pair_rate(source).hz
-               + chain.dark1.hz + chain.dark2.hz)
+    s1, s2, _ = expected_rates(source, chain)
+    rate_hz = s1.hz + s2.hz + chain.dark1.hz + chain.dark2.hz
     res, d = run.timestamp_resolution_ps, run.duration_ps
     target = _SLAB_EVENTS * 1e12 / (rate_hz * res) if rate_hz > 0.0 \
         else math.inf
@@ -333,9 +354,9 @@ class _Draw:
                  run: RunConfig, max_events: int | None = None) -> None:
         import numpy as np
         n_rate = pair_rate(source).hz
-        e1, e2 = chain.arm_efficiencies
+        s1, s2, _ = expected_rates(source, chain)
         darks = (chain.dark1.hz, chain.dark2.hz)
-        expected = run.duration_s * ((e1 + e2) * n_rate + sum(darks))
+        expected = run.duration_s * (s1.hz + s2.hz + sum(darks))
         if max_events is not None and expected > max_events:
             raise MemoryBudgetError(
                 f"expected {expected:.3e} detected events exceeds the "
@@ -370,33 +391,18 @@ class _Draw:
         width_s[-1] = (d - (n_slabs - 1) * slab) * 1e-12
         self._rng_pairs = _substream(run.seed, _SUB_PAIRS)
         pairs = self._rng_pairs.poisson(n_rate * width_s)
-        # per-photon fate probabilities (arm 1, arm 2, lost): photon a
-        # leaves by port 1 and photon b by port 2 unless the splitter sends
-        # it across
-        cross = 0.5 if chain.splitter_present else 0.0
-        fate_a = [(1.0 - cross) * e1, cross * e2]
-        fate_b = [cross * e1, (1.0 - cross) * e2]
-        fate_a.append(1.0 - sum(fate_a))
-        fate_b.append(1.0 - sum(fate_b))
-        # class (i, j) = (fate of a, fate of b) at flat index 3 i + j; the
-        # undetected class (lost, lost) comes last and gets no emission time
-        self._classes = self._rng_pairs.multinomial(
-            pairs, np.outer(fate_a, fate_b).ravel())
-        grid = self._classes.reshape(n_slabs, 3, 3)
-        # arm k sees class (k, j) through photon a and (i, k) through
-        # photon b, so the (k, k) class counts twice
-        self._photons = [grid[:, k].sum(1) + grid[:, :, k].sum(1)
-                         for k in (0, 1)]
+        self._classes = self._rng_pairs.multinomial(pairs, _fates(chain))
+        self._photons = self._classes @ np.array(_CLICKS)
         self._rng_darks = [_substream(run.seed, s)
                            for s in (_SUB_DARK1, _SUB_DARK2)]
         self._darks = [rng.poisson(hz * width_s)
                        for rng, hz in zip(self._rng_darks, darks)]
         self.truth = TrueCounts(
             pairs_emitted=int(pairs.sum()),
-            pairs_detected_coincident=int(self._classes[:, 1].sum()
-                                          + self._classes[:, 3].sum()),
+            pairs_detected_coincident=int(
+                self._classes[:, np.all(_CLICKS, 1)].sum()),
             darks_emitted=tuple(int(n.sum()) for n in self._darks))
-        self.capacity = int(sum(n.sum() for n in self._photons + self._darks))
+        self.capacity = int(self._photons.sum() + sum(self._darks).sum())
         self.counts = [0, 0]
 
     def _slabs(self) -> tuple[int, _Draw]:     # as EventStream._slabs
@@ -441,7 +447,7 @@ class _Draw:
         import numpy as np
         lo = j * self.slab_ps
         hi = min(lo + self.slab_ps, self.duration_ps)
-        n_photons = [int(n[j]) for n in self._photons]
+        n_photons = self._photons[j].tolist()
         sizes = [p.size + n + int(darks[j]) for p, n, darks
                  in zip(pending, n_photons, self._darks)]
         buf = np.empty(sum(sizes), dtype=np.int64)
@@ -453,8 +459,8 @@ class _Draw:
         for c in np.flatnonzero(classes[:-1]).tolist():
             count = int(classes[c])
             pair_t = self._rng_pairs.integers(lo, hi, count)
-            for k in (c // 3, c % 3):
-                if k < 2:
+            for k in (0, 1):
+                for _ in range(_CLICKS[c][k]):
                     halves[k][filled[k]:filled[k] + count] = pair_t
                     filled[k] += count
             del pair_t

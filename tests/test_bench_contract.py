@@ -47,6 +47,24 @@ def test_library_pass_meets_the_benchmark_checks(workloads, name, seed):
         == summary.accidental_count
 
 
+@pytest.mark.parametrize("name,duration_s,slab_ps", [
+    ("reference", 0.5, 2**37), ("reference", 2.0, 2**37),
+    ("reference", 10.0, 2**37), ("reference", 40.0, 2**37),
+    ("dense", 0.5, 2**35),
+])
+def test_benchmark_slab_lengths_are_pinned(workloads, name, duration_s,
+                                           slab_ps):
+    """A stream is fixed by its config, seed and slab length, and the golden
+    streams all fit one slab. A rate drift that moved a benchmark point's
+    slab length would change its per-seed streams with no other test
+    failing and no RNG_SCHEME bump. The reference lengths cover
+    cli_pipeline (2 s), which runs the bundled config."""
+    source, chain = workloads.library_configs(pairsim,
+                                              workloads.WORKLOADS[name])
+    run = pairsim.RunConfig(duration_s, seed=1)
+    assert pairsim.source._slab_ps(source, chain, run) == slab_ps
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_cli_pass_meets_the_benchmark_checks(workloads, tmp_path, seed):
     """The cli_pipeline workload's four commands, run in this process."""

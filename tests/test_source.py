@@ -289,6 +289,23 @@ class TestExpectedRates:
         n = pair_rate(src).hz
         assert s1.hz == s2.hz == rc.hz == n
 
+    @pytest.mark.parametrize("splitter", [True, False])
+    @pytest.mark.parametrize("e1", [0.0, 0.02, 0.45, 1.0])
+    @pytest.mark.parametrize("e2", [0.0, 0.02, 0.45, 1.0])
+    def test_fate_table_gives_the_docstring_closed_forms(self, splitter, e1,
+                                                         e2):
+        # S_i = e_i N and Rc = f e1 e2 N, read from _CLICKS and _fates
+        src, chain = make_source(3e5), make_chain(
+            mu1=e1, mu2=e2, eta1=1.0, eta2=1.0, splitter=splitter)
+        s1, s2, rc = expected_rates(src, chain)
+        n, f = pair_rate(src).hz, 0.5 if splitter else 1.0
+        assert s1.hz == pytest.approx(e1 * n, rel=1e-12, abs=0.0)
+        assert s2.hz == pytest.approx(e2 * n, rel=1e-12, abs=0.0)
+        assert rc.hz == pytest.approx(f * e1 * e2 * n, rel=1e-12, abs=0.0)
+        fates = source_mod._fates(chain)
+        assert len(fates) == len(source_mod._CLICKS) == 9
+        assert abs(math.fsum(fates) - 1.0) <= 1e-15
+
 
 class TestSimulateRun:
     def test_deterministic_per_seed(self):
@@ -375,6 +392,24 @@ class TestSimulateRun:
         acc = (s1.hz + dark) * (s2.hz + dark) * w_s
         sigma_c = math.sqrt((rc.hz + 2.0 * acc) * duration + 1.0) / duration
         assert abs(summary.net_coincidences.hz - rc.hz) < 4.0 * sigma_c
+
+    def test_stream_follows_the_fate_table(self):
+        # without dead time and jitter every drawn time is kept: each
+        # same-port pair, class (k, k) at flat index 4 k, is written twice
+        # on detector k (a zero gap), and each detector holds its classes'
+        # clicks plus its darks
+        src, chain = reference_source(), reference_chain()
+        assert chain.splitter_present
+        assert chain.dead_time_ns == 0.0 and chain.jitter_ps == 0.0
+        run = RunConfig(0.05, seed=3)
+        stream, truth = simulate_run(src, chain, run)
+        classes = source_mod._Draw(src, chain, run)._classes.sum(0)
+        for k in (0, 1):
+            times = stream.times_for(k + 1)
+            assert np.count_nonzero(np.diff(times) == 0) == classes[4 * k]
+            clicks = sum(int(n) * c[k]
+                         for n, c in zip(classes, source_mod._CLICKS))
+            assert stream.counts()[k] == clicks + truth.darks_emitted[k]
 
     def test_dead_time_filter_matches_reference_loop(self):
         from pairsim.events import _deadtime_filter
