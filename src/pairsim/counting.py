@@ -163,91 +163,108 @@ def _match_count(times: np.ndarray, det: np.ndarray, half_window: int,
     return matches, times[split:].copy(), det[split:].copy()
 
 
+def _candidates(t: np.ndarray, det: np.ndarray, lo: int, reach: int,
+                wrap: int) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """(times, detectors) of a block's candidates (_block_counts) and the
+    time of the event after it (None: none), of t and det as
+    source._block(lo, _BLOCK) returns them."""
+    edge, size = int(lo > 0), det.size
+    after = int(t[-1]) if t.size > edge + size else None
+    tb = t[edge:edge + size]
+    keep = _near(t, reach)[edge:edge + size]
+    keep[:np.searchsorted(tb, reach, "right")] = True   # head zone
+    keep[np.searchsorted(tb, wrap):] = True             # wrap zone
+    if keep.all():  # as at a long delay: no copy
+        return tb, det, after
+    at = np.flatnonzero(keep)
+    del keep        # each del frees a temporary before the next one
+    return tb.take(at), det.take(at), after
+
+
 def _block_counts(source, half: int, delay_ps: int) -> tuple[int, int, int]:
     """net_summary's (raw, delayed) match counts and the detector-2 count
     of a block source, an EventStream or an event file opened for block
     reads (events._EventReader), walked in fixed blocks of _BLOCK events
-    with one gap pass per block. Both counts give _match_count the whole-ps
-    half window half and detector indices.
+    (source._block) with one gap pass per block. Both counts give
+    _match_count the whole-ps half window half and detector indices.
 
     The delayed count matches detector 1 against detector 2 delayed by
-    shift = delay mod duration and wrapped: u + shift for u < duration -
-    shift, and u - (duration - shift) for the wrap zone at the end of the
-    run, which is gathered first (source._tail) because its times come
-    first. Delaying moves a detector-2 time by at most shift, so an event
-    can match only if an adjacent event lies within reach = shift + half
-    window, or it lies in the head zone t <= reach where wrapped times
-    land, or in the wrap zone; any other event is more than a half window
-    from every event of the other detector. The gap pass keeps these
-    candidates. They contain the raw count's, and two of them adjacent
-    within a half window were adjacent in the stream, so the raw count runs
-    on them as well.
+    shift = delay mod duration and wrapped: u - wrap for u in the wrap zone
+    u >= wrap = duration - shift at the end of the run, whose delayed times
+    come first, then u + shift for u < wrap. Delaying moves a detector-2
+    time by at most shift, so an event can match only if an adjacent event
+    lies within reach = shift + half window, or it lies in the head zone
+    t <= reach where wrapped times land, or in the wrap zone; any other
+    event is more than a half window from every event of the other
+    detector. One gap pass (_candidates) keeps these candidates. They
+    contain the raw count's, and two of them adjacent within a half window
+    were adjacent in the stream, so the raw count runs on them as well.
 
-    A block's delayed segment is its detector-1 candidates merged with the
-    pending delayed detector-2 candidates that fall before the next block's
-    first time; the later ones wait for a later block. Each count's carry
-    is _match_count's open cluster, with after the next block's first time.
+    A second cursor over the same blocks reads the delayed detector 2 in
+    its order: from the block that holds the wrap zone's first event
+    (source._index) to the end, then from the start to that block. At the
+    walk's block it takes the walk's detector-2 candidates; elsewhere (the
+    wrap block, or blocks ahead at a long delay) it reads and gaps the
+    block itself. A block's delayed segment is its detector-1 candidates
+    merged with the pending delayed ones before the next block's first
+    time; the walk pulls cursor blocks until the delayed times to come pass
+    that time, so at most one cursor block's wait. Each count's carry is
+    _match_count's open cluster, with after the next block's first time.
 
     The candidates are 8 % of the reference stream and 56 % of the dense
-    one. Whatever the stream's length, a pass holds one block's temporaries
-    (traced: 0.7 MB at the reference point, 1.7 MB at the dense one, 2.1 MB
-    when a long delay makes every event a candidate) plus the pending
-    buffer, which grows with shift times the detector-2 rate. It is a few
-    events at a 100 ns or 1 ms delay. A shift just under the duration puts
-    every detector-2 time in it, and the traced peak is then 9 bytes per
-    event (3 s reference stream). The merge's sort buffer adds up to 4 bytes
-    per merged key that tracemalloc does not see.
+    one. Whatever the stream's length and the delay, a pass holds one
+    block's and one cursor block's temporaries (traced: 0.7 MB at the
+    reference point, 1.7 MB at the dense one, 2.4 MB when a shift just
+    under the duration makes every event a candidate). The merge's sort
+    buffer adds up to 4 bytes per merged key that tracemalloc does not see.
     """
     d = source.duration_ps
     half = min(half, 2**63 - 1)
     shift = delay_ps % d
     reach, wrap = min(shift + half, 2**63 - 1), d - shift
-    t, det = source._tail(wrap)
-    pending = np.compress(det == 2, t)
-    pending -= wrap
-    del t, det
-    raw = acc = n2 = edge = 0
-    raw_t = acc_t = np.empty(0, np.int64)
+    n, w = source.n_events, source._index(wrap)
+    # the cursor's (block start, move to the delayed time), popped in order
+    steps = [*((lo, -wrap) for lo in range(w - w % _BLOCK, n, _BLOCK)
+               if w < n), *((lo, shift) for lo in range(0, w, _BLOCK))][::-1]
+    raw = acc = n2 = bound = 0  # no delayed time still to come is < bound
+    raw_t = acc_t = pending = np.empty(0, np.int64)
     raw_d = acc_d = np.empty(0, np.uint8)
-    for t, db in source._blocks(_BLOCK):
-        # t holds the block's times after the previous block's last time
-        # (from the second block on, edge = 1) and before the next block's
-        # first time, if any
-        size = db.size
-        after = int(t[-1]) if t.size > edge + size else None
-        keep = _near(t, reach)[edge:edge + size]
-        tb = t[edge:edge + size]
-        edge = 1
-        keep[:np.searchsorted(tb, reach, "right")] = True   # head zone
-        keep[np.searchsorted(tb, wrap):] = True             # wrap zone
-        at = np.flatnonzero(keep)
-        del keep        # each del frees a temporary before the next one
-        n2 += size - int(np.count_nonzero(db == 1))
-        tb, db = tb.take(at), db.take(at)
-        del at
-
-        n, raw_t, raw_d = _match_count(np.concatenate((raw_t, tb)),
+    for lo in range(0, n, _BLOCK):
+        t, db = source._block(lo, _BLOCK)
+        n2 += db.size - int(np.count_nonzero(db == 1))
+        tb, db, after = _candidates(t, db, lo, reach, wrap)
+        m, raw_t, raw_d = _match_count(np.concatenate((raw_t, tb)),
                                        np.concatenate((raw_d, db)), half,
                                        after)
-        raw += n
+        raw += m
         is1 = db == 1
         t1 = np.compress(is1, tb)
         t2 = np.compress(np.logical_not(is1, out=is1), tb)
         del tb, db, is1
-        t2 = t2[:np.searchsorted(t2, wrap)]     # the wrap zone is pending
-        t2 += shift
-        if t2.size:     # a long pending buffer is not copied to add nothing
-            pending = np.concatenate((pending, t2))
+        while steps and (after is None or bound < after):
+            at, move = steps.pop()
+            c, c_after = t2, after
+            if at != lo:
+                c, det, c_after = _candidates(*source._block(at, _BLOCK),
+                                              at, reach, wrap)
+                c = np.compress(det == 2, c)
+                del det
+            k = int(np.searchsorted(c, wrap))
+            c = c[k:] if move < 0 else c[:k]
+            bound = (d if c_after is None else c_after) + move
+            pending = np.concatenate((pending, c))
+            pending[pending.size - c.size:] += move
+            del c
         del t2
         j = pending.size if after is None else int(np.searchsorted(pending,
                                                                    after))
         times, dets = _merge_sorted(t1, pending[:j])
         pending = pending[j:]
         del t1
-        n, acc_t, acc_d = _match_count(np.concatenate((acc_t, times)),
+        m, acc_t, acc_d = _match_count(np.concatenate((acc_t, times)),
                                        np.concatenate((acc_d, dets)), half,
                                        after)
-        acc += n
+        acc += m
         del times, dets
     return raw, acc, n2
 
@@ -281,9 +298,10 @@ def net_summary(stream: EventStream, window: WindowConfig = WindowConfig(),
     counts as in estimate_accidentals: one at a multiple of the run duration
     gives accidental_count == coincidence_count and an rc_net of 0.
 
-    Both counts come from one blocked pass, so the traced peak does not grow
-    with the stream: 0.19 bytes per event above the stream at the 10 s
-    reference point and 2.0 at the 0.5 s dense one (the stream holds 9)."""
+    Both counts come from one blocked pass, so the traced peak grows neither
+    with the stream nor with the delay: 0.19 bytes per event above the
+    stream at the 10 s reference point and 2.0 at the 0.5 s dense one (the
+    stream holds 9), and 2.4 MB at a delay just under a run's duration."""
     return _summary(stream, window.half_window_ps, window.delay_ps,
                     dark_rates)
 

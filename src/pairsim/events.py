@@ -150,12 +150,12 @@ def _cast_exact(values, dtype: type, name: str, what: str) -> np.ndarray:
 
 
 class _EventError(ConfigError):
-    """A broken stream rule, with the column ('times_ps' or 'detectors')
-    and index of the first event that breaks it."""
+    """A broken stream rule, with its rank in EventStream's order (0 detector
+    range, 1 time order, 2 time range) and its first bad event's index."""
 
-    def __init__(self, message: str, column: str, index: int) -> None:
+    def __init__(self, message: str, rank: int, index: int) -> None:
         super().__init__(message)
-        self.column, self.index = column, int(index)
+        self.rank, self.index = rank, int(index)
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ class EventStream:
         if det.size and not 1 <= det.min() <= det.max() <= 2:
             i = np.argmax((det - 1) > 1)    # uint8: detector 0 wraps to 255
             raise _EventError(f"detector index must be 1 or 2, got {det[i]}",
-                              "detectors", i)
+                              0, i)
         # RunConfig's rule: whole numbers in range, kept as int (a seed of
         # -1 or '7' would not read back)
         bounds = {  # name: (the rule, test)
@@ -201,13 +201,13 @@ class EventStream:
                 if np.any(block[1:] < block[:-1]):
                     i = lo + 1 + np.argmax(block[1:] < block[:-1])
                     raise _EventError("timestamps must be non-decreasing",
-                                      "times_ps", i)
+                                      1, i)
             if t[0] < 0 or t[-1] >= self.duration_ps:
                 # sorted, so the first bad event is t[0] or the first late one
                 i = 0 if t[0] < 0 else np.searchsorted(t, self.duration_ps)
                 raise _EventError(
                     f"timestamps must lie in [0, {self.duration_ps}) ps",
-                    "times_ps", i)
+                    2, i)
         object.__setattr__(self, "detectors", det)
         object.__setattr__(self, "times_ps", t)
 
@@ -229,21 +229,19 @@ class EventStream:
         n2 = int(self.detectors.sum(dtype=np.int64)) - self.n_events
         return self.n_events - n2, n2
 
-    def _blocks(self, size: int):
+    def _block(self, lo: int, size: int) -> tuple[np.ndarray, np.ndarray]:
         """The stream as the counter walks it: (times, detectors) views of
-        each run of size events, the times with the event before the run
-        and the one after it, where they exist."""
-        t, det = self.times_ps, self.detectors
-        for lo in range(0, t.size, size):
-            yield t[max(lo - 1, 0):lo + size + 1], det[lo:lo + size]
+        the run of size events from event lo, the times with the event
+        before the run and the one after it, where they exist."""
+        t = self.times_ps
+        return t[max(lo - 1, 0):lo + size + 1], self.detectors[lo:lo + size]
+
+    def _index(self, time: int) -> int:
+        """The index of the first event at or after time."""
+        return int(np.searchsorted(self.times_ps, time))
 
     def _slabs(self) -> tuple[int, list]:   # as write_event_file takes them
         return self.n_events, [(self.times_ps, self.detectors)]
-
-    def _tail(self, wrap: int) -> tuple[np.ndarray, np.ndarray]:
-        """(times, detectors) views of the events at or after time wrap."""
-        k = int(np.searchsorted(self.times_ps, wrap))
-        return self.times_ps[k:], self.detectors[k:]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventStream):
@@ -322,17 +320,17 @@ def _open_event_file(path: str | os.PathLike) -> _EventReader:
 
 class _EventReader:
     """A v2 file, read whole (read) or a block at a time as the counter
-    walks it (_blocks, _tail), so that counting holds one block whatever
-    the file's size.
+    walks it (_block, _index), so that counting holds one block whatever
+    the file's size and its faults.
 
     Opening reads the header lines after the magic line up to
     '# events = <n>' and checks their values and the file size. A block is
     two np.fromfile reads, its times (with the events before and after it)
     and its detectors; each block is checked for order, including across
     its seams, the time range and the detector range. A block that breaks
-    a rule hands the file to read, which raises the DataFormatError that
+    a rule calls _fault, which raises the DataFormatError that
     read_event_file raises: it names the byte of the first event
-    EventStream reports."""
+    EventStream reports, found a block at a time."""
 
     def __init__(self, path: str | os.PathLike, fh) -> None:
         self.path, header = path, {}
@@ -382,23 +380,42 @@ class _EventReader:
     def read(self) -> EventStream:
         """The whole file as an EventStream, one np.fromfile per column;
         EventStream checks every value, and errors name the byte of the
-        event that breaks a rule."""
+        event that breaks a rule (_fault)."""
         n, body = self.n_events, self.body
         times = np.fromfile(self.path, "<i8", count=n, offset=body)
         dets = np.fromfile(self.path, np.uint8, count=n, offset=body + 8 * n)
         try:
             return EventStream(dets, times, **self.meta,
                                config_digest=self.config_digest)
-        except _EventError as exc:      # name the event that breaks the rule
-            start, size = ((body + 8 * n, 1) if exc.column == "detectors"
-                           else (body, 8))
-            self._fail(start + size * exc.index, str(exc))
+        except _EventError:
+            self._fault()
 
-    def _read(self, start: int, lo: int, hi: int
-              ) -> tuple[np.ndarray, np.ndarray]:
-        """(times from event start to hi, and event hi if there is one;
-        detectors of events lo to hi), checked."""
+    def _fault(self) -> NoReturn:
+        """Raise read_event_file's DataFormatError, found a block at a time:
+        EventStream checks each block with the event before it, and of each
+        rule's first error the lowest rank's (_EventError) is the file's.
+        With no faulty block the file changed while being read."""
+        n, body, first = self.n_events, self.body, {}
+        for lo in range(0, n, _BLOCK):
+            start, hi = max(lo - 1, 0), min(lo + _BLOCK, n)
+            times = np.fromfile(self.path, "<i8", count=hi - start,
+                                offset=body + 8 * start)
+            dets = np.fromfile(self.path, np.uint8, count=hi - start,
+                               offset=body + 8 * n + start)
+            try:
+                EventStream(dets, times, **self.meta)
+            except _EventError as exc:
+                first.setdefault(exc.rank, (start + exc.index, str(exc)))
+            del times, dets     # one block is held at a time
+        if first:
+            rank, (i, message) = min(first.items())
+            self._fail(body + (8 * n + i if rank == 0 else 8 * i), message)
+        raise DataFormatError(f"{self.path}: changed while being read")
+
+    def _block(self, lo: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """As EventStream._block, read from the file and checked."""
         n, body = self.n_events, self.body
+        start, hi = max(lo - 1, 0), min(lo + size, n)
         t = np.fromfile(self.path, "<i8", count=min(hi + 1, n) - start,
                         offset=body + 8 * start)
         det = np.fromfile(self.path, np.uint8, count=hi - lo,
@@ -407,32 +424,19 @@ class _EventReader:
                 1 <= det.min() and det.max() <= 2 and 0 <= t[0]
                 and t[-1] < self.duration_ps
                 and not np.any(t[1:] < t[:-1]))):
-            self.read()     # raises the error read_event_file raises
-            raise DataFormatError(f"{self.path}: changed while being read")
+            self._fault()
         return t, det
+
+    def _index(self, time: int) -> int:
+        """As EventStream._index: a binary search of the times column,
+        whose order the block reads check."""
+        with open(self.path, "rb") as fh:
+            def time_of(i: int) -> int:
+                fh.seek(self.body + 8 * i)
+                return int.from_bytes(fh.read(8), "little", signed=True)
+            return bisect.bisect_left(range(self.n_events), time, key=time_of)
 
     def _check(self) -> None:
         """Read every block, so that a bad body raises its error."""
-        for _ in self._blocks(_BLOCK):
-            pass
-
-    def _blocks(self, size: int):
-        """As EventStream._blocks, read from the file."""
-        for lo in range(0, self.n_events, size):
-            yield self._read(max(lo - 1, 0), lo, min(lo + size,
-                                                     self.n_events))
-
-    def _tail(self, wrap: int) -> tuple[np.ndarray, np.ndarray]:
-        """As EventStream._tail: a binary search of the times column (whose
-        order the block reads check), then one checked read of the events
-        from there to the end."""
-        lo, hi = 0, self.n_events
-        with open(self.path, "rb") as fh:
-            while lo < hi:
-                mid = (lo + hi) // 2
-                fh.seek(self.body + 8 * mid)
-                if int.from_bytes(fh.read(8), "little", signed=True) < wrap:
-                    lo = mid + 1
-                else:
-                    hi = mid
-        return self._read(lo, lo, self.n_events)
+        for lo in range(0, self.n_events, _BLOCK):
+            self._block(lo, _BLOCK)

@@ -855,6 +855,41 @@ class TestCountStreamed:
         assert three[1] <= one[1] + 64 * 1024     # count
 
 
+class TestGoldenCount:
+    """count --csv over a fixed file of six blocks (the reference point, 1 s,
+    seed 7), pinned byte for byte at delays whose delayed detector 2 wraps
+    across many blocks: 100 ns, half the run, 50 ns under it and, at a
+    50 ps window, 1 ns under it. The oracles check the walk only on a few
+    events, and the reader against EventStream misses a bug both share."""
+
+    @pytest.fixture(scope="class")
+    def event_file(self, tmp_path_factory):
+        stream, _ = source_mod.simulate_run(
+            source_mod.reference_source(), source_mod.reference_chain(),
+            source_mod.RunConfig(1.0, 7))
+        assert -(-stream.n_events // counting._BLOCK) == 6
+        path = tmp_path_factory.mktemp("golden") / "run.events"
+        pairsim.write_event_file(stream, path)
+        return path
+
+    @pytest.mark.parametrize("window, delay, csv_sha256", [
+        ("1e-9", "100e-9", "41977140842fd7b724b9823035f40ff1"
+                           "5b548fe991a88dfa5fdb9eb4a877cb54"),
+        ("1e-9", "0.5", "2e90c60ee9090205f770cc0527c161e9"
+                        "1ff3a2a7fb0b1d4deb796c58ba4bda73"),
+        ("1e-9", "0.99999995", "afb018dde7f10a852d26c587f55a6ed5"
+                               "3e1a7215673e045f4052524c1186e253"),
+        ("5e-11", "0.999999999", "5f7076c56980cb9a765fc2d0cf2aac98"
+                                 "209c0001443bd1712dd74cbad6a6f66d"),
+    ])
+    def test_count_csv_digest(self, capsys, event_file, window, delay,
+                              csv_sha256):
+        code, out, _ = run_cli(capsys, "count", str(event_file), "--csv",
+                               "--window", window, "--delay", delay)
+        assert code == 0
+        assert sha256_text(out) == csv_sha256
+
+
 class TestCountBinary:
     @pytest.mark.parametrize("data, offset, fragment", MALFORMED_V2.values(),
                              ids=MALFORMED_V2.keys())

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pairsim import (ConfigError, EventStream, Rate, WindowConfig,
-                     count_coincidences, estimate_accidentals, net_summary)
+from pairsim import (ConfigError, DataFormatError, EventStream, Rate,
+                     WindowConfig, count_coincidences, estimate_accidentals,
+                     net_summary)
 from pairsim import counting, events
 from pairsim.counting import _match_count
 from pairsim.events import _merge_sorted
@@ -455,3 +456,59 @@ class TestReaderBlocks:
                                      window.half_window_ps, window.delay_ps,
                                      darks)
         assert read == whole
+
+
+@st.composite
+def faulty_files(draw):
+    """(duration, times, detectors) of a stream of up to 40 events with one
+    to three faults of mixed rules at different events: a detector index
+    other than 1 or 2, a descent (or a negative first time), or a time out
+    of [0, duration)."""
+    duration = draw(st.integers(50, 10**6))
+    n = draw(st.integers(1, 40))
+    times = np.sort(np.array(draw(st.lists(st.integers(0, duration - 1),
+                                           min_size=n, max_size=n)),
+                             dtype=np.int64))
+    dets = np.array(draw(st.lists(st.sampled_from((1, 2)), min_size=n,
+                                  max_size=n)), dtype=np.uint8)
+    for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
+                           unique=True)):
+        rule = draw(st.sampled_from(("detector", "descent", "range")))
+        if rule == "detector":
+            dets[i] = draw(st.sampled_from((0, 3, 7, 255)))
+        elif rule == "descent":
+            times[i] = (times[i - 1] if i else 0) - draw(st.integers(1, 99))
+        else:
+            times[i] = draw(st.sampled_from((-1, duration, duration + 5,
+                                             2**62)))
+    return duration, times, dets
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+class TestReaderFaults:
+    """A bad file body is named from blocks (events._EventReader._fault) as
+    read_event_file names it from the whole columns in one block: with
+    faults of mixed rules in different blocks, the first detector fault
+    anywhere wins, then the first descent, then the first time out of
+    range."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(case=faulty_files())
+    def test_block_fault_names_the_whole_file_error_property(self, block,
+                                                             case):
+        duration, times, dets = case
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as mp:
+            path = os.path.join(tmp, "bad.events")
+            with open(path, "wb") as fh:
+                fh.write(b"# pairsim-events v2\n# duration_ps = %d\n"
+                         b"# events = %d\n" % (duration, times.size))
+                fh.write(times.astype("<i8").tobytes() + dets.tobytes())
+            with pytest.raises(DataFormatError) as whole:
+                events.read_event_file(path)
+            mp.setattr(counting, "_BLOCK", block)
+            mp.setattr(events, "_BLOCK", block)
+            with pytest.raises(DataFormatError) as read:
+                counting._summary(events._open_event_file(path), 5, 1000,
+                                  (Rate(0.0), Rate(0.0)))
+        assert str(read.value) == str(whole.value)

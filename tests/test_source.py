@@ -15,7 +15,8 @@ from pairsim import (ConfigError, DetectionChainConfig, Efficiency,
                      expected_rates, net_summary, pair_rate, photon_flux,
                      read_event_file, reference_chain, reference_source,
                      sample_pair_spectrum, simulate_run, write_event_file)
-from pairsim import keyvalue, source as source_mod
+from pairsim import DataFormatError, counting, events, keyvalue
+from pairsim import source as source_mod
 from pairsim import (EstimateInput, QpmPoint, estimate,
                      solve_degeneracy_temperature, solve_poling_period,
                      solve_signal_wavelength, solve_temperature,
@@ -894,6 +895,51 @@ class TestAllocationBudget:
             peaks.append(traced_peak(lambda: net_summary(
                 stream, WindowConfig(1.0, 100.0)))[1])
         assert peaks[1] <= peaks[0] + 64 * 1024
+
+    def test_long_delay_net_summary_peak_does_not_grow_with_the_stream(
+            self):
+        # a delay 1 ns under the run makes every event a candidate and puts
+        # every delayed detector-2 time behind the walk; the cursor reads
+        # them a block at a time, so three times the events, the same peak
+        peaks = []
+        for duration in (1.0, 3.0):
+            stream, _ = simulate_run(reference_source(), reference_chain(),
+                                     RunConfig(duration, seed=3))
+            window = WindowConfig(0.05, duration * 1e9 - 1.0)
+            assert window.delay_ps == stream.duration_ps - 1000
+            peaks.append(traced_peak(lambda: net_summary(stream,
+                                                         window))[1])
+        assert peaks[1] <= peaks[0] + 64 * 1024
+
+    def test_bad_byte_is_named_from_blocks(self, tmp_path):
+        # the last detector byte set to 7: the count names its byte with at
+        # most one block (9 bytes an event) more than it holds for the good
+        # file, not the columns (1.47x the stream's bytes while it read
+        # them whole)
+        stream, _ = simulate_run(reference_source(), reference_chain(),
+                                 RunConfig(1.0, seed=3))
+        path = tmp_path / "bad.events"
+        write_event_file(stream, path)
+        reader = events._open_event_file(path)
+        nbytes = stream.times_ps.nbytes + stream.detectors.nbytes
+
+        def count():
+            return counting._summary(reader, 500, 100_000, (Rate(0.0),) * 2)
+
+        _, good = traced_peak(count)
+        with open(path, "r+b") as fh:
+            fh.seek(-1, 2)
+            fh.write(b"\x07")
+
+        def fault():
+            with pytest.raises(DataFormatError) as info:
+                count()
+            return str(info.value)
+
+        message, peak = traced_peak(fault)
+        assert message == (f"{path}: byte {reader.body + nbytes - 1}: "
+                           "detector index must be 1 or 2, got 7")
+        assert peak <= good + 9 * events._BLOCK
 
     def test_binary_read_peak(self, tmp_path):
         # the two columns are read into their final arrays; EventStream's
